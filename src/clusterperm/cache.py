@@ -3,8 +3,11 @@
 Collections whose graphs are isomorphic (label-preserving on edges, vertex
 labels free, distinguished vertex fixed) have identical cluster statistics,
 so the canonical form of the graph plus the fill bounds (N, Q) is a sound
-cache key.  Tables are stored as JSON files; writes go through a temporary
-file in the same directory followed by an atomic rename.
+cache key.  The form is ``graph.canonical_form``, shared with the
+equivalence check; it searches only the relabellings that keep vertex
+lengths in order.  Tables are stored as JSON files; writes go through a
+temporary file in the same directory followed by an atomic rename.  A file
+that cannot be read back as a table counts as a miss.
 """
 
 from __future__ import annotations
@@ -13,52 +16,19 @@ import hashlib
 import json
 import os
 import tempfile
-from itertools import permutations as _it_permutations
 from pathlib import Path
 
 from .clusters import ClusterTable, cluster_counts
-from .graph import PatternCollection, build_graph
+from .graph import PatternCollection, build_graph, canonical_form
 
 ENV_CACHE_DIR = "CLUSTERPERM_CACHE_DIR"
-
-
-def _canonical_encoding(graph) -> tuple:
-    """Minimal edge encoding over all re-labelings of the non-distinguished
-    vertices (vertex permutation labels are discarded; lengths are kept since
-    edge labels fix the boundary set sizes)."""
-    rest = [v for v in graph.vertices if v != (1,)]
-    best = ((), ())
-    first = True
-    for image in _it_permutations(range(1, len(rest) + 1)):
-        index = {(1,): 0}
-        index.update({v: i for v, i in zip(rest, image)})
-        by_index = sorted(rest, key=lambda v: index[v])
-        lens = tuple(len(v) for v in by_index)
-        enc = tuple(
-            sorted(
-                (
-                    index[e.source],
-                    index[e.target],
-                    e.label.mu_i,
-                    e.label.mu_f,
-                    e.label.length,
-                )
-                for e in graph.edges
-            )
-        )
-        cand = (lens, enc)
-        if first or cand < best:
-            best = cand
-            first = False
-    return best
 
 
 def cache_key(collection: PatternCollection) -> str:
     """Hex digest identifying the collection's overlap graph up to
     label-preserving isomorphism."""
-    graph = build_graph(collection)
-    blob = repr(_canonical_encoding(graph)).encode()
-    return hashlib.sha256(blob).hexdigest()
+    encoding, _ = canonical_form(build_graph(collection))
+    return hashlib.sha256(repr(encoding).encode()).hexdigest()
 
 
 def cache_dir() -> Path:
@@ -110,9 +80,14 @@ def load_table(
     path = _table_path(cache_key(collection), n_max, q_max, directory)
     if not path.exists():
         return None
-    doc = json.loads(path.read_text())
-    totals = {(n, q): int(c) for n, q, c in doc["totals"]}
-    return ClusterTable(collection, doc["n_max"], doc["q_max"], totals)
+    # a truncated or foreign file is a miss; the caller recomputes and
+    # overwrites it
+    try:
+        doc = json.loads(path.read_text())
+        totals = {(n, q): int(c) for n, q, c in doc["totals"]}
+        return ClusterTable(collection, doc["n_max"], doc["q_max"], totals)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def cached_cluster_counts(

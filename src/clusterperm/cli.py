@@ -27,9 +27,7 @@ class RunConfig:
     n: int
     q: int
     fmt: str
-    use_oracle: bool
     force: bool
-    jobs: int
     use_cache: bool
 
 
@@ -182,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=defaults.get("q", 5))
         p.add_argument("--format", default=defaults.get("fmt", "tsv"))
         p.add_argument("--force", action="store_true")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--cache", action="store_true")
         return p
 
@@ -195,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify-ode", "verify the emitted ODE system against the series", n=20)
     p5 = sub.add_parser("classify-s5", help="orbit classification of S_5")
     p5.add_argument("--format", default="text")
-    p5.add_argument("--jobs", type=int, default=1)
     add("oracle", "brute-force cross-checks")
     return parser
 
@@ -226,9 +222,7 @@ def main(argv=None) -> int:
         n=getattr(args, "n", 10),
         q=getattr(args, "q", 5),
         fmt=getattr(args, "format", "tsv"),
-        use_oracle=args.subcommand == "oracle",
         force=getattr(args, "force", False),
-        jobs=getattr(args, "jobs", 1),
         use_cache=getattr(args, "cache", False),
     )
     try:

@@ -1,4 +1,4 @@
-"""Cluster counting: exhaustive oracle and overlap-graph recurrences.
+"""Cluster counting: exhaustive oracle and the overlap-graph recurrence.
 
 A q-cluster for a collection Pi is a permutation sigma completely covered by
 q marked occurrences of patterns from Pi at offsets d_1 = 1 < d_2 < ... < d_q
@@ -34,7 +34,7 @@ from .graph import (
     _window_order_preds,
     build_graph,
 )
-from .perms import DomainError, Perm, check_permutation, is_permutation, standardize
+from .perms import DomainError, Perm, check_permutation, standardize
 
 
 def binom(n: int, m: int) -> int:
@@ -288,14 +288,6 @@ class ClusterTable:
         return self._engine.vertex_total(v, n, q)
 
 
-def _trivial_table(collection: PatternCollection, n_max: int, q_max: int):
-    # the pattern (1) admits exactly one cluster, the 1-cluster (1) itself
-    totals = {(1, 0): 1}
-    if n_max >= 1 and q_max >= 1:
-        totals[(1, 1)] = 1
-    return ClusterTable(collection, n_max, q_max, totals)
-
-
 def cluster_counts(
     collection: PatternCollection, n_max: int, q_max: int
 ) -> ClusterTable:
@@ -303,7 +295,8 @@ def cluster_counts(
     if n_max < 1 or q_max < 1:
         raise DomainError("need n_max >= 1 and q_max >= 1")
     if collection.patterns == ((1,),):
-        return _trivial_table(collection, n_max, q_max)
+        # the pattern (1) admits exactly one cluster, the 1-cluster (1) itself
+        return ClusterTable(collection, n_max, q_max, {(1, 0): 1, (1, 1): 1})
     graph = build_graph(collection)
     engine = _Engine(graph)
     totals = {(1, 0): 1}
@@ -319,167 +312,13 @@ def table_totals(table: ClusterTable) -> dict[tuple[int, int], int]:
     return dict(table.totals)
 
 
-# ---------------------------------------------------------------------------
-# Single-pattern specialization
-# ---------------------------------------------------------------------------
-
-
-class _SinglePatternEngine:
-    """Refined recurrence for one pattern, indexed by the longest-overlap
-    prefix word (length k = largest self-overlap length)."""
-
-    def __init__(self, pattern: Perm):
-        self.pattern = pattern
-        l = len(pattern)
-        self.l = l
-        self.ks = [
-            k
-            for k in range(1, l)
-            if standardize(pattern[l - k :]) == standardize(pattern[:k])
-        ]
-        self.k = max(self.ks)
-        self.prefix_std = standardize(pattern[: self.k])
-        self.branches = []
-        for ks in self.ks:
-            vs = standardize(pattern[:ks])
-            if l > self.k + ks:
-                combined = pattern[: self.k] + pattern[l - ks :]
-                tilde = standardize(combined)
-                psi = tuple(
-                    sorted(range(1, self.k + ks + 1), key=lambda i: tilde[i - 1])
-                )
-
-                def sh(j, ks=ks):
-                    return j if j <= self.k else j + l - self.k - ks
-
-                pi_sorted = tuple(pattern[sh(j) - 1] for j in psi)
-                order = tuple(sorted(range(ks), key=lambda i: tilde[self.k + i]))
-                self.branches.append(("binom", ks, vs, tilde, psi, pi_sorted, order))
-            else:
-                order = tuple(
-                    sorted(range(l - self.k), key=lambda i: pattern[self.k + i])
-                )
-                self.branches.append(("plain", ks, vs, None, None, None, order))
-        self.memo: dict = {}
-
-    def refined(self, n: int, q: int, word: tuple[int, ...]) -> int:
-        k = self.k
-        if (
-            len(word) != k
-            or any(not 1 <= x <= n for x in word)
-            or len(set(word)) != len(word)
-            or standardize(word) != self.prefix_std
-        ):
-            return 0
-        if q == 1:
-            return 1 if n == self.l and word == self.pattern[:k] else 0
-        key = (n, q, word)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        pat, l = self.pattern, self.l
-        total = 0
-        for kind, ks, vs, tilde, psi, pi_sorted, order in self.branches:
-            n_sub = n - l + ks
-            if n_sub < 1:
-                continue
-            used = set(word)
-            avail = [x for x in range(1, n + 1) if x not in used]
-            if kind == "binom":
-                for combo in combinations(avail, ks):
-                    fresh = [0] * ks
-                    for rank, idx in enumerate(order):
-                        fresh[idx] = combo[rank]
-                    full = word + tuple(fresh)
-                    if standardize(full) != tilde:
-                        continue
-                    prod = binom(full[psi[0] - 1] - 1, pi_sorted[0] - 1)
-                    for j in range(k + ks - 1):
-                        if prod == 0:
-                            break
-                        prod *= binom(
-                            full[psi[j + 1] - 1] - full[psi[j] - 1] - 1,
-                            pi_sorted[j + 1] - pi_sorted[j] - 1,
-                        )
-                    if prod:
-                        prod *= binom(
-                            n - full[psi[k + ks - 1] - 1], l - pi_sorted[k + ks - 1]
-                        )
-                    if prod == 0:
-                        continue
-                    lead = tuple(
-                        fresh[j] - pat[l - ks + j] + vs[j] for j in range(ks)
-                    )
-                    total += prod * self._marginal(n_sub, q - 1, lead)
-            else:
-                for combo in combinations(avail, l - k):
-                    fresh = [0] * (l - k)
-                    for rank, idx in enumerate(order):
-                        fresh[idx] = combo[rank]
-                    full = word + tuple(fresh)
-                    if standardize(full) != pat:
-                        continue
-                    lead = tuple(
-                        full[l - ks + j] - pat[l - ks + j] + vs[j]
-                        for j in range(ks)
-                    )
-                    total += self._marginal(n_sub, q - 1, lead)
-        self.memo[key] = total
-        return total
-
-    def _marginal(self, n: int, q: int, lead: tuple[int, ...]) -> int:
-        """Sum the refined counts over the free trailing word coordinates."""
-        extra = self.k - len(lead)
-        if extra == 0:
-            return self.refined(n, q, lead)
-        if any(not 1 <= x <= n for x in lead) or len(set(lead)) != len(lead):
-            return 0
-        key = ("marg", n, q, lead)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        pool = [x for x in range(1, n + 1) if x not in lead]
-        total = 0
-        for combo in combinations(pool, extra):
-            # the trailing coordinates are ordered; the refined count itself
-            # zeroes any arrangement whose standardization is wrong
-            for tail in _orderings(combo):
-                total += self.refined(n, q, lead + tail)
-        self.memo[key] = total
-        return total
-
-    def total(self, n: int, q: int) -> int:
-        if q == 0:
-            return 1 if n == 1 else 0
-        total = 0
-        for values in combinations(range(1, n + 1), self.k):
-            word = tuple(values[self.prefix_std[i] - 1] for i in range(self.k))
-            total += self.refined(n, q, word)
-        return total
-
-
-def _orderings(values):
-    from itertools import permutations as _perms
-
-    return _perms(values)
-
-
 def cluster_counts_single_pattern(
     pattern, n_max: int, q_max: int
 ) -> ClusterTable:
-    """cl_{n,q} for a singleton collection via the specialized recurrence."""
-    pat = check_permutation(pattern)
-    collection = PatternCollection((pat,))
-    if pat == (1,):
-        return _trivial_table(collection, n_max, q_max)
-    engine = _SinglePatternEngine(pat)
-    totals = {(1, 0): 1}
-    for n in range(1, n_max + 1):
-        for q in range(1, q_max + 1):
-            c = engine.total(n, q)
-            if c:
-                totals[(n, q)] = c
-    return ClusterTable(collection, n_max, q_max, totals)
+    """cl_{n,q} for the singleton collection of a bare pattern."""
+    return cluster_counts(
+        PatternCollection((check_permutation(pattern),)), n_max, q_max
+    )
 
 
 # ---------------------------------------------------------------------------

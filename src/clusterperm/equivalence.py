@@ -8,7 +8,9 @@ this at increasing cost:
   (equal lengths, equal realized overlap lengths for every ordered pair, and
   equal boundary entry sets at every realized overlap);
 * graphs_isomorphic: a label-preserving isomorphism of overlap graphs, also
-  sufficient since the graph determines the cluster recurrence;
+  sufficient since the graph determines the cluster recurrence; decided by
+  equality of canonical forms (graph.canonical_form, the form the cache
+  keys on);
 * verify_strong_equivalence: coefficientwise equality of the avoidance
   generating functions to a finite order (the definition, truncated).
 
@@ -27,8 +29,10 @@ from .graph import (
     OverlapGraph,
     PatternCollection,
     build_graph,
+    canonical_form,
     overlap_lengths,
 )
+from .monotone import _require_monotone
 from .perms import (
     DomainError,
     Perm,
@@ -91,143 +95,117 @@ class Theorem13Report:
         return self.ok
 
 
+def _check_bijection(pi1, pi2, phi: PatternBijection, overlap_test):
+    """Length and overlap-length preservation, then ``overlap_test`` at each
+    realized overlap.  ``overlap_test(pi, pip, k, phi)`` returns the failure
+    strings of the k-overlap of the ordered pair (pi, pip)."""
+    phi.check_domains(pi1, pi2)
+    pats1 = _patterns_of(pi1)
+    failures = []
+    lengths_ok = True
+    for pi in pats1:
+        if len(pi) != len(phi.apply(pi)):
+            lengths_ok = False
+            failures.append(f"length mismatch: {pi} vs {phi.apply(pi)}")
+    linkages_ok = True
+    overlaps_ok = True
+    if lengths_ok:
+        for pi in pats1:
+            for pip in pats1:
+                ks1 = overlap_lengths(pi, pip)
+                ks2 = overlap_lengths(phi.apply(pi), phi.apply(pip))
+                if ks1 != ks2:
+                    linkages_ok = False
+                    failures.append(
+                        f"overlap lengths differ for ({pi},{pip}): {ks1} vs {ks2}"
+                    )
+                    continue
+                for k in ks1:
+                    found = overlap_test(pi, pip, k, phi)
+                    if found:
+                        overlaps_ok = False
+                        failures.extend(found)
+    ok = lengths_ok and linkages_ok and overlaps_ok
+    return Theorem13Report(ok, lengths_ok, linkages_ok, overlaps_ok, tuple(failures))
+
+
+def _first_bijection(pi1, pi2, check) -> PatternBijection | None:
+    """First bijection passing ``check``, in deterministic order."""
+    pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
+    if len(pats1) != len(pats2):
+        return None
+    a = sorted(pats1)
+    for perm in _it_permutations(sorted(pats2)):
+        phi = PatternBijection(tuple(zip(a, perm)))
+        if check(pats1, pats2, phi):
+            return phi
+    return None
+
+
+def _equal_overlap_sets(pi, pip, k, phi):
+    fp, fpp = phi.apply(pi), phi.apply(pip)
+    failures = []
+    if set(pi[len(pi) - k :]) != set(fp[len(fp) - k :]):
+        failures.append(f"final {k}-set differs: {pi} vs {fp}")
+    if set(pip[:k]) != set(fpp[:k]):
+        failures.append(f"initial {k}-set differs: {pip} vs {fpp}")
+    return failures
+
+
+def _equal_final_maxima(pi, pip, k, phi):
+    fp = phi.apply(pi)
+    if max(pi[len(pi) - k :]) != max(fp[len(fp) - k :]):
+        return [f"final {k}-set maximum differs: {pi} vs {fp}"]
+    return []
+
+
 def check_theorem13(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
     """Sufficient condition for strong c-Wilf equivalence via a bijection.
 
     Accepts PatternCollections or plain sequences of patterns; note the
     condition only implies equivalence for reduced collections.
     """
-    phi.check_domains(pi1, pi2)
-    pats1 = _patterns_of(pi1)
-    failures = []
-    lengths_ok = True
-    for pi in pats1:
-        if len(pi) != len(phi.apply(pi)):
-            lengths_ok = False
-            failures.append(f"length mismatch: {pi} vs {phi.apply(pi)}")
-    linkages_ok = True
-    overlap_sets_ok = True
-    if lengths_ok:
-        for pi in pats1:
-            for pip in pats1:
-                ks1 = overlap_lengths(pi, pip)
-                ks2 = overlap_lengths(phi.apply(pi), phi.apply(pip))
-                if ks1 != ks2:
-                    linkages_ok = False
-                    failures.append(
-                        f"overlap lengths differ for ({pi},{pip}): {ks1} vs {ks2}"
-                    )
-                    continue
-                for k in ks1:
-                    l = len(pi)
-                    fp, fpp = phi.apply(pi), phi.apply(pip)
-                    if set(pi[l - k :]) != set(fp[l - k :]):
-                        overlap_sets_ok = False
-                        failures.append(
-                            f"final {k}-set differs: {pi} vs {fp}"
-                        )
-                    if set(pip[:k]) != set(fpp[:k]):
-                        overlap_sets_ok = False
-                        failures.append(
-                            f"initial {k}-set differs: {pip} vs {fpp}"
-                        )
-    ok = lengths_ok and linkages_ok and overlap_sets_ok
-    return Theorem13Report(ok, lengths_ok, linkages_ok, overlap_sets_ok, tuple(failures))
+    return _check_bijection(pi1, pi2, phi, _equal_overlap_sets)
 
 
 def any_theorem13_bijection(pi1, pi2) -> PatternBijection | None:
     """First bijection passing check_theorem13, in deterministic order."""
-    pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
-    if len(pats1) != len(pats2):
-        return None
-    a = sorted(pats1)
-    for perm in _it_permutations(sorted(pats2)):
-        phi = PatternBijection(tuple(zip(a, perm)))
-        if check_theorem13(pats1, pats2, phi):
-            return phi
-    return None
+    return _first_bijection(pi1, pi2, check_theorem13)
 
 
 def check_monotone_corollary(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
     """Weaker sufficient condition for two monotone collections: the bijection
     must preserve lengths, overlap lengths, and for every realized k-overlap
     only the maximum of the final k entries (the initial k entries of a
-    monotone pattern's overlap are forced to be {1..k})."""
-    phi.check_domains(pi1, pi2)
-    pats1 = _patterns_of(pi1)
-    failures = []
-    lengths_ok = True
-    for pi in pats1:
-        if len(pi) != len(phi.apply(pi)):
-            lengths_ok = False
-            failures.append(f"length mismatch: {pi} vs {phi.apply(pi)}")
-    linkages_ok = True
-    maxima_ok = True
-    if lengths_ok:
-        for pi in pats1:
-            for pip in pats1:
-                ks1 = overlap_lengths(pi, pip)
-                ks2 = overlap_lengths(phi.apply(pi), phi.apply(pip))
-                if ks1 != ks2:
-                    linkages_ok = False
-                    failures.append(
-                        f"overlap lengths differ for ({pi},{pip}): {ks1} vs {ks2}"
-                    )
-                    continue
-                for k in ks1:
-                    l = len(pi)
-                    fp = phi.apply(pi)
-                    if max(pi[l - k :]) != max(fp[l - k :]):
-                        maxima_ok = False
-                        failures.append(
-                            f"final {k}-set maximum differs: {pi} vs {fp}"
-                        )
-    ok = lengths_ok and linkages_ok and maxima_ok
-    return Theorem13Report(ok, lengths_ok, linkages_ok, maxima_ok, tuple(failures))
+    monotone pattern's overlap are forced to be {1..k}).
+
+    Raises MonotoneError when either side is not monotone: there the
+    maxima do not determine the cluster counts.
+    """
+    _require_monotone(_patterns_of(pi1))
+    _require_monotone(_patterns_of(pi2))
+    return _check_bijection(pi1, pi2, phi, _equal_final_maxima)
 
 
 def any_monotone_corollary_bijection(pi1, pi2) -> PatternBijection | None:
     """First bijection passing check_monotone_corollary, deterministic order."""
-    pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
-    if len(pats1) != len(pats2):
-        return None
-    a = sorted(pats1)
-    for perm in _it_permutations(sorted(pats2)):
-        phi = PatternBijection(tuple(zip(a, perm)))
-        if check_monotone_corollary(pats1, pats2, phi):
-            return phi
-    return None
+    return _first_bijection(pi1, pi2, check_monotone_corollary)
 
 
 def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):
     """Vertex bijection inducing a label-preserving edge bijection, with the
-    distinguished vertex fixed; None when no such bijection exists."""
+    distinguished vertex fixed; None when no such bijection exists.
+
+    Two graphs are isomorphic exactly when their canonical forms are equal,
+    and the bijection matches the two orders that attain the form.
+    """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-
-    def edge_counter(g, mapping=None):
-        items = {}
-        for e in g.edges:
-            s, t = e.source, e.target
-            if mapping is not None:
-                s, t = mapping[s], mapping[t]
-            key = (s, t, e.label)
-            items[key] = items.get(key, 0) + 1
-        return items
-
-    target = edge_counter(g2)
-    rest1 = [v for v in g1.vertices if v != (1,)]
-    rest2 = [v for v in g2.vertices if v != (1,)]
-    for image in _it_permutations(rest2):
-        mapping = {(1,): (1,)}
-        mapping.update(dict(zip(rest1, image)))
-        # the images must be consistent with vertex lengths (edge labels fix
-        # the boundary set sizes)
-        if any(len(v) != len(mapping[v]) for v in rest1):
-            continue
-        if edge_counter(g1, mapping) == target:
-            return mapping
-    return None
+    form1, order1 = canonical_form(g1)
+    form2, order2 = canonical_form(g2)
+    if form1 != form2:
+        return None
+    return dict(zip(order1, order2))
 
 
 def verify_strong_equivalence(

@@ -12,6 +12,7 @@ unordered entry sets of those subwords together with l.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .perms import (
     DomainError,
@@ -251,6 +252,50 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
                 edges.append(Edge(src, tgt, label, pat, k, kp))
     edges.sort(key=lambda e: (e.source, e.target, e.label, e.pattern))
     return OverlapGraph(coll, vertices, tuple(edges))
+
+
+def _arrangements(groups):
+    """Every concatenation of one ordering of each group.  Lazy, unlike
+    itertools.product, which would hold every ordering of every group."""
+    if not groups:
+        yield ()
+        return
+    for head in permutations(groups[0]):
+        for tail in _arrangements(groups[1:]):
+            yield head + tail
+
+
+def canonical_form(graph: OverlapGraph) -> tuple[tuple, tuple[Perm, ...]]:
+    """The graph up to label-preserving isomorphism fixing (1), and the
+    vertex order that attains it.
+
+    A relabelling gives the distinguished vertex index 0 and the others
+    1..V-1; it encodes the graph as (vertex lengths by index, sorted
+    (source, target, mu_i, mu_f, length) edge tuples), vertex permutation
+    labels discarded.  The encoding is the least one over all relabellings.
+    The least lengths tuple is the sorted one, so only relabellings that
+    permute vertices within each length class are searched.  ``order[i]``
+    is the vertex given index i.
+    """
+    classes: dict[int, list[Perm]] = {}
+    for v in graph.vertices:
+        if v != (1,):
+            classes.setdefault(len(v), []).append(v)
+    groups = [classes[length] for length in sorted(classes)]
+    lengths = tuple(len(v) for group in groups for v in group)
+    edges = [
+        (e.source, e.target, e.label.mu_i, e.label.mu_f, e.label.length)
+        for e in graph.edges
+    ]
+    best = None
+    for rest in _arrangements(groups):
+        order = ((1,),) + rest
+        index = {v: i for i, v in enumerate(order)}
+        enc = tuple(sorted((index[s], index[t], *label) for s, t, *label in edges))
+        if best is None or enc < best[0]:
+            best = (enc, order)
+    enc, order = best
+    return (lengths, enc), order
 
 
 def graph_to_dot(g: OverlapGraph) -> str:

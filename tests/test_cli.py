@@ -45,6 +45,21 @@ def test_clusters_table(p123, capsys, tmp_path, monkeypatch):
     assert (tmp_path / "cache").exists()
 
 
+def test_clusters_cache_recovers_from_truncated_file(
+    p123, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("CLUSTERPERM_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["clusters", p123, "--n", "6", "--q", "3", "--cache"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    (cached,) = (tmp_path / "cache").iterdir()
+    whole = cached.read_text()
+    cached.write_text(whole[: len(whole) // 2])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert cached.read_text() == whole
+
+
 def test_graph_dot(p123, capsys):
     assert main(["graph", p123]) == 0
     assert capsys.readouterr().out.startswith("digraph")
@@ -128,9 +143,7 @@ def test_missing_file(tmp_path, capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"], [], ["classify-s5", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

@@ -91,6 +91,15 @@ def test_single_pattern_engine_matches_general():
         gen = cluster_counts(coll, 10, 4)
         single = cluster_counts_single_pattern(pat, 10, 4)
         assert table_totals(gen) == single.totals, pat
+        for n in range(1, 11):
+            for q in range(1, 5):
+                by_first = sum(
+                    single.refined((1,), n, q, (p1,)) for p1 in range(1, n + 1)
+                )
+                assert by_first == single.total(n, q), (pat, n, q)
+    for n_max, q_max in [(0, 3), (3, 0)]:
+        with pytest.raises(DomainError):
+            cluster_counts_single_pattern((1, 3, 2), n_max, q_max)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from clusterperm import kernels
 from clusterperm.equivalence import (
     PatternBijection,
     any_monotone_corollary_bijection,
@@ -17,6 +18,7 @@ from clusterperm.equivalence import (
     verify_strong_equivalence,
 )
 from clusterperm.graph import NotReducedError, PatternCollection, build_graph
+from clusterperm.monotone import MonotoneError
 from clusterperm.perms import DomainError, occurrences, parse_perm
 
 WILF_PAIR = (
@@ -130,6 +132,22 @@ def test_monotone_corollary_on_nine_family():
         cols[0], cols[2], PatternBijection(((NINE_FAMILY[0], NINE_FAMILY[2]),))
     )
     assert report.ok
+
+
+def test_monotone_corollary_rejects_non_monotone_sides():
+    # 1324 and 2314 agree on every final overlap maximum, but neither is
+    # monotone, and the S_6 scan tells them apart
+    a, b = (1, 3, 2, 4), (2, 3, 1, 4)
+    assert kernels.count_distribution(6, [a])[0] == 632
+    assert kernels.count_distribution(6, [b])[0] == 631
+    with pytest.raises(MonotoneError):
+        any_monotone_corollary_bijection([a], [b])
+    mono = (1, 2, 3, 4)
+    for left, right in [(a, b), (mono, b), (b, mono)]:
+        with pytest.raises(MonotoneError):
+            check_monotone_corollary(
+                [left], [right], PatternBijection(((left, right),))
+            )
 
 
 def test_nine_family_gf_equivalent():
