@@ -56,8 +56,11 @@ def atomic_write_text(path: Path, text: str):
 
 
 def save_table(table: ClusterTable, directory: Path | None = None) -> Path:
+    return _save_table(cache_key(table.collection), table, directory)
+
+
+def _save_table(key: str, table: ClusterTable, directory: Path | None) -> Path:
     directory = directory or cache_dir()
-    key = cache_key(table.collection)
     doc = {
         "n_max": table.n_max,
         "q_max": table.q_max,
@@ -76,8 +79,18 @@ def load_table(
     q_max: int,
     directory: Path | None = None,
 ) -> ClusterTable | None:
+    return _load_table(cache_key(collection), collection, n_max, q_max, directory)
+
+
+def _load_table(
+    key: str,
+    collection: PatternCollection,
+    n_max: int,
+    q_max: int,
+    directory: Path | None,
+) -> ClusterTable | None:
     directory = directory or cache_dir()
-    path = _table_path(cache_key(collection), n_max, q_max, directory)
+    path = _table_path(key, n_max, q_max, directory)
     if not path.exists():
         return None
     # a truncated or foreign file is a miss; the caller recomputes and
@@ -96,10 +109,12 @@ def cached_cluster_counts(
     q_max: int,
     directory: Path | None = None,
 ) -> ClusterTable:
-    """Load the table from cache or compute and store it."""
-    hit = load_table(collection, n_max, q_max, directory)
+    """Load the table from cache or compute and store it.  The key is
+    computed once: on a large overlap graph it is the costly part."""
+    key = cache_key(collection)
+    hit = _load_table(key, collection, n_max, q_max, directory)
     if hit is not None:
-        return ClusterTable(collection, hit.n_max, hit.q_max, hit.totals)
+        return hit
     table = cluster_counts(collection, n_max, q_max)
-    save_table(table, directory)
+    _save_table(key, table, directory)
     return table

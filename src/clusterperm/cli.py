@@ -147,7 +147,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
             f"oracle capped at n={ORACLE_CAP}; pass --force to override"
         )
     ok = True
-    table = clusters.cluster_counts(coll, cfg.n, cfg.q)
+    # one table serves the cluster check (q <= cfg.q) and the GF (q <= cfg.n)
+    table = clusters.cluster_counts(coll, cfg.n, max(cfg.n, cfg.q))
     for q in range(1, cfg.q + 1):
         for n in range(1, cfg.n + 1):
             oracle = clusters.count_clusters_oracle(coll, n, q)
@@ -156,7 +157,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
                 ok = False
                 _emit(f"cluster mismatch at n={n} q={q}: {oracle} != {fast}\n")
     dist = series.count_distribution_oracle(coll, cfg.n)
-    alpha = series.alpha_counts(series.avoidance_gf(coll, cfg.n))
+    alpha = series.alpha_counts(series.avoidance_gf(coll, cfg.n, table=table))
     for q, count in dist.items():
         if alpha.get((cfg.n, q), 0) != count:
             ok = False

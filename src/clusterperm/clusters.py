@@ -17,13 +17,19 @@ The refined count cl[v, n, q, p_bar] is the number of q-clusters sigma of
 length n whose first len(v) entries are literally the word p_bar (with
 standardization v).  Summing over admissible words at the distinguished
 vertex (1) gives the total cl_{n,q}.
+
+For a monotone collection the initial subword of a cluster is the vertex
+permutation itself, and the recurrence collapses to one binomial per edge
+(see ``monotone``).  ``cluster_counts`` uses that collapsed recurrence
+whenever ``is_monotone`` holds and the refined one otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from math import comb
+from typing import NamedTuple
 
 from . import kernels
 from .graph import (
@@ -33,6 +39,7 @@ from .graph import (
     _extensions_to_perms,
     _window_order_preds,
     build_graph,
+    is_monotone,
 )
 from .perms import DomainError, Perm, check_permutation, standardize
 
@@ -133,54 +140,72 @@ def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Recurrence over the overlap graph
+# Refined recurrence over the overlap graph
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LinkageProfile:
-    """Per-edge data driving one recurrence step.
+    """Per-edge data driving one step of the refined recurrence.
 
-    For l > k + k': psi orders the boundary word (p_1..p_{k+k'}) increasingly
-    and pi_sorted holds the corresponding boundary entries of the pattern in
-    increasing order (the images under the shift map back into positions of
-    the pattern).  tilde is the standardization the boundary word must match.
-    For l <= k + k' the boundary covers the whole pattern and no binomial
-    data is needed; tilde is the pattern itself.
+    The boundary of an edge is the whole pattern when l <= k + k', and its
+    first k and last k' entries otherwise.  A step extends the source word
+    (the boundary's first k entries) by the fresh boundary entries.  Their
+    ranks among the source entries are fixed by the pattern, so each fresh
+    entry lies in a known gap between consecutive source entries.
+
+    ``gaps`` lists (g, fresh entries, spacing, lifts, room) for every gap g
+    that holds fresh entries or must leave room: spacing[i] pattern entries
+    off the boundary lie between the i-th and (i+1)-th boundary entries of
+    the gap (its ends included), lifts[i] is the room needed below the i-th
+    fresh entry, and room is the total.  ``sub`` gives, for each entry of
+    the target's initial word, its index in the step's value list (the
+    sorted source entries, then each gap's fresh entries) and the shift that
+    standardizes it within the sub-cluster.
     """
 
     edge: Edge
-    degenerate: bool  # l <= k + k'
-    tilde: Perm
-    psi: tuple[int, ...] | None  # 1-based positions into the boundary word
-    pi_sorted: tuple[int, ...] | None  # boundary entries of pi, increasing
-    new_order: tuple[int, ...]  # rank order of the fresh positions
+    drop: int  # l - k': the sub-cluster is this much shorter
+    gaps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...], int], ...]
+    sub: tuple[tuple[int, int], ...]
 
 
 def _edge_profile(e: Edge) -> LinkageProfile:
     pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
-    if l > k + kp:
-        combined = pat[:k] + pat[l - kp :]
-        tilde = standardize(combined)
-        psi = tuple(sorted(range(1, k + kp + 1), key=lambda i: tilde[i - 1]))
+    where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
+    values = [pat[i] for i in where]
+    size = len(values)
+    tilde = standardize(values)
+    source_ranks = sorted(tilde[:k])
+    ranks = (0, *source_ranks, size + 1)
+    entry = (0, *sorted(values), l + 1)  # pattern entry of each rank
+    spacing = [entry[r + 1] - entry[r] - 1 for r in range(size + 1)]
+    gaps = []
+    for g in range(k + 1):
+        lo, hi = ranks[g], ranks[g + 1]
+        fresh, gap_spacing = hi - lo - 1, tuple(spacing[lo:hi])
+        if fresh or gap_spacing[0]:
+            lifts = tuple(accumulate(gap_spacing))[:fresh]
+            gaps.append((g, fresh, gap_spacing, lifts, sum(gap_spacing)))
 
-        def sh(j):  # boundary index -> position in the pattern
-            return j if j <= k else j + l - k - kp
+    def index(r):  # position of boundary rank r in the step's value list
+        if r in source_ranks:
+            return source_ranks.index(r)
+        return k + r - 1 - sum(x < r for x in source_ranks)
 
-        pi_sorted = tuple(pat[sh(j) - 1] for j in psi)
-        assert all(
-            pi_sorted[i] < pi_sorted[i + 1] for i in range(len(pi_sorted) - 1)
-        )
-        new_order = tuple(
-            sorted(range(kp), key=lambda i: tilde[k + i])
-        )
-        return LinkageProfile(e, False, tilde, psi, pi_sorted, new_order)
-    new_order = tuple(sorted(range(l - k), key=lambda i: pat[k + i]))
-    return LinkageProfile(e, True, pat, None, None, new_order)
+    sub = tuple(
+        (index(tilde[size - kp + j]), pat[l - kp + j] - e.target[j])
+        for j in range(kp)
+    )
+    return LinkageProfile(e, l - kp, tuple(gaps), sub)
 
 
 class _Engine:
-    """Memoized evaluator of the refined recurrence on one overlap graph."""
+    """Memoized evaluator of the refined recurrence on one overlap graph.
+
+    ``refined`` and ``vertex_total`` check their input; the recursion
+    builds only admissible words and skips the check.
+    """
 
     def __init__(self, graph: OverlapGraph):
         self.graph = graph
@@ -193,12 +218,24 @@ class _Engine:
 
     def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
         if (
-            len(word) != len(v)
+            v not in self.by_source
+            or len(word) != len(v)
             or any(not 1 <= x <= n for x in word)
             or len(set(word)) != len(word)
             or standardize(word) != v
         ):
             return 0
+        return self._refined(v, n, q, word)
+
+    def vertex_total(self, v: Perm, n: int, q: int) -> int:
+        if v not in self.by_source:
+            return 0
+        total = 0
+        for values in combinations(range(1, n + 1), len(v)):
+            total += self._refined(v, n, q, tuple(values[x - 1] for x in v))
+        return total
+
+    def _refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
         if q == 0:
             return 1 if v == (1,) and n == 1 else 0
         key = (v, n, q, word)
@@ -212,60 +249,140 @@ class _Engine:
         return total
 
     def _edge_step(self, prof: LinkageProfile, n: int, q: int, word: Perm) -> int:
-        e = prof.edge
-        pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
-        n_sub = n - l + kp
+        n_sub = n - prof.drop
         if n_sub < 1:
             return 0
-        used = set(word)
-        avail = [x for x in range(1, n + 1) if x not in used]
-        num_new = kp if not prof.degenerate else l - k
-        total = 0
-        for combo in combinations(avail, num_new):
-            fresh = [0] * num_new
-            for rank, idx in enumerate(prof.new_order):
-                fresh[idx] = combo[rank]
-            full = word + tuple(fresh)
-            if standardize(full) != prof.tilde:
+        source = tuple(sorted(word))
+        bounds = (0, *source, n + 1)
+        weight = 1
+        choices = []
+        for g, fresh, spacing, lifts, room in prof.gaps:
+            lo, hi = bounds[g], bounds[g + 1]
+            if not fresh:
+                weight *= comb(hi - lo - 1, room)
+                if not weight:
+                    return 0
                 continue
-            if prof.degenerate:
-                sub = tuple(
-                    full[l - kp + j] - pat[l - kp + j] + e.target[j]
-                    for j in range(kp)
-                )
-                total += self.refined(e.target, n_sub, q - 1, sub)
-            else:
-                psi, pis = prof.psi, prof.pi_sorted
-                prod = binom(full[psi[0] - 1] - 1, pis[0] - 1)
-                for j in range(k + kp - 1):
-                    if prod == 0:
-                        break
-                    prod *= binom(
-                        full[psi[j + 1] - 1] - full[psi[j] - 1] - 1,
-                        pis[j + 1] - pis[j] - 1,
-                    )
-                if prod:
-                    prod *= binom(n - full[psi[k + kp - 1] - 1], l - pis[k + kp - 1])
-                if prod == 0:
-                    continue
-                sub = tuple(
-                    fresh[j] - pat[l - kp + j] + e.target[j] for j in range(kp)
-                )
-                total += prod * self.refined(e.target, n_sub, q - 1, sub)
+            options = []
+            for low in combinations(range(lo + 1, hi - room), fresh):
+                picked = tuple(x + s for x, s in zip(low, lifts))
+                ways, prev = 1, lo
+                for x, m in zip(picked + (hi,), spacing):
+                    if m:
+                        ways *= comb(x - prev - 1, m)
+                    prev = x
+                options.append((picked, ways))
+            if not options:
+                return 0
+            choices.append(options)
+        target, q_sub, sub = prof.edge.target, q - 1, prof.sub
+        total = 0
+        for chosen in product(*choices):
+            values, ways = source, weight
+            for picked, w in chosen:
+                values += picked
+                ways *= w
+            word_sub = tuple(values[i] - s for i, s in sub)
+            total += ways * self._refined(target, n_sub, q_sub, word_sub)
         return total
 
-    def vertex_total(self, v: Perm, n: int, q: int) -> int:
-        k = len(v)
+
+def _refined_cluster_counts(
+    collection: PatternCollection, n_max: int, q_max: int
+) -> ClusterTable:
+    """cl_{n,q} by the refined recurrence, summed over first letters."""
+    graph = build_graph(collection)
+    engine = _Engine(graph)
+    totals = {(1, 0): 1}
+    for n in range(1, n_max + 1):
+        for q in range(1, q_max + 1):
+            c = sum(engine._refined((1,), n, q, (p1,)) for p1 in range(1, n + 1))
+            if c:
+                totals[(n, q)] = c
+    return ClusterTable(collection, n_max, q_max, totals, graph, engine)
+
+
+# ---------------------------------------------------------------------------
+# Collapsed recurrence for monotone collections
+# ---------------------------------------------------------------------------
+
+
+class EdgeData(NamedTuple):
+    l: int  # pattern length
+    k: int  # target vertex length
+    m: int  # maximal entry of the final subword
+    target: Perm
+
+
+def monotone_recurrence_data(graph: OverlapGraph) -> dict[Perm, list[EdgeData]]:
+    """Per-vertex (l_j, k_j, m_j, target) tuples for the simplified
+    recurrence.  They count clusters only when the collection is monotone."""
+    data: dict[Perm, list[EdgeData]] = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        l = len(e.pattern)
+        m = max(e.label.mu_f) if l > e.k + e.k_prime else l
+        data[e.source].append(EdgeData(l, e.k_prime, m, e.target))
+    for v in data:
+        data[v].sort()
+    return data
+
+
+def _vertex_tables(
+    graph: OverlapGraph, n_max: int, q_max: int
+) -> dict[tuple[Perm, int, int], int]:
+    """cl_{v,n,q} for every vertex v of a monotone collection's graph."""
+    data = monotone_recurrence_data(graph)
+    memo: dict[tuple[Perm, int, int], int] = {}
+
+    def cl(v: Perm, n: int, q: int) -> int:
+        if n < 1:
+            return 0
+        if q == 0:
+            return 1 if v == (1,) and n == 1 else 0
+        key = (v, n, q)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         total = 0
-        for values in combinations(range(1, n + 1), k):
-            word = tuple(values[v[i] - 1] for i in range(k))
-            total += self.refined(v, n, q, word)
+        for l, k, m, target in data[v]:
+            coef = binom(n - m, l - m)
+            if coef:
+                total += coef * cl(target, n - l + k, q - 1)
+        memo[key] = total
         return total
+
+    out = {}
+    for v in graph.vertices:
+        for n in range(1, n_max + 1):
+            for q in range(0, q_max + 1):
+                c = cl(v, n, q)
+                if c:
+                    out[(v, n, q)] = c
+    return out
+
+
+def _monotone_cluster_counts(
+    collection: PatternCollection, n_max: int, q_max: int
+) -> ClusterTable:
+    """cl_{n,q} by the collapsed recurrence; the collection must be monotone."""
+    graph = build_graph(collection)
+    cells = _vertex_tables(graph, n_max, q_max)
+    totals = {(n, q): c for (v, n, q), c in cells.items() if v == (1,)}
+    return ClusterTable(collection, n_max, q_max, totals, graph)
+
+
+# ---------------------------------------------------------------------------
+# Cluster tables
+# ---------------------------------------------------------------------------
 
 
 @dataclass
 class ClusterTable:
-    """Totals cl_{n,q} plus (when available) the refined engine behind them."""
+    """Totals cl_{n,q}, plus the overlap graph when the table was computed.
+
+    ``refined`` and ``vertex_total`` need the graph.  The refined engine is
+    built on first use when the totals came from the collapsed recurrence.
+    """
 
     collection: PatternCollection
     n_max: int
@@ -278,34 +395,32 @@ class ClusterTable:
         return self.totals.get((n, q), 0)
 
     def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
-        if self._engine is None:
-            raise DomainError("table carries totals only")
-        return self._engine.refined(v, n, q, word)
+        return self._refined_engine().refined(v, n, q, word)
 
     def vertex_total(self, v: Perm, n: int, q: int) -> int:
+        return self._refined_engine().vertex_total(v, n, q)
+
+    def _refined_engine(self) -> _Engine:
         if self._engine is None:
-            raise DomainError("table carries totals only")
-        return self._engine.vertex_total(v, n, q)
+            if self.graph is None:
+                raise DomainError("table carries totals only")
+            self._engine = _Engine(self.graph)
+        return self._engine
 
 
 def cluster_counts(
     collection: PatternCollection, n_max: int, q_max: int
 ) -> ClusterTable:
-    """Fill cl_{n,q} for n <= n_max, q <= q_max via the refined recurrence."""
+    """Fill cl_{n,q} for n <= n_max, q <= q_max: by the collapsed recurrence
+    when the collection is monotone, by the refined one otherwise."""
     if n_max < 1 or q_max < 1:
         raise DomainError("need n_max >= 1 and q_max >= 1")
     if collection.patterns == ((1,),):
         # the pattern (1) admits exactly one cluster, the 1-cluster (1) itself
         return ClusterTable(collection, n_max, q_max, {(1, 0): 1, (1, 1): 1})
-    graph = build_graph(collection)
-    engine = _Engine(graph)
-    totals = {(1, 0): 1}
-    for n in range(1, n_max + 1):
-        for q in range(1, q_max + 1):
-            c = sum(engine.refined((1,), n, q, (p1,)) for p1 in range(1, n + 1))
-            if c:
-                totals[(n, q)] = c
-    return ClusterTable(collection, n_max, q_max, totals, graph, engine)
+    if is_monotone(collection):
+        return _monotone_cluster_counts(collection, n_max, q_max)
+    return _refined_cluster_counts(collection, n_max, q_max)
 
 
 def table_totals(table: ClusterTable) -> dict[tuple[int, int], int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .perms import (
     DomainError,
@@ -100,6 +101,25 @@ def overlap_lengths(pi: Perm, pi_prime: Perm) -> list[int]:
     """All proper overlap lengths k < min(l, l') of the ordered pair."""
     top = min(len(pi), len(pi_prime))
     return [k for k in range(1, top) if k_overlaps(pi, pi_prime, k)]
+
+
+class MonotoneResult(NamedTuple):
+    ok: bool
+    witness: tuple[Perm, Perm, int] | None  # (pi, pi_prime, k) on failure
+
+    def __bool__(self):
+        return self.ok
+
+
+def is_monotone(collection: PatternCollection) -> MonotoneResult:
+    """Is every realized k-overlap's prefix of the right pattern made of
+    entries <= k?  Checks all ordered pairs, self-pairs included."""
+    for pi in collection:
+        for pi_prime in collection:
+            for k in overlap_lengths(pi, pi_prime):
+                if max(pi_prime[:k]) > k:
+                    return MonotoneResult(False, (pi, pi_prime, k))
+    return MonotoneResult(True, None)
 
 
 def linkage_lengths(pi: Perm, pi_prime: Perm) -> set[int]:

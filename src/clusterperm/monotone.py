@@ -26,39 +26,19 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .clusters import ClusterTable, binom
-from .graph import OverlapGraph, PatternCollection, build_graph, overlap_lengths
+from .clusters import (
+    ClusterTable,
+    _monotone_cluster_counts,
+    _vertex_tables,
+    monotone_recurrence_data,
+)
+from .graph import PatternCollection, build_graph, is_monotone
 from .perms import DomainError, Perm, format_perm, parse_perm
 from .series import BiSeries
 
 
 class MonotoneError(DomainError):
     pass
-
-
-class MonotoneResult(NamedTuple):
-    ok: bool
-    witness: tuple[Perm, Perm, int] | None  # (pi, pi_prime, k) on failure
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_monotone(collection: PatternCollection) -> MonotoneResult:
-    """Check the defining property on all ordered pairs, self-pairs included."""
-    for pi in collection:
-        for pi_prime in collection:
-            for k in overlap_lengths(pi, pi_prime):
-                if max(pi_prime[:k]) > k:
-                    return MonotoneResult(False, (pi, pi_prime, k))
-    return MonotoneResult(True, None)
-
-
-class EdgeData(NamedTuple):
-    l: int  # pattern length
-    k: int  # target vertex length
-    m: int  # maximal entry of the final subword
-    target: Perm
 
 
 def _require_monotone(collection: PatternCollection):
@@ -71,53 +51,6 @@ def _require_monotone(collection: PatternCollection):
         )
 
 
-def monotone_recurrence_data(graph: OverlapGraph) -> dict[Perm, list[EdgeData]]:
-    """Per-vertex (l_j, k_j, m_j, target) tuples for the simplified recurrence."""
-    _require_monotone(graph.collection)
-    data: dict[Perm, list[EdgeData]] = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        l = len(e.pattern)
-        m = max(e.label.mu_f) if l > e.k + e.k_prime else l
-        data[e.source].append(EdgeData(l, e.k_prime, m, e.target))
-    for v in data:
-        data[v].sort()
-    return data
-
-
-def _vertex_tables(
-    collection: PatternCollection, n_max: int, q_max: int
-) -> dict[tuple[Perm, int, int], int]:
-    graph = build_graph(collection)
-    data = monotone_recurrence_data(graph)
-    memo: dict[tuple[Perm, int, int], int] = {}
-
-    def cl(v: Perm, n: int, q: int) -> int:
-        if n < 1:
-            return 0
-        if q == 0:
-            return 1 if v == (1,) and n == 1 else 0
-        key = (v, n, q)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for l, k, m, target in data[v]:
-            coef = binom(n - m, l - m)
-            if coef:
-                total += coef * cl(target, n - l + k, q - 1)
-        memo[key] = total
-        return total
-
-    out = {}
-    for v in graph.vertices:
-        for n in range(1, n_max + 1):
-            for q in range(0, q_max + 1):
-                c = cl(v, n, q)
-                if c:
-                    out[(v, n, q)] = c
-    return out
-
-
 def monotone_cluster_counts(
     collection: PatternCollection, n_max: int, q_max: int
 ) -> ClusterTable:
@@ -125,22 +58,19 @@ def monotone_cluster_counts(
     _require_monotone(collection)
     if n_max < 1 or q_max < 1:
         raise DomainError("need n_max >= 1 and q_max >= 1")
-    cells = _vertex_tables(collection, n_max, q_max)
-    totals = {
-        (n, q): c for (v, n, q), c in cells.items() if v == (1,)
-    }
-    return ClusterTable(collection, n_max, q_max, totals)
+    return _monotone_cluster_counts(collection, n_max, q_max)
 
 
 def monotone_vertex_series(
     collection: PatternCollection, order: int
 ) -> dict[Perm, BiSeries]:
     """The generating functions y_v(x,t), truncated at x^order."""
-    cells = _vertex_tables(collection, order, order)
+    _require_monotone(collection)
+    graph = build_graph(collection)
+    cells = _vertex_tables(graph, order, order)
     by_vertex: dict[Perm, dict[tuple[int, int], Fraction]] = {}
     for (v, n, q), c in cells.items():
         by_vertex.setdefault(v, {})[(n, q)] = Fraction(c, factorial(n))
-    graph = build_graph(collection)
     return {v: BiSeries(order, by_vertex.get(v, {})) for v in graph.vertices}
 
 

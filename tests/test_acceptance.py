@@ -292,8 +292,9 @@ def _spaced(p: str) -> str:
 
 
 def _oracle_separated(patterns, q, failures):
-    """Every pair of patterns differs in some cl_{n,q}, n <= 13, where the
-    single-pattern engine and the cluster oracle agree on every cell."""
+    """Every pair of patterns differs in some cl_{n,q}, n <= 13, where
+    ``cluster_counts_single_pattern`` and the cluster oracle agree on every
+    cell."""
     totals = {}
     for p in patterns:
         coll = PatternCollection((parse_perm(p),))

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import clusterperm.cache as cache_module
 from clusterperm.cache import (
     atomic_write_text,
     cache_dir,
@@ -18,7 +19,12 @@ from clusterperm.cache import (
 )
 from clusterperm.clusters import cluster_counts
 from clusterperm.equivalence import graphs_isomorphic
-from clusterperm.graph import OverlapGraph, PatternCollection, build_graph
+from clusterperm.graph import (
+    OverlapGraph,
+    PatternCollection,
+    build_graph,
+    canonical_form,
+)
 from clusterperm.perms import DomainError, all_permutations, parse_perm
 
 WILF_PAIR = (
@@ -140,6 +146,27 @@ def test_cached_counts_hit_equals_recompute(tmp_path):
     second = cached_cluster_counts(coll, 8, 4, tmp_path)
     direct = cluster_counts(coll, 8, 4)
     assert first.totals == second.totals == direct.totals
+
+
+def test_cache_miss_and_hit_compute_the_key_once(tmp_path, monkeypatch):
+    # eight overlap-graph vertices: the key is the costly part of a lookup
+    coll = PatternCollection(
+        tuple(parse_perm(p) for p in "51423 54321 34215 31452".split())
+    )
+    assert len(build_graph(coll).vertices) == 8
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return canonical_form(graph)
+
+    monkeypatch.setattr(cache_module, "canonical_form", counting)
+    cold = cached_cluster_counts(coll, 8, 3, tmp_path)
+    assert len(calls) == 1
+    warm = cached_cluster_counts(coll, 8, 3, tmp_path)
+    assert len(calls) == 2
+    assert cold.totals == warm.totals == cluster_counts(coll, 8, 3).totals
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_isomorphic_collections_share_cached_table(tmp_path):

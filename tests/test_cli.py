@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from clusterperm import clusters, series
 from clusterperm.cli import main
 
 
@@ -124,6 +125,23 @@ def test_oracle_cap(tmp_path, capsys):
     assert "force" in capsys.readouterr().err
     assert main(["oracle", f, "--n", "6", "--q", "3"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, q", [(6, 3), (4, 6)])
+def test_oracle_builds_one_cluster_table(tmp_path, capsys, monkeypatch, n, q):
+    f = write(tmp_path, "p.txt", "1324\n2143\n")
+    calls = []
+    original = clusters.cluster_counts
+
+    def counting(coll, n_max, q_max):
+        calls.append((n_max, q_max))
+        return original(coll, n_max, q_max)
+
+    monkeypatch.setattr(clusters, "cluster_counts", counting)
+    monkeypatch.setattr(series, "cluster_counts", counting)
+    assert main(["oracle", f, "--n", str(n), "--q", str(q)]) == 0
+    assert capsys.readouterr().out == "oracle agreement: pass\n"
+    assert calls == [(n, max(n, q))]
 
 
 def test_non_reduced_collection_is_domain_error(tmp_path, capsys):

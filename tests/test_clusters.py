@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import MONO_D, random_two_pattern_collections
 from clusterperm.clusters import (
     Cluster,
+    _vertex_tables,
     binom,
     cluster_counts,
     cluster_counts_single_pattern,
@@ -14,12 +16,18 @@ from clusterperm.clusters import (
     totals_from_tsv,
     totals_to_tsv,
 )
-from clusterperm.graph import PatternCollection
+from clusterperm.graph import PatternCollection, is_monotone
 from clusterperm.perms import DomainError, occurrences
 
 small_pattern = st.integers(3, 4).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
+
+# Reduced two-pattern collections of lengths 2-4, split by class so that a
+# property over them exercises both recurrences.
+PAIR_POOL = random_two_pattern_collections(300, seed=7)
+MONOTONE_PAIRS = [c for c in PAIR_POOL if is_monotone(c)]
+GENERAL_PAIRS = [c for c in PAIR_POOL if not is_monotone(c)]
 
 
 def test_binomial_vanishing_convention():
@@ -110,6 +118,64 @@ def test_recurrence_matches_oracle_random_singleton(pat):
     for n in range(1, 8):
         for q in range(1, 4):
             assert table.total(n, q) == count_clusters_oracle(coll, n, q)
+
+
+def test_pair_pool_mixes_both_classes():
+    assert len(MONOTONE_PAIRS) >= 3
+    assert len(GENERAL_PAIRS) >= 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MONOTONE_PAIRS) | st.sampled_from(GENERAL_PAIRS))
+def test_recurrence_matches_oracle_random_pair(coll):
+    table = cluster_counts(coll, 8, 3)
+    for n in range(1, 9):
+        for q in range(1, 4):
+            assert table.total(n, q) == count_clusters_oracle(coll, n, q), (n, q)
+
+
+def test_monotone_table_answers_refined_queries():
+    # routed to the collapsed recurrence: the refined engine is built lazily
+    table = cluster_counts(MONO_D, 10, 4)
+    assert table._engine is None
+    cells = _vertex_tables(table.graph, 10, 4)
+    for n in range(1, 11):
+        for q in range(1, 5):
+            by_first = sum(
+                table.refined((1,), n, q, (p1,)) for p1 in range(1, n + 1)
+            )
+            assert by_first == table.total(n, q), (n, q)
+            for v in table.graph.vertices:
+                # a monotone cluster's initial subword is the vertex itself
+                expected = cells.get((v, n, q), 0)
+                assert table.vertex_total(v, n, q) == expected, (v, n, q)
+                assert table.refined(v, n, q, v) == expected, (v, n, q)
+    assert table._engine is not None
+
+
+@pytest.mark.parametrize("coll, word", [
+    (PatternCollection(((1, 4, 2, 5, 3),)), (1, 4, 2)),  # refined recurrence
+    (PatternCollection(((1, 3, 2, 5, 4),)), (1, 3, 2)),  # collapsed recurrence
+])
+def test_refined_rejects_inadmissible_words(coll, word):
+    table = cluster_counts(coll, 9, 3)
+    v, n, q = (1, 3, 2), 9, 2
+    assert v in table.graph.vertices
+    assert table.refined(v, n, q, word) > 0
+    states = len(table._engine.memo)
+    for bad in [
+        (1, 4),  # wrong length
+        (1, 4, 2, 3),  # wrong length
+        (1, 10, 2),  # entry above n
+        (0, 4, 2),  # entry below 1
+        (1, 4, 4),  # repeated entry
+        (2, 1, 3),  # standardizes to 213
+        (1, 2, 3),  # standardizes to 123
+    ]:
+        assert table.refined(v, n, q, bad) == 0, bad
+    assert table.refined((2, 1), n, q, (2, 1)) == 0  # not a vertex
+    assert table.vertex_total((2, 1), n, q) == 0
+    assert len(table._engine.memo) == states
 
 
 def test_refined_counts_sum_to_totals():

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import MONO_A, MONO_B, MONO_C, MONO_D, MONO_ALL
-from clusterperm.clusters import cluster_counts, table_totals
+from clusterperm.clusters import (
+    _refined_cluster_counts,
+    count_clusters_oracle,
+    table_totals,
+)
 from clusterperm.graph import PatternCollection
 from clusterperm.monotone import (
     MonotoneError,
@@ -37,10 +41,16 @@ def test_is_monotone_negative_with_witness():
 
 
 def test_monotone_matches_general_engine():
+    # cluster_counts routes these collections to the collapsed recurrence, so
+    # the refined recurrence is called directly to keep the check independent
     for coll in MONO_ALL:
         mono = monotone_cluster_counts(coll, 12, 4)
-        gen = cluster_counts(coll, 12, 4)
+        gen = _refined_cluster_counts(coll, 12, 4)
         assert mono.totals == table_totals(gen)
+        for n in range(1, 9):
+            for q in range(1, 5):
+                assert mono.total(n, q) == count_clusters_oracle(coll, n, q), (
+                    coll, n, q)
 
 
 def test_emit_requires_monotone():
