@@ -200,6 +200,12 @@ def _edge_profile(e: Edge) -> LinkageProfile:
     return LinkageProfile(e, l - kp, tuple(gaps), sub)
 
 
+def _first_row(collection: PatternCollection) -> tuple[int, ...]:
+    """cl_{(1),1,q} by q: the fictitious 0-cluster, and (1) if it is the one
+    pattern (it has no overlaps, so no edge yields it)."""
+    return (1, 1) if collection.patterns == ((1,),) else (1,)
+
+
 class _Engine:
     """Memoized evaluator of the refined recurrence on one overlap graph.
 
@@ -215,6 +221,7 @@ class _Engine:
         }
         for e in graph.edges:
             self.by_source[e.source].append(_edge_profile(e))
+        self.first_row = _first_row(graph.collection)
 
     def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
         if (
@@ -236,8 +243,8 @@ class _Engine:
         return total
 
     def _refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
-        if q == 0:
-            return 1 if v == (1,) and n == 1 else 0
+        if n == 1 or q == 0:  # at n = 1, v and word are (1)
+            return self.first_row[q] if n == 1 and q < len(self.first_row) else 0
         key = (v, n, q, word)
         hit = self.memo.get(key)
         if hit is not None:
@@ -330,35 +337,28 @@ def monotone_recurrence_data(graph: OverlapGraph) -> dict[Perm, list[EdgeData]]:
 def _vertex_tables(
     graph: OverlapGraph, n_max: int, q_max: int
 ) -> dict[tuple[Perm, int, int], int]:
-    """cl_{v,n,q} for every vertex v of a monotone collection's graph."""
+    """cl_{v,n,q} for every vertex v of a monotone collection's graph, filled
+    bottom-up in n: rows[v][n] lists them by q, and an edge reads a smaller n."""
     data = monotone_recurrence_data(graph)
-    memo: dict[tuple[Perm, int, int], int] = {}
-
-    def cl(v: Perm, n: int, q: int) -> int:
-        if n < 1:
-            return 0
-        if q == 0:
-            return 1 if v == (1,) and n == 1 else 0
-        key = (v, n, q)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for l, k, m, target in data[v]:
-            coef = binom(n - m, l - m)
-            if coef:
-                total += coef * cl(target, n - l + k, q - 1)
-        memo[key] = total
-        return total
-
-    out = {}
-    for v in graph.vertices:
-        for n in range(1, n_max + 1):
-            for q in range(0, q_max + 1):
-                c = cl(v, n, q)
-                if c:
-                    out[(v, n, q)] = c
-    return out
+    rows = {v: [[] for _ in range(n_max + 1)] for v in graph.vertices}
+    if n_max >= 1:
+        rows[(1,)][1] = list(_first_row(graph.collection)[: q_max + 1])
+    for n in range(2, n_max + 1):
+        for v, edges in data.items():
+            acc = [0] * (q_max + 1)
+            for l, k, m, target in edges:
+                coef = binom(n - m, l - m)
+                if coef and n - l + k >= 1:
+                    sub = rows[target][n - l + k]
+                    for q, c in enumerate(sub[:q_max], 1):
+                        acc[q] += coef * c
+            while acc and not acc[-1]:
+                acc.pop()
+            rows[v][n] = acc
+    return {
+        (v, n, q): c for v, by_n in rows.items()
+        for n, row in enumerate(by_n) for q, c in enumerate(row) if c
+    }
 
 
 def _monotone_cluster_counts(
@@ -415,9 +415,6 @@ def cluster_counts(
     when the collection is monotone, by the refined one otherwise."""
     if n_max < 1 or q_max < 1:
         raise DomainError("need n_max >= 1 and q_max >= 1")
-    if collection.patterns == ((1,),):
-        # the pattern (1) admits exactly one cluster, the 1-cluster (1) itself
-        return ClusterTable(collection, n_max, q_max, {(1, 0): 1, (1, 1): 1})
     if is_monotone(collection):
         return _monotone_cluster_counts(collection, n_max, q_max)
     return _refined_cluster_counts(collection, n_max, q_max)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 from .clusters import (
@@ -67,11 +66,10 @@ def monotone_vertex_series(
     """The generating functions y_v(x,t), truncated at x^order."""
     _require_monotone(collection)
     graph = build_graph(collection)
-    cells = _vertex_tables(graph, order, order)
-    by_vertex: dict[Perm, dict[tuple[int, int], Fraction]] = {}
-    for (v, n, q), c in cells.items():
-        by_vertex.setdefault(v, {})[(n, q)] = Fraction(c, factorial(n))
-    return {v: BiSeries(order, by_vertex.get(v, {})) for v in graph.vertices}
+    by_vertex = {v: {} for v in graph.vertices}
+    for (v, n, q), c in _vertex_tables(graph, order, order).items():
+        by_vertex[v][(n, q)] = c  # the counts are n! c_{v,n,q}
+    return {v: BiSeries._normalised(order, d) for v, d in by_vertex.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +121,10 @@ def emit_ode_system(collection: PatternCollection) -> OdeSystem:
         )
         equations.append(OdeEquation(v, m_v, terms))
     series = monotone_vertex_series(collection, max(orders.values()))
-    boundary = {}
-    for v in graph.vertices:
-        rows = []
-        for i in range(orders[v]):
-            poly = {
-                q: series[v].coeff(i, q) * factorial(i)
-                for q in range(i + 1)
-                if series[v].coeff(i, q)
-            }
-            rows.append(poly)
-        boundary[v] = tuple(rows)
+    boundary = {
+        v: tuple(_derivative_at_zero(series[v], i) for i in range(orders[v]))
+        for v in graph.vertices
+    }
     return OdeSystem(tuple(equations), boundary)
 
 
@@ -185,15 +176,14 @@ class VerifyReport(NamedTuple):
         return self.ok
 
 
-def _first_mismatch(lhs: BiSeries, rhs: BiSeries, top: int):
-    keys = sorted(
-        {k for k in lhs.coeffs if k[0] <= top}
-        | {k for k in rhs.coeffs if k[0] <= top}
-    )
-    for n, q in keys:
-        if lhs.coeff(n, q) != rhs.coeff(n, q):
-            return (n, q, lhs.coeff(n, q), rhs.coeff(n, q))
-    return None
+def _derivative_at_zero(y: BiSeries, i: int) -> dict[int, int | Fraction]:
+    """The t-polynomial y^(i)(0, t): the normalised x^i slice."""
+    return {q: c for (n, q), c in y.coeffs.items() if n == i}
+
+
+def _first_term(s: BiSeries, top: int) -> tuple[int, int] | None:
+    """The least (n, q) with n <= top and a nonzero coefficient."""
+    return min((k for k in s.coeffs if k[0] <= top), default=None)
 
 
 def verify_ode(
@@ -202,30 +192,30 @@ def verify_ode(
     """Check every equation (and the boundary data) against the series."""
     checks = []
     for eq in system.equations:
+        if order < eq.order:
+            raise DomainError(
+                f"truncation order {order} is below m_v={eq.order}, the "
+                f"derivative order of the equation for vertex "
+                f"({format_perm(eq.vertex)})"
+            )
         y = series[eq.vertex]
         if y.order < order:
             raise DomainError(
                 f"series for {eq.vertex} filled to {y.order}, need {order}"
             )
         lhs = y.dx(eq.order)
-        rhs = BiSeries.zero(order)
-        for term in eq.terms:
-            rhs = rhs + term.apply(series[term.target])
-        rhs = rhs.mul_tpow(1)
+        terms = (t.apply(series[t.target]) for t in eq.terms)
+        rhs = sum(terms, BiSeries.zero(order)).mul_tpow(1)
         top = min(lhs.order, rhs.order, order - eq.order)
-        bad = _first_mismatch(lhs, rhs, top)
+        bad = _first_term(lhs - rhs, top)
+        if bad:
+            bad = (*bad, lhs.coeff(*bad), rhs.coeff(*bad))
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
-    boundary_ok = True
-    for v, rows in system.boundary.items():
-        y = series[v]
-        for i, poly in enumerate(rows):
-            got = {
-                q: y.coeff(i, q) * factorial(i)
-                for q in range(order + 1)
-                if y.coeff(i, q)
-            }
-            if got != {q: c for q, c in poly.items() if c}:
-                boundary_ok = False
+    boundary_ok = all(
+        _derivative_at_zero(series[v], i) == {q: c for q, c in row.items() if c}
+        for v, rows in system.boundary.items()
+        for i, row in enumerate(rows)
+    )
     ok = boundary_ok and all(c.ok for c in checks)
     return VerifyReport(ok, tuple(checks), boundary_ok)
 
@@ -260,9 +250,9 @@ def verify_poly_ode(
         s = term.apply(series[term.target])
         acc = s if acc is None else acc + s
     top = min(acc.order, order)
-    for n, q in sorted(k for k in acc.coeffs if k[0] <= top):
-        if acc.coeff(n, q) != 0:
-            return False, (n, q, acc.coeff(n, q)), top
+    bad = _first_term(acc, top)
+    if bad:
+        return False, (*bad, acc.coeff(*bad)), top
     return True, None, top
 
 

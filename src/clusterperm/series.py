@@ -5,17 +5,24 @@ explicit truncation order: coefficients of x^n are trusted only for
 n <= order.  Binary operations take the minimum of the operand orders, so
 precision loss is always visible in the result's order.
 
+Coefficients are stored EGF-normalised: ``coeffs[(n, q)]`` holds n! c_{n,q}.
+A labelled product is then a binomial convolution, d/dx an index shift and
+multiplication by x^b/b! a binomial weight, so integral coefficients stay
+integral (no n! denominators, no gcds) under every operation but ``scale``
+by a non-integer.  Values are ``int`` wherever integral, else ``Fraction``.
+
 The cluster-method identities live here: Pi_cl(x,t) assembled from a cluster
 table, the substitution t -> t + delta, series reciprocal, and the avoidance
-generating function Pi(x,t) = 1/(1 - Pi_cl(x, t-1)) whose coefficients give
-alpha_{n,q} = n! c_{n,q}, the number of permutations of length n with exactly
-q consecutive occurrences of patterns from the collection.
+generating function Pi(x,t) = 1/(1 - Pi_cl(x, t-1)) whose normalised
+coefficients are alpha_{n,q} = n! c_{n,q}, the number of permutations of
+length n with exactly q consecutive occurrences of patterns from the
+collection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import kernels
 from .clusters import ClusterTable, cluster_counts
@@ -23,19 +30,50 @@ from .graph import PatternCollection
 from .perms import DomainError
 
 
+def _exact(coeffs, order: int) -> dict:
+    """Normalised coefficients without zeros or terms beyond x^order, each
+    an int wherever it is integral."""
+    return {
+        k: c if type(c) is int or c.denominator != 1 else c.numerator
+        for k, c in coeffs.items()
+        if c and k[0] <= order
+    }
+
+
 class BiSeries:
+    """A truncated series whose ``coeffs[(n, q)]`` is n! times the
+    coefficient of x^n t^q.  The constructor takes ordinary coefficients;
+    ``coeff`` and ``subs_t`` return ordinary ones."""
+
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=None):
         if order < 0:
             raise DomainError("truncation order must be nonnegative")
         self.order = order
-        self.coeffs: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (n, q), c in coeffs.items():
-                c = Fraction(c)
-                if c != 0 and n <= order:
-                    self.coeffs[(n, q)] = c
+        out = {}
+        for (n, q), c in (coeffs or {}).items():
+            if n < 0:
+                raise DomainError("x exponents must be nonnegative")
+            if n <= order:
+                out[(n, q)] = Fraction(c) * factorial(n)
+        self.coeffs: dict[tuple[int, int], int | Fraction] = _exact(out, order)
+
+    @classmethod
+    def _normalised(cls, order: int, coeffs) -> "BiSeries":
+        """A series on normalised coefficients n! c_{n,q}."""
+        s = cls(order)
+        s.coeffs = _exact(coeffs, order)
+        return s
+
+    def _slices(self) -> list[list]:
+        """slices[n][q] = coeffs[(n, q)]; each list ends in a nonzero entry."""
+        slices = [[] for _ in range(self.order + 1)]
+        for (n, q), c in self.coeffs.items():
+            row = slices[n]
+            row.extend([0] * (q + 1 - len(row)))
+            row[q] = c
+        return slices
 
     # -- constructors ------------------------------------------------------
 
@@ -50,16 +88,12 @@ class BiSeries:
     # -- accessors ---------------------------------------------------------
 
     def coeff(self, n: int, q: int) -> Fraction:
-        return self.coeffs.get((n, q), Fraction(0))
+        c = self.coeffs.get((n, q))
+        return Fraction(c, factorial(n)) if c else Fraction(0)
 
     def eq_through(self, other: "BiSeries", order: int | None = None) -> bool:
-        top = min(self.order, other.order)
-        if order is not None:
-            top = min(top, order)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeff(n, q) == other.coeff(n, q) for n, q in keys if n <= top
-        )
+        top = min(self.order, other.order, self.order if order is None else order)
+        return all(n > top for n, _ in (self - other).coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -72,25 +106,27 @@ class BiSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        order = min(self.order, other.order)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BiSeries(order, out)
+            out[k] = out.get(k, 0) + c
+        return BiSeries._normalised(min(self.order, other.order), out)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(self.order, {k: -c for k, c in self.coeffs.items()})
+        out = {k: -c for k, c in self.coeffs.items()}
+        return BiSeries._normalised(self.order, out)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self + (-other)
 
     def scale(self, factor) -> "BiSeries":
         f = Fraction(factor)
-        return BiSeries(self.order, {k: c * f for k, c in self.coeffs.items()})
+        out = {k: c * f for k, c in self.coeffs.items()}
+        return BiSeries._normalised(self.order, out)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
+        """Binomial convolution: n! [x^n] fg = sum C(n, n1) a_{n1} b_{n-n1}."""
         order = min(self.order, other.order)
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (n1, q1), c1 in self.coeffs.items():
             if n1 > order:
                 continue
@@ -99,97 +135,83 @@ class BiSeries:
                 if n > order:
                     continue
                 key = (n, q1 + q2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiSeries(order, out)
+                out[key] = out.get(key, 0) + comb(n, n1) * c1 * c2
+        return BiSeries._normalised(order, out)
 
     def truncated(self, order: int) -> "BiSeries":
-        return BiSeries(min(order, self.order), self.coeffs)
+        return BiSeries._normalised(min(order, self.order), self.coeffs)
 
     # -- calculus and substitutions -----------------------------------------
 
     def dx(self, times: int = 1) -> "BiSeries":
-        s = self
-        for _ in range(times):
-            s = BiSeries(
-                s.order - 1,
-                {(n - 1, q): n * c for (n, q), c in s.coeffs.items() if n >= 1},
-            )
-        return s
+        """d^times/dx^times: an index shift of the normalised coefficients."""
+        out = {(n - times, q): c for (n, q), c in self.coeffs.items() if n >= times}
+        return BiSeries._normalised(self.order - times, out)
 
     def mul_xpow(self, b: int) -> "BiSeries":
         """Multiply by x^b / b!."""
         if b < 0:
             raise DomainError("monomial degree must be nonnegative")
-        inv = Fraction(1, factorial(b))
-        return BiSeries(
-            self.order + b,
-            {(n + b, q): c * inv for (n, q), c in self.coeffs.items()},
-        )
+        out = {(n + b, q): comb(n + b, b) * c for (n, q), c in self.coeffs.items()}
+        return BiSeries._normalised(self.order + b, out)
 
     def mul_monomial(self, e: int) -> "BiSeries":
         """Multiply by the plain monomial x^e."""
         if e < 0:
             raise DomainError("monomial degree must be nonnegative")
-        return BiSeries(
-            self.order + e,
-            {(n + e, q): c for (n, q), c in self.coeffs.items()},
-        )
+        out = {(n + e, q): perm(n + e, e) * c for (n, q), c in self.coeffs.items()}
+        return BiSeries._normalised(self.order + e, out)
 
     def mul_tpow(self, p: int) -> "BiSeries":
         if p < 0:
             raise DomainError("t power must be nonnegative")
-        return BiSeries(
-            self.order, {(n, q + p): c for (n, q), c in self.coeffs.items()}
-        )
+        out = {(n, q + p): c for (n, q), c in self.coeffs.items()}
+        return BiSeries._normalised(self.order, out)
 
     def shift_t(self, delta: int) -> "BiSeries":
-        """Substitute t -> t + delta, re-expanding each x^n slice exactly."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (n, big_q), c in self.coeffs.items():
-            for q in range(big_q + 1):
-                term = c * comb(big_q, q) * delta ** (big_q - q)
-                if term:
-                    key = (n, q)
-                    out[key] = out.get(key, Fraction(0)) + term
-        return BiSeries(self.order, out)
+        """Substitute t -> t + delta, re-expanding each x^n slice exactly by
+        Horner's rule."""
+        out: dict[tuple[int, int], int | Fraction] = {}
+        for n, row in enumerate(self._slices()):
+            acc = []
+            for c in reversed(row):  # acc <- acc * (t + delta) + c
+                acc = [a + delta * b for a, b in zip([c] + acc, acc + [0])]
+            out.update(((n, q), c) for q, c in enumerate(acc))
+        return BiSeries._normalised(self.order, out)
 
     def subs_t(self, value) -> dict[int, Fraction]:
         """Evaluate at a numeric t; returns the univariate slice map n -> c."""
         v = Fraction(value)
         out: dict[int, Fraction] = {}
         for (n, q), c in self.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + c * v**q
-        return {n: c for n, c in out.items() if c != 0}
+            out[n] = out.get(n, 0) + c * v**q
+        return {n: Fraction(c, factorial(n)) for n, c in out.items() if c != 0}
 
     def reciprocal(self) -> "BiSeries":
-        """Inverse series in x; requires constant coefficient exactly 1."""
-        if self.coeff(0, 0) != 1 or any(
-            n == 0 and q != 0 and c != 0 for (n, q), c in self.coeffs.items()
-        ):
+        """Inverse series in x; requires constant coefficient exactly 1.
+
+        On the normalised x^n slices a_n(t), the inverse r has r_0 = 1 and
+        r_n = -sum_{m=1..n} C(n, m) a_m r_{n-m}."""
+        a = self._slices()
+        if a[0] != [1]:
             raise DomainError("reciprocal requires constant term 1")
-        # slice view: a[n] is the t-polynomial coefficient of x^n
-        a: dict[int, dict[int, Fraction]] = {}
-        for (n, q), c in self.coeffs.items():
-            a.setdefault(n, {})[q] = c
-        r: dict[int, dict[int, Fraction]] = {0: {0: Fraction(1)}}
+        r = [[1]]
         for n in range(1, self.order + 1):
-            acc: dict[int, Fraction] = {}
+            acc = []
             for m in range(1, n + 1):
-                am = a.get(m)
-                if not am:
-                    continue
-                rn = r.get(n - m)
-                if not rn:
-                    continue
-                for q1, c1 in am.items():
-                    for q2, c2 in rn.items():
-                        q = q1 + q2
-                        acc[q] = acc.get(q, Fraction(0)) - c1 * c2
-            r[n] = {q: c for q, c in acc.items() if c != 0}
-        out = {
-            (n, q): c for n, poly in r.items() for q, c in poly.items() if c != 0
-        }
-        return BiSeries(self.order, out)
+                am, rk = a[m], r[n - m]
+                acc.extend([0] * (len(am) + len(rk) - 1 - len(acc)))
+                w = comb(n, m)
+                for i, x in enumerate(am):
+                    if x:
+                        x *= w
+                        for j, y in enumerate(rk, i):
+                            acc[j] -= x * y
+            while acc and not acc[-1]:
+                acc.pop()
+            r.append(acc)
+        out = {(n, q): c for n, row in enumerate(r) for q, c in enumerate(row)}
+        return BiSeries._normalised(self.order, out)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +221,12 @@ class BiSeries:
 
 def cluster_gf(table: ClusterTable, order: int) -> BiSeries:
     """Pi_cl(x,t): EGF of the cluster counts, including the fictitious
-    0-cluster term x."""
+    0-cluster term x.  The counts are its normalised coefficients."""
     if table.n_max < order:
         raise DomainError(
             f"table filled to n={table.n_max}, need n={order}"
         )
-    coeffs = {
-        (n, q): Fraction(c, factorial(n))
-        for (n, q), c in table.totals.items()
-        if n <= order
-    }
-    return BiSeries(order, coeffs)
+    return BiSeries._normalised(order, table.totals)
 
 
 def avoidance_gf(
@@ -223,15 +240,12 @@ def avoidance_gf(
 
 
 def alpha_counts(series: BiSeries) -> dict[tuple[int, int], int]:
-    """alpha_{n,q} = n! c_{n,q}; asserts integrality and nonnegativity."""
-    out = {}
-    for (n, q), c in series.coeffs.items():
-        a = c * factorial(n)
-        if a.denominator != 1 or a < 0:
+    """alpha_{n,q} = n! c_{n,q}, the normalised coefficients; asserts
+    integrality and nonnegativity."""
+    for (n, q), a in series.coeffs.items():
+        if type(a) is not int or a < 0:
             raise DomainError(f"coefficient at (n={n}, q={q}) is not a count: {a}")
-        if a:
-            out[(n, q)] = int(a)
-    return out
+    return dict(series.coeffs)
 
 
 def count_distribution_oracle(
@@ -257,18 +271,14 @@ def alpha_to_tsv(series: BiSeries) -> str:
 def avoiders_to_tsv(series: BiSeries) -> str:
     """Two-column form n, alpha_n for the avoider counts (q = 0 slice)."""
     counts = alpha_counts(series)
-    lines = []
-    for n in range(1, series.order + 1):
-        lines.append(f"{n}\t{counts.get((n, 0), 0)}")
+    lines = [f"{n}\t{counts.get((n, 0), 0)}" for n in range(1, series.order + 1)]
     return "\n".join(lines) + "\n"
 
 
 def gf_to_tsv(series: BiSeries) -> str:
     """Exact coefficients as n, q, numerator/denominator rows."""
-    lines = [
-        f"{n}\t{q}\t{c.numerator}/{c.denominator}"
-        for (n, q), c in sorted(series.coeffs.items())
-    ]
+    rows = ((n, q, series.coeff(n, q)) for n, q in sorted(series.coeffs))
+    lines = [f"{n}\t{q}\t{c.numerator}/{c.denominator}" for n, q, c in rows]
     return "\n".join(lines) + "\n"
 
 

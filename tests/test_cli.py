@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -165,3 +166,37 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+# sha256 of the exact stdout, recorded with the Fraction-coefficient series
+# layer; the EGF-normalised integer layer must reproduce every byte
+PINNED_OUTPUTS = [
+    (["gf", "--n", "14"], "1576243\n13254\n",
+     "374ffd5dedda2f79277f6d5eb2a428e28eeae4c6780e582a8ecd230fe5b39000"),
+    (["gf", "--format", "cluster", "--n", "10"], "1324\n",
+     "c0e82fb5208364b703bf7bb8e2338a65e2ab21ad9d948a369b53668bcc54a557"),
+    (["count", "--n", "20"], "12345\n",
+     "3381653ee9bee15f6ba97669f0d53ee6cb3cfc9d72390102529b84ec4dc04b4b"),
+]
+
+
+@pytest.mark.parametrize("argv, text, digest", PINNED_OUTPUTS)
+def test_series_outputs_are_pinned(tmp_path, capsys, argv, text, digest):
+    f = write(tmp_path, "p.txt", text)
+    assert main([argv[0], f, *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_ode_order_below_derivative_order(tmp_path, capsys):
+    f = write(tmp_path, "p.txt", "12345\n")
+    for n in ("0", "3"):
+        assert main(["verify-ode", f, "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert f"truncation order {n} is below m_v=5" in err
+        assert "vertex (1)" in err
+    assert main(["verify-ode", f, "--n", "-1"]) == 1
+    assert "truncation order must be nonnegative" in capsys.readouterr().err
+    assert main(["verify-ode", f, "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("pass (through x^0)") == 4 and "boundary: pass" in out

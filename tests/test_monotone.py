@@ -1,12 +1,14 @@
 """Monotone collections: recurrence, ODE emission, and verification."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from conftest import MONO_A, MONO_B, MONO_C, MONO_D, MONO_ALL
 from clusterperm.clusters import (
     _refined_cluster_counts,
+    cluster_counts,
     count_clusters_oracle,
     table_totals,
 )
@@ -24,6 +26,12 @@ from clusterperm.monotone import (
     system_to_text,
     verify_ode,
     verify_poly_ode,
+)
+from clusterperm.series import (
+    BiSeries,
+    alpha_counts,
+    avoidance_gf,
+    count_distribution_oracle,
 )
 
 
@@ -131,3 +139,24 @@ def test_system_rendering():
     text = system_to_text(emit_ode_system(MONO_C))
     assert "y_(1)^(5)" in text
     assert "y_(132)" in text
+
+
+def test_length_one_pattern_on_the_monotone_path():
+    # (1) has no overlaps, yet is itself a cluster with one occurrence
+    coll = PatternCollection(((1,),))
+    totals = cluster_counts(coll, 6, 6).totals
+    assert totals == {(1, 0): 1, (1, 1): 1}
+    table = monotone_cluster_counts(coll, 6, 6)
+    assert table.totals == totals
+    y = monotone_vertex_series(coll, 6)[(1,)]
+    assert {k: y.coeff(*k) * factorial(k[0]) for k in y.coeffs} == totals
+    # the table's refined queries agree with its totals
+    assert table.refined((1,), 1, 1, (1,)) == table.vertex_total((1,), 1, 1) == 1
+    from_table = alpha_counts(avoidance_gf(coll, 6, table=table))
+    from_series = alpha_counts(
+        (BiSeries.one(6) - y.shift_t(-1)).reciprocal()
+    )
+    assert from_table == from_series
+    for n in range(1, 7):
+        row = {q: c for (m, q), c in from_table.items() if m == n}
+        assert row == count_distribution_oracle(coll, n) == {n: factorial(n)}

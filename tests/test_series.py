@@ -1,7 +1,7 @@
 """Exact bivariate truncated series and the generating-function assembly."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,3 +141,161 @@ def test_tsv_round_trips():
     assert alpha_to_tsv(gf).strip()
     avo = avoiders_to_tsv(gf)
     assert avo.splitlines()[0].split("\t")[0] == "1"
+
+
+def test_tsv_rows_beyond_the_order_are_dropped():
+    back = gf_from_tsv("1\t0\t1/1\n2\t1\t1/2\n100000\t0\t1/1\n", 1)
+    assert back.coeffs == {(1, 0): 1}
+    assert back.coeff(2, 1) == 0
+
+
+def test_negative_x_exponent_is_rejected():
+    with pytest.raises(DomainError, match="nonnegative"):
+        gf_from_tsv("-1\t0\t1/1\n", 3)
+    with pytest.raises(DomainError):
+        BiSeries(3, {(-2, 1): 1})
+    assert BiSeries(3, {(1, 0): 1}).coeff(-1, 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# Ordinary-coefficient reference: BiSeries stores n! c_{n,q}, and every
+# operation must agree with these Fraction bodies on the ordinary c_{n,q}.
+# A reference series is a pair (order, {(n, q): c}).
+# ---------------------------------------------------------------------------
+
+
+def ref(order, coeffs):
+    return order, {
+        k: Fraction(c) for k, c in coeffs.items() if c != 0 and k[0] <= order
+    }
+
+
+def ref_add(a, b):
+    out = dict(a[1])
+    for k, c in b[1].items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return ref(min(a[0], b[0]), out)
+
+
+def ref_scale(a, f):
+    return ref(a[0], {k: c * f for k, c in a[1].items()})
+
+
+def ref_mul(a, b):
+    order = min(a[0], b[0])
+    out = {}
+    for (n1, q1), c1 in a[1].items():
+        for (n2, q2), c2 in b[1].items():
+            if n1 + n2 <= order:
+                key = (n1 + n2, q1 + q2)
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref(order, out)
+
+
+def ref_dx(a, times):
+    for _ in range(times):
+        a = ref(a[0] - 1, {(n - 1, q): n * c for (n, q), c in a[1].items() if n})
+    return a
+
+
+def ref_mul_xpow(a, b):
+    return ref(a[0] + b, {(n + b, q): c / factorial(b) for (n, q), c in a[1].items()})
+
+
+def ref_mul_monomial(a, e):
+    return ref(a[0] + e, {(n + e, q): c for (n, q), c in a[1].items()})
+
+
+def ref_mul_tpow(a, p):
+    return ref(a[0], {(n, q + p): c for (n, q), c in a[1].items()})
+
+
+def ref_shift_t(a, delta):
+    out = {}
+    for (n, big_q), c in a[1].items():
+        for q in range(big_q + 1):
+            key = (n, q)
+            term = c * comb(big_q, q) * delta ** (big_q - q)
+            out[key] = out.get(key, Fraction(0)) + term
+    return ref(a[0], out)
+
+
+def ref_subs_t(a, value):
+    out = {}
+    for (n, q), c in a[1].items():
+        out[n] = out.get(n, Fraction(0)) + c * Fraction(value) ** q
+    return {n: c for n, c in out.items() if c != 0}
+
+
+def ref_reciprocal(a):
+    slices = {}
+    for (n, q), c in a[1].items():
+        slices.setdefault(n, {})[q] = c
+    r = {0: {0: Fraction(1)}}
+    for n in range(1, a[0] + 1):
+        acc = {}
+        for m in range(1, n + 1):
+            for q1, c1 in slices.get(m, {}).items():
+                for q2, c2 in r[n - m].items():
+                    acc[q1 + q2] = acc.get(q1 + q2, Fraction(0)) - c1 * c2
+        r[n] = acc
+    return ref(a[0], {(n, q): c for n, row in r.items() for q, c in row.items()})
+
+
+def assert_matches(series, expected):
+    order, coeffs = expected
+    assert series.order == order
+    assert set(series.coeffs) == set(coeffs)
+    for (n, q), c in coeffs.items():
+        assert series.coeff(n, q) == c
+        stored = series.coeffs[(n, q)]
+        assert stored == c * factorial(n)  # the EGF normalisation
+        assert type(stored) is int or stored.denominator != 1
+
+
+unit_maps = coeff_maps.map(lambda m: {**m, (0, 0): Fraction(1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeff_maps,
+    unit_maps,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(
+        lambda f: f.denominator != 1
+    ),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+def test_operations_match_ordinary_reference(a_map, b_map, f, k, p, delta, v):
+    a, b = series_from(a_map, 5), series_from(b_map, 4)
+    ra, rb = ref(5, a_map), ref(4, b_map)
+    assert_matches(a, ra)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, ref_scale(rb, -1)))
+    assert_matches(-a, ref_scale(ra, -1))
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert_matches(a.scale(f), ref_scale(ra, f))
+    assert_matches(a.scale(f).scale(1 / f), ra)  # back to int values
+    assert_matches(a.dx(k), ref_dx(ra, k))
+    assert_matches(a.mul_xpow(k), ref_mul_xpow(ra, k))
+    assert_matches(a.mul_monomial(k), ref_mul_monomial(ra, k))
+    assert_matches(a.mul_tpow(p), ref_mul_tpow(ra, p))
+    assert_matches(a.shift_t(delta), ref_shift_t(ra, delta))
+    assert_matches(b.reciprocal(), ref_reciprocal(rb))
+    assert_matches(b.scale(f).shift_t(delta), ref_shift_t(ref_scale(rb, f), delta))
+    assert a.subs_t(v) == ref_subs_t(ra, v)
+    assert all(type(c) is Fraction for c in a.subs_t(v).values())
+    assert type(a.coeff(0, 0)) is Fraction
+
+
+def test_counts_stay_integers_through_the_pipeline():
+    coll = PatternCollection(((1, 3, 2, 4),))
+    table = cluster_counts(coll, 9, 9)
+    pcl = cluster_gf(table, 9)
+    assert pcl.coeffs == {k: c for k, c in table.totals.items() if c}
+    gf = avoidance_gf(coll, 9, table=table)
+    for s in (pcl, pcl.shift_t(-1), gf, gf.dx(2).mul_xpow(3)):
+        assert all(type(c) is int for c in s.coeffs.values())
+    assert alpha_counts(gf) == gf.coeffs
