@@ -2,7 +2,8 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Times the two hot kernels — the S_n occurrence-distribution scan and the
-linear-extension bitmask DP — on both backends and prints the speedup.
+linear-extension count (a subset DP compiled, a downset DP in pure Python) —
+on both backends and prints the speedup.
 
 Usage: python3 benchmarks/bench_kernels.py [--scan-n 9] [--dp-n 18] [--repeat 3]
 """

@@ -39,30 +39,21 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
 def count_linear_extensions(n: int, less_masks) -> int:
     """Number of bijections positions -> {1..n} respecting the strict order
     constraints; less_masks[i] is the bitmask of positions forced smaller
-    than position i."""
-    size = 1 << n
-    succ = [0] * n
-    for j in range(n):
-        m = less_masks[j]
-        i = 0
-        while m:
-            if m & 1:
-                succ[i] |= 1 << j
-            m >>= 1
-            i += 1
-    f = [0] * size
-    f[0] = 1
-    for s in range(1, size):
-        total = 0
-        t = s
-        while t:
-            b = t & -t
-            i = b.bit_length() - 1
-            t ^= b
-            rest = s ^ b
-            # position i takes the largest value of the block: everything
-            # forced below it must already be placed, nothing forced above
-            if (less_masks[i] & rest) == less_masks[i] and (succ[i] & rest) == 0:
-                total += f[rest]
-        f[s] = total
-    return f[size - 1]
+    than position i.
+
+    Values are handed out in increasing order, so the positions holding the
+    first j values form a downset.  Layer j maps each reachable downset of
+    size j to its number of fillings; a position joins a downset once every
+    position forced below it is in it.
+    """
+    layer = {0: 1}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for placed, ways in layer.items():
+            for i in range(n):
+                bit = 1 << i
+                if not placed & bit and less_masks[i] & placed == less_masks[i]:
+                    key = placed | bit
+                    nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return layer.get((1 << n) - 1, 0)

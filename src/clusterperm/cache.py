@@ -4,10 +4,12 @@ Collections whose graphs are isomorphic (label-preserving on edges, vertex
 labels free, distinguished vertex fixed) have identical cluster statistics,
 so the canonical form of the graph plus the fill bounds (N, Q) is a sound
 cache key.  The form is ``graph.canonical_form``, shared with the
-equivalence check; it searches only the relabellings that keep vertex
-lengths in order.  Tables are stored as JSON files; writes go through a
-temporary file in the same directory followed by an atomic rename.  A file
-that cannot be read back as a table counts as a miss.
+equivalence check; colour refinement orders the vertices by their labelled
+edges, and individualise-and-refine breaks only the ties it leaves.  Tables
+are stored as JSON files that carry the cache schema version and their own
+key; writes go through a temporary file in the same directory followed by an
+atomic rename.  A file that cannot be read back as a table, or whose schema
+or key differs, counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .clusters import ClusterTable, cluster_counts
 from .graph import PatternCollection, build_graph, canonical_form
 
 ENV_CACHE_DIR = "CLUSTERPERM_CACHE_DIR"
+# Bumped whenever the key or the file layout changes.
+SCHEMA = 2
 
 
 def cache_key(collection: PatternCollection) -> str:
@@ -62,6 +66,8 @@ def save_table(table: ClusterTable, directory: Path | None = None) -> Path:
 def _save_table(key: str, table: ClusterTable, directory: Path | None) -> Path:
     directory = directory or cache_dir()
     doc = {
+        "schema": SCHEMA,
+        "key": key,
         "n_max": table.n_max,
         "q_max": table.q_max,
         "totals": [
@@ -93,10 +99,12 @@ def _load_table(
     path = _table_path(key, n_max, q_max, directory)
     if not path.exists():
         return None
-    # a truncated or foreign file is a miss; the caller recomputes and
-    # overwrites it
+    # a truncated, stale or foreign file is a miss; the caller recomputes
+    # and overwrites it
     try:
         doc = json.loads(path.read_text())
+        if doc["schema"] != SCHEMA or doc["key"] != key:
+            return None
         totals = {(n, q): int(c) for n, q, c in doc["totals"]}
         return ClusterTable(collection, doc["n_max"], doc["q_max"], totals)
     except (ValueError, KeyError, TypeError):

@@ -97,8 +97,9 @@ class Theorem13Report:
 
 def _check_bijection(pi1, pi2, phi: PatternBijection, overlap_test):
     """Length and overlap-length preservation, then ``overlap_test`` at each
-    realized overlap.  ``overlap_test(pi, pip, k, phi)`` returns the failure
-    strings of the k-overlap of the ordered pair (pi, pip)."""
+    realized overlap.  ``overlap_test(pi, pip, k, fp, fpp)`` returns the
+    failure strings of the k-overlap of the ordered pair (pi, pip) against
+    its image (fp, fpp)."""
     phi.check_domains(pi1, pi2)
     pats1 = _patterns_of(pi1)
     failures = []
@@ -112,8 +113,9 @@ def _check_bijection(pi1, pi2, phi: PatternBijection, overlap_test):
     if lengths_ok:
         for pi in pats1:
             for pip in pats1:
+                fp, fpp = phi.apply(pi), phi.apply(pip)
                 ks1 = overlap_lengths(pi, pip)
-                ks2 = overlap_lengths(phi.apply(pi), phi.apply(pip))
+                ks2 = overlap_lengths(fp, fpp)
                 if ks1 != ks2:
                     linkages_ok = False
                     failures.append(
@@ -121,7 +123,7 @@ def _check_bijection(pi1, pi2, phi: PatternBijection, overlap_test):
                     )
                     continue
                 for k in ks1:
-                    found = overlap_test(pi, pip, k, phi)
+                    found = overlap_test(pi, pip, k, fp, fpp)
                     if found:
                         overlaps_ok = False
                         failures.extend(found)
@@ -129,21 +131,56 @@ def _check_bijection(pi1, pi2, phi: PatternBijection, overlap_test):
     return Theorem13Report(ok, lengths_ok, linkages_ok, overlaps_ok, tuple(failures))
 
 
-def _first_bijection(pi1, pi2, check) -> PatternBijection | None:
-    """First bijection passing ``check``, in deterministic order."""
+def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
+    """First bijection passing ``_check_bijection`` with ``overlap_test``,
+    pairing sorted(pats1) with the orderings of sorted(pats2) in
+    lexicographic order.
+
+    Every condition of the check concerns one ordered pair of patterns, so a
+    backtracking search in the same order, which offers only patterns of
+    equal length and tests each new pair against those already assigned,
+    finds the same bijection as a scan of all k! orderings.
+    """
     pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
     if len(pats1) != len(pats2):
         return None
-    a = sorted(pats1)
-    for perm in _it_permutations(sorted(pats2)):
-        phi = PatternBijection(tuple(zip(a, perm)))
-        if check(pats1, pats2, phi):
-            return phi
-    return None
+    a, b = sorted(pats1), sorted(pats2)
+    overlaps = {
+        (x, y): overlap_lengths(x, y) for side in (a, b) for x in side for y in side
+    }
+
+    def pair_ok(x, y, fx, fy):
+        ks = overlaps[x, y]
+        return ks == overlaps[fx, fy] and not any(
+            overlap_test(x, y, k, fx, fy) for k in ks
+        )
+
+    image: list[Perm] = []
+    free = dict.fromkeys(b)  # insertion-ordered set
+
+    def extend(i: int) -> bool:
+        if i == len(a):
+            return True
+        x = a[i]
+        for fx in list(free):
+            if len(fx) != len(x) or not pair_ok(x, x, fx, fx):
+                continue
+            if all(
+                pair_ok(x, y, fx, fy) and pair_ok(y, x, fy, fx)
+                for y, fy in zip(a, image)
+            ):
+                del free[fx]
+                image.append(fx)
+                if extend(i + 1):
+                    return True
+                image.pop()
+                free[fx] = None
+        return False
+
+    return PatternBijection(tuple(zip(a, image))) if extend(0) else None
 
 
-def _equal_overlap_sets(pi, pip, k, phi):
-    fp, fpp = phi.apply(pi), phi.apply(pip)
+def _equal_overlap_sets(pi, pip, k, fp, fpp):
     failures = []
     if set(pi[len(pi) - k :]) != set(fp[len(fp) - k :]):
         failures.append(f"final {k}-set differs: {pi} vs {fp}")
@@ -152,8 +189,7 @@ def _equal_overlap_sets(pi, pip, k, phi):
     return failures
 
 
-def _equal_final_maxima(pi, pip, k, phi):
-    fp = phi.apply(pi)
+def _equal_final_maxima(pi, pip, k, fp, fpp):
     if max(pi[len(pi) - k :]) != max(fp[len(fp) - k :]):
         return [f"final {k}-set maximum differs: {pi} vs {fp}"]
     return []
@@ -170,7 +206,7 @@ def check_theorem13(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
 
 def any_theorem13_bijection(pi1, pi2) -> PatternBijection | None:
     """First bijection passing check_theorem13, in deterministic order."""
-    return _first_bijection(pi1, pi2, check_theorem13)
+    return _first_bijection(pi1, pi2, _equal_overlap_sets)
 
 
 def check_monotone_corollary(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
@@ -189,7 +225,11 @@ def check_monotone_corollary(pi1, pi2, phi: PatternBijection) -> Theorem13Report
 
 def any_monotone_corollary_bijection(pi1, pi2) -> PatternBijection | None:
     """First bijection passing check_monotone_corollary, deterministic order."""
-    return _first_bijection(pi1, pi2, check_monotone_corollary)
+    pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
+    if len(pats1) == len(pats2):
+        _require_monotone(pats1)
+        _require_monotone(pats2)
+    return _first_bijection(pats1, pats2, _equal_final_maxima)
 
 
 def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):

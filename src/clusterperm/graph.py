@@ -12,7 +12,6 @@ unordered entry sets of those subwords together with l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import NamedTuple
 
 from .perms import (
@@ -243,25 +242,20 @@ class OverlapGraph:
 
 
 def build_graph(coll: PatternCollection) -> OverlapGraph:
+    # heads[p][k - 1] and tails[p][k - 1] standardize the proper prefix and
+    # suffix of length k; each is computed once
+    heads = {p: [standardize(p[:k]) for k in range(1, len(p))] for p in coll}
+    tails = {p: [standardize(p[len(p) - k :]) for k in range(1, len(p))] for p in coll}
     verts: set[Perm] = {(1,)}
     for pb in coll:
         for pa in coll:
-            for k in overlap_lengths(pb, pa):
-                verts.add(standardize(pa[:k]))
+            verts.update(h for h, t in zip(heads[pa], tails[pb]) if h == t)
     vertices = tuple(sorted(verts, key=lambda v: (len(v), v)))
     edges: list[Edge] = []
     for pat in coll:
         l = len(pat)
-        prefix_ok = {
-            k: standardize(pat[:k])
-            for k in range(1, l)
-            if standardize(pat[:k]) in verts
-        }
-        suffix_ok = {
-            kp: standardize(pat[l - kp :])
-            for kp in range(1, l)
-            if standardize(pat[l - kp :]) in verts
-        }
+        prefix_ok = {k: h for k, h in enumerate(heads[pat], 1) if h in verts}
+        suffix_ok = {kp: t for kp, t in enumerate(tails[pat], 1) if t in verts}
         for k, src in prefix_ok.items():
             for kp, tgt in suffix_ok.items():
                 label = EdgeLabel(
@@ -274,47 +268,118 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
     return OverlapGraph(coll, vertices, tuple(edges))
 
 
-def _arrangements(groups):
-    """Every concatenation of one ordering of each group.  Lazy, unlike
-    itertools.product, which would hold every ordering of every group."""
-    if not groups:
-        yield ()
-        return
-    for head in permutations(groups[0]):
-        for tail in _arrangements(groups[1:]):
-            yield head + tail
+def _refine(colour: list[int], out, inn) -> list[int]:
+    """Colour refinement to a stable colouring, as dense ranks 0..k-1.
+
+    Each round a vertex's signature is its colour followed by the sorted
+    (edge label, neighbour colour) pairs of its out-edges and of its
+    in-edges; the new colours are the ranks of the signatures.  The
+    signature leads with the old colour, so each round splits cells without
+    reordering them, and the ranks depend only on invariants of the
+    coloured graph.
+    """
+    while True:
+        sigs = [
+            (c, tuple(sorted((lab, colour[w]) for lab, w in out[v])),
+             tuple(sorted((lab, colour[w]) for lab, w in inn[v])))
+            for v, c in enumerate(colour)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [rank[sig] for sig in sigs]
+        if new == colour:
+            return colour
+        colour = new
+
+
+def _individualise(colour: list[int], v: int) -> list[int]:
+    """Split v off the front of its cell; later colours shift up by one."""
+    c = colour[v]
+    return [x + (x > c or (x == c and w != v)) for w, x in enumerate(colour)]
 
 
 def canonical_form(graph: OverlapGraph) -> tuple[tuple, tuple[Perm, ...]]:
     """The graph up to label-preserving isomorphism fixing (1), and the
     vertex order that attains it.
 
-    A relabelling gives the distinguished vertex index 0 and the others
-    1..V-1; it encodes the graph as (vertex lengths by index, sorted
-    (source, target, mu_i, mu_f, length) edge tuples), vertex permutation
-    labels discarded.  The encoding is the least one over all relabellings.
-    The least lengths tuple is the sorted one, so only relabellings that
-    permute vertices within each length class are searched.  ``order[i]``
-    is the vertex given index i.
+    A vertex order is encoded as (vertex lengths by index, sorted (source,
+    target, mu_i, mu_f, length) edge tuples), vertex permutation labels
+    discarded.  The orders searched are the leaves of individualise-and-
+    refine (McKay & Piperno, "Practical graph isomorphism, II", 2014):
+    colours start from vertex lengths, so (1) sits alone at index 0, and
+    colour refinement splits cells by their labelled edges.  While a cell is
+    still tied, each of its vertices is individualised in turn and refined
+    again; a discrete colouring is a leaf, and the form is the least leaf
+    encoding.  Automorphisms revealed by equal leaves prune the search:
+    a subtree that maps onto the first path's is abandoned, and a vertex in
+    the orbit of one already tried is skipped.  ``order[i]`` is the vertex
+    given index i.
     """
-    classes: dict[int, list[Perm]] = {}
-    for v in graph.vertices:
-        if v != (1,):
-            classes.setdefault(len(v), []).append(v)
-    groups = [classes[length] for length in sorted(classes)]
-    lengths = tuple(len(v) for group in groups for v in group)
-    edges = [
-        (e.source, e.target, e.label.mu_i, e.label.mu_f, e.label.length)
-        for e in graph.edges
-    ]
-    best = None
-    for rest in _arrangements(groups):
-        order = ((1,),) + rest
-        index = {v: i for i, v in enumerate(order)}
-        enc = tuple(sorted((index[s], index[t], *label) for s, t, *label in edges))
-        if best is None or enc < best[0]:
-            best = (enc, order)
-    enc, order = best
+    verts = graph.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    label_id = {lab: i for i, lab in enumerate(sorted({e.label for e in graph.edges}))}
+    out = [[] for _ in verts]
+    inn = [[] for _ in verts]
+    edges = []
+    for e in graph.edges:
+        s, t, lab = index[e.source], index[e.target], e.label
+        out[s].append((label_id[lab], t))
+        inn[t].append((label_id[lab], s))
+        edges.append((s, t, lab.mu_i, lab.mu_f, lab.length))
+    lengths = tuple(sorted(len(v) for v in verts))
+
+    first = best = None  # (encoding, colouring, individualised path)
+    autos: list[list[int]] = []
+
+    def automorphism(leaf_a, leaf_b) -> list[int]:
+        # the vertex at each position of leaf a goes to the one of leaf b
+        at = [0] * len(leaf_b)
+        for w, c in enumerate(leaf_b):
+            at[c] = w
+        return [at[c] for c in leaf_a]
+
+    def search(colour: list[int], path: list[int]) -> int | None:
+        """Explore the subtree; a return value d aborts up to depth d."""
+        nonlocal first, best
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        cell = next((vs for _, vs in sorted(cells.items()) if len(vs) > 1), None)
+        if cell is None:
+            enc = tuple(sorted((colour[s], colour[t], *lab) for s, t, *lab in edges))
+            if first is None:
+                first = best = (enc, colour, path)
+            elif enc == first[0]:
+                autos.append(automorphism(first[1], colour))
+                # the subtree below the divergence from the first path is
+                # the image of one already searched
+                return next(d for d, (a, b) in enumerate(zip(path, first[2])) if a != b)
+            elif enc == best[0]:
+                autos.append(automorphism(best[1], colour))
+            elif enc < best[0]:
+                best = (enc, colour, path)
+            return None
+        tried: set[int] = set()
+        for v in cell:
+            if v in tried:
+                continue
+            abort = search(_refine(_individualise(colour, v), out, inn), path + [v])
+            if abort is not None and abort < len(path):
+                return abort
+            # close the tried set under the automorphisms fixing the path
+            tried.add(v)
+            gens = [g for g in autos if all(g[x] == x for x in path)]
+            frontier = list(tried)
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    if g[x] not in tried:
+                        tried.add(g[x])
+                        frontier.append(g[x])
+        return None
+
+    search(_refine([len(v) for v in verts], out, inn), [])
+    enc, colour, _ = best
+    order = tuple(sorted(verts, key=lambda v: colour[index[v]]))
     return (lengths, enc), order
 
 

@@ -1,5 +1,8 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
+The linear-extension count always runs the pure downset DP, which visits only
+the reachable downsets where the compiled kernel walks all 2^n subsets.
+
 Set CLUSTERPERM_PURE_PYTHON=1 to force the fallback (used by the benchmark
 and by tests that exercise both paths).
 """
@@ -30,8 +33,7 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
 
 
 def count_linear_extensions(n: int, less_masks) -> int:
-    """Linear extensions of the strict order given by predecessor bitmasks."""
-    less_masks = list(less_masks)
-    if _compiled is not None and 1 <= n <= 20:
-        return _compiled.count_linear_extensions(n, less_masks)
-    return _kernels_py.count_linear_extensions(n, less_masks)
+    """Linear extensions of the strict order given by predecessor bitmasks.
+
+    Always the pure downset DP (see the module docstring)."""
+    return _kernels_py.count_linear_extensions(n, list(less_masks))

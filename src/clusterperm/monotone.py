@@ -112,9 +112,9 @@ def emit_ode_system(collection: PatternCollection) -> OdeSystem:
     equations = []
     orders = {}
     for v in graph.vertices:
-        if not data[v]:
-            raise DomainError(f"vertex {v} has no outgoing edges")
-        m_v = max(d.m for d in data[v])
+        # only (1) of the collection (1) has no out-edges; its series
+        # y = x + t x satisfies y'' = 0
+        m_v = max((d.m for d in data[v]), default=2)
         orders[v] = m_v
         terms = tuple(
             sorted(OdeTerm(m_v - d.m, d.l - d.m, d.k, d.target) for d in data[v])
@@ -319,5 +319,5 @@ def system_to_text(system: OdeSystem) -> str:
     for eq in system.equations:
         name = f"y_({''.join(map(str, eq.vertex))})"
         rhs = " + ".join(_term_text(t) for t in eq.terms)
-        lines.append(f"{name}^({eq.order}) = t * ( {rhs} )")
+        lines.append(f"{name}^({eq.order}) = " + (f"t * ( {rhs} )" if rhs else "0"))
     return "\n".join(lines) + "\n"

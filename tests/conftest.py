@@ -45,6 +45,18 @@ def random_two_pattern_collections(count: int, seed: int, max_len: int = 4):
     return out
 
 
+def nudged(p, rng):
+    """p, or p with two adjacent values swapped where both sit inside it."""
+    inside = [
+        v for v in range(1, len(p))
+        if 0 < p.index(v) < len(p) - 1 and 0 < p.index(v + 1) < len(p) - 1
+    ]
+    if not inside or rng.random() < 0.3:
+        return p
+    v = rng.choice(inside)
+    return tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)
+
+
 def reference_collections():
     """The full corpus used by the oracle-vs-recurrence criteria."""
     return all_singletons(5) + random_two_pattern_collections(20, seed=20230815)

@@ -1,12 +1,14 @@
 """Cluster-table cache keyed by the canonical overlap graph."""
 
-import os
+import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations, permutations, product
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import clusterperm.cache as cache_module
 from clusterperm.cache import (
@@ -17,15 +19,18 @@ from clusterperm.cache import (
     load_table,
     save_table,
 )
-from clusterperm.clusters import cluster_counts
+from clusterperm.clusters import cluster_counts, count_clusters_oracle
 from clusterperm.equivalence import graphs_isomorphic
 from clusterperm.graph import (
+    Edge,
+    EdgeLabel,
     OverlapGraph,
     PatternCollection,
     build_graph,
     canonical_form,
 )
 from clusterperm.perms import DomainError, all_permutations, parse_perm
+from conftest import nudged
 
 WILF_PAIR = (
     PatternCollection(((1, 4, 3, 2, 6, 5, 9, 8, 7),)),
@@ -39,17 +44,17 @@ def test_key_deterministic():
     assert len(cache_key(c)) == 64
 
 
-# Keys computed before the canonical form moved into graph.py; a change to
+# Keys of the colour-refinement canonical form (cache schema 2); a change to
 # the form or its encoding would orphan every cached table.
 PINNED_KEYS = {
     "143265987":
-        "34a247d6a16381d0cddeb01c3aa5d3e800b865c24a51c4a1b3babb8b4453e2ab",
+        "a8a7eb8325756e09624d491f7ebb41ea451f4e01abbaa2b0b788db4e3eb6a04c",
     "51423 54321 34215 31452":
-        "0e7c9403b24b02c12dcb43cc0c6b17e7f30458b04721913749fed96e5fa76ac2",
+        "25cce247009ed3b52101cac8f81ba2229e6fc08940254fcd014e2a05508a4cd0",
     "51423 54321 34215 31452 14253":
-        "e6c5f40a5e869c8fcdb67f55279c636d91b97247ba635810f5687b8bf52dafa4",
+        "bebe956e40ada16955b89c0328fa64df339bec67adcea551aef1f5ed861da4c1",
     "123 213":
-        "e3740ac2c793b20bcd2bc399b97d8166273a51e784f36eb448a9547f45474f0b",
+        "1485cf455631e109e4f794651ecf1eebf89a010d1d30bdfea6478c7089b1ccac",
 }
 
 
@@ -112,6 +117,226 @@ def test_equal_keys_are_exactly_isomorphic_graphs():
     reps = [graphs[0] for graphs in groups.values()]
     for g1, g2 in (rng.sample(reps, 2) for _ in range(300)):
         assert graphs_isomorphic(g1, g2) is None, (g1.collection, g2.collection)
+
+
+def renamed(g, rng):
+    """The same graph with the vertices of each length shuffled among their
+    names."""
+    name = {}
+    for length in {len(v) for v in g.vertices}:
+        same = [v for v in g.vertices if len(v) == length]
+        name.update(zip(same, rng.sample(same, len(same))))
+    edges = (replace(e, source=name[e.source], target=name[e.target]) for e in g.edges)
+    return OverlapGraph(
+        g.collection,
+        g.vertices,
+        tuple(sorted(edges, key=lambda e: (e.source, e.target, e.label, e.pattern))),
+    )
+
+
+IN, OUT, MID = (
+    EdgeLabel((1,), (4,), 4), EdgeLabel((4,), (1,), 4), EdgeLabel((2,), (1,), 3)
+)
+
+
+def synthetic_graph(lengths, arcs):
+    """(1) at index 0, then one vertex of each length in ``lengths``; ``arcs``
+    holds (source index, target index, label) triples."""
+    names = {length: iter(all_permutations(length)) for length in set(lengths)}
+    vertices = [(1,), *(next(names[length]) for length in lengths)]
+    edges = [
+        Edge(vertices[s], vertices[t], label, (1, 2, 3, 4), 1, 1)
+        for s, t, label in arcs
+    ]
+    return OverlapGraph(
+        PatternCollection(((1, 2, 3, 4),)),
+        tuple(sorted(vertices, key=lambda v: (len(v), v))),
+        tuple(sorted(edges, key=lambda e: (e.source, e.target, e.label, e.pattern))),
+    )
+
+
+def cycles(sizes, label=IN):
+    """Disjoint directed cycles on the vertices from index 1 on."""
+    arcs, start = [], 1
+    for size in sizes:
+        arcs += [(start + i, start + (i + 1) % size, label) for i in range(size)]
+        start += size
+    return arcs
+
+
+def circulant_graph(na, nb, aa, bb, ab, ba):
+    """Two length classes of na and nb vertices.  Each of ``aa``, ``bb``,
+    ``ab`` and ``ba`` is a (steps, label) pair: vertex i of the source class
+    points to vertex j of the target class when (j - i) mod (target size) is
+    a step."""
+    first = {"a": (1, na), "b": (1 + na, nb)}
+    arcs = []
+    for (src, tgt), (steps, label) in zip(("aa", "bb", "ab", "ba"), (aa, bb, ab, ba)):
+        (fs, ns), (ft, nt) = first[src], first[tgt]
+        arcs += [
+            (fs + i, ft + j, label)
+            for i in range(ns)
+            for j in range(nt)
+            if (j - i) % nt in steps
+        ]
+    return synthetic_graph([4] * na + [5] * nb, arcs)
+
+
+# Colour refinement leaves tied cells in each of these graphs.  In most,
+# every vertex but (1) has the same length and the same labelled degrees.
+TIED_GRAPHS = {
+    # automorphism group S_12
+    "star": synthetic_graph(
+        [4] * 12,
+        [(0, i, IN) for i in range(1, 13)] + [(i, 0, OUT) for i in range(1, 13)],
+    ),
+    "clique": synthetic_graph(
+        [4] * 10, [(i, j, IN) for i in range(1, 11) for j in range(1, 11) if i != j]
+    ),
+    "no-edges": synthetic_graph([4] * 12, []),
+    "hexagon": synthetic_graph([4] * 6, cycles([6])),
+    "two-triangles": synthetic_graph([4] * 6, cycles([3, 3])),
+    "three-squares": synthetic_graph([4] * 12, cycles([4, 4, 4])),
+    "hexagon-and-two-triangles": synthetic_graph([4] * 12, cycles([6, 3, 3])),
+    # a loop, a 2-cycle and a 3-cycle, which refinement cannot tell apart
+    "loop-and-short-cycles": synthetic_graph([4] * 6, cycles([1, 2, 3], MID)),
+    # two tied cells, one per length, whose individualisations interact
+    "two-circulants": circulant_graph(
+        5, 4, ({1, 2, 3}, MID), ({0, 2, 3}, IN), ({0, 2}, IN), (set(), IN)
+    ),
+    "cube": synthetic_graph(
+        [4] * 8,
+        [
+            (a + 1, (a ^ 1 << b) + 1, IN if b else OUT)
+            for a in range(8)
+            for b in range(3)
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_GRAPHS))
+def test_tied_cells_get_a_renaming_invariant_form(name):
+    g = TIED_GRAPHS[name]
+    start = time.perf_counter()
+    form, _ = canonical_form(g)
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(name)
+    for _ in range(5):
+        copy = renamed(g, rng)
+        assert canonical_form(copy)[0] == form
+        assert_isomorphism(graphs_isomorphic(g, copy), g, copy)
+
+
+def relabelling_form(graph):
+    """Reference: the least edge encoding over every vertex order that keeps
+    lengths sorted, found by trying them all."""
+    classes = {}
+    for v in graph.vertices:
+        classes.setdefault(len(v), []).append(v)
+    edges = [(e.source, e.target, e.label) for e in graph.edges]
+    best = None
+    for orders in product(*(permutations(classes[k]) for k in sorted(classes))):
+        index = {v: i for i, v in enumerate(chain.from_iterable(orders))}
+        enc = sorted((index[s], index[t], label) for s, t, label in edges)
+        best = enc if best is None else min(best, enc)
+    return tuple(sorted(map(len, graph.vertices))), tuple(best)
+
+
+def copies_of_a_motif(rng):
+    """Copies of one random motif, each joined to (1) alike, plus stray arcs."""
+    size = rng.randint(1, 3)
+    copies = rng.randint(2, min(3, 7 // size))
+    lengths = [rng.choice((4, 5)) for _ in range(size)]
+    motif = [
+        (a, b, rng.choice((IN, OUT, MID)))
+        for a in range(size + 1)
+        for b in range(size + 1)
+        if rng.random() < 0.35
+    ]
+    at = lambda c, a: 0 if a == 0 else c * size + a
+    arcs = [(at(c, a), at(c, b), lab) for c in range(copies) for a, b, lab in motif]
+    for _ in range(rng.randint(0, 2)):
+        ends = rng.choices(range(size * copies + 1), k=2)
+        arcs.append((*ends, rng.choice((IN, OUT, MID))))
+    return synthetic_graph(lengths * copies, arcs)
+
+
+def cycle_union(rng):
+    """Disjoint directed cycles on 7 vertices of one length, some joined to
+    (1)."""
+    sizes = []
+    while sum(sizes) < 7:
+        sizes.append(rng.randint(1, 7 - sum(sizes)))
+    arcs = cycles(sizes, rng.choice((IN, MID)))
+    starts = [1 + sum(sizes[:i]) for i in range(len(sizes))]
+    arcs += [(0, start, OUT) for start in starts if rng.random() < 0.5]
+    return synthetic_graph([4] * 7, arcs)
+
+
+def circulants(rng):
+    na, nb = rng.randint(2, 4), rng.randint(2, 4)
+    return circulant_graph(
+        na,
+        nb,
+        *(
+            ({d for d in range(n) if rng.random() < 0.4}, rng.choice((IN, OUT, MID)))
+            for n in (na, nb, nb, na)
+        ),
+    )
+
+
+def test_form_agrees_with_the_relabelling_search():
+    rng = random.Random(2014)
+    graphs = [
+        make(rng)
+        for make in (copies_of_a_motif, cycle_union, circulants)
+        for _ in range(60)
+    ]
+    forms = [canonical_form(g)[0] for g in graphs]
+    for g, form in zip(graphs, forms):
+        assert canonical_form(renamed(g, rng))[0] == form
+    slow = [relabelling_form(g) for g in graphs]
+    assert len(set(slow)) < len(graphs)
+    for i, j in combinations(range(len(graphs)), 2):
+        assert (forms[i] == forms[j]) == (slow[i] == slow[j])
+
+
+def test_tied_cells_are_told_apart():
+    # colour refinement cannot split either graph, individualisation can
+    hexagon, triangles = TIED_GRAPHS["hexagon"], TIED_GRAPHS["two-triangles"]
+    assert canonical_form(hexagon)[0] != canonical_form(triangles)[0]
+    assert graphs_isomorphic(hexagon, triangles) is None
+
+
+small_patterns = st.integers(3, 6).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+)
+
+
+@st.composite
+def nudged_collections(draw):
+    """1-3 distinct patterns, and a copy with some adjacent values swapped."""
+    patterns = draw(st.lists(small_patterns, min_size=1, max_size=3, unique=True))
+    rng = draw(st.randoms(use_true_random=False))
+    return patterns, [nudged(p, rng) for p in patterns]
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(nudged_collections())
+def test_equal_keys_give_equal_oracle_cluster_counts(pair):
+    try:
+        coll, twin = (PatternCollection(tuple(p)) for p in pair)
+    except DomainError:
+        assume(False)
+    assume(set(coll) != set(twin) and cache_key(coll) == cache_key(twin))
+    for n in range(1, 9):
+        for q in range(1, 4):
+            assert count_clusters_oracle(coll, n, q) == count_clusters_oracle(
+                twin, n, q
+            ), (n, q)
 
 
 def test_isomorphic_graphs_share_key():
@@ -189,6 +414,38 @@ def test_unreadable_file_is_a_miss_and_is_rewritten(tmp_path, bad):
     assert load_table(coll, 8, 4, tmp_path) is None
     table = cached_cluster_counts(coll, 8, 4, tmp_path)
     assert table.totals == cluster_counts(coll, 8, 4).totals
+    assert path.read_text() == whole
+
+
+def test_file_with_a_foreign_key_is_a_miss_and_is_rewritten(tmp_path):
+    coll = PatternCollection(((1, 2, 3), (1, 3, 2)))
+    other = PatternCollection(((1, 2, 3),))
+    path = save_table(cluster_counts(coll, 8, 4), tmp_path)
+    whole = path.read_text()
+    # another collection's table under this collection's file name
+    save_table(cluster_counts(other, 8, 4), tmp_path).replace(path)
+    assert json.loads(path.read_text())["key"] == cache_key(other)
+    assert load_table(coll, 8, 4, tmp_path) is None
+    table = cached_cluster_counts(coll, 8, 4, tmp_path)
+    assert table.totals == cluster_counts(coll, 8, 4).totals
+    assert path.read_text() == whole
+
+
+@pytest.mark.parametrize("schema", [None, 1, cache_module.SCHEMA + 1])
+def test_file_of_another_schema_is_a_miss_and_is_rewritten(tmp_path, schema):
+    coll = PatternCollection(((1, 2, 3), (1, 3, 2)))
+    path = save_table(cluster_counts(coll, 8, 4), tmp_path)
+    whole = path.read_text()
+    doc = json.loads(whole)
+    if schema is None:
+        del doc["schema"]
+    else:
+        doc["schema"] = schema
+    path.write_text(json.dumps(doc))
+    assert load_table(coll, 8, 4, tmp_path) is None
+    assert cached_cluster_counts(coll, 8, 4, tmp_path).totals == (
+        cluster_counts(coll, 8, 4).totals
+    )
     assert path.read_text() == whole
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -200,3 +201,43 @@ def test_verify_ode_order_below_derivative_order(tmp_path, capsys):
     assert main(["verify-ode", f, "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass (through x^0)") == 4 and "boundary: pass" in out
+
+
+def test_length_one_pattern_has_an_ode(tmp_path, capsys):
+    # the series of (1) for the collection (1) is y = x + t x
+    f = write(tmp_path, "p.txt", "1\n")
+    assert main(["monotone", f]) == 0
+    assert capsys.readouterr().out == "monotone\ny_(1)^(2) = 0\n"
+    assert main(["monotone", f, "--format", "json"]) == 0
+    (eq,) = json.loads(capsys.readouterr().out)["equations"]
+    assert eq["order"] == 2 and eq["terms"] == []
+    assert eq["boundary"] == [{}, {"0": "1/1", "1": "1/1"}]
+    assert main(["verify-ode", f, "--n", "12"]) == 0
+    assert capsys.readouterr().out == "(1,): pass (through x^10)\nboundary: pass\n"
+
+
+# Sixteen overlap-graph vertices in length classes of sizes 6, 5, 2 and 2;
+# colour refinement splits them all.
+SIXTEEN = "123456\n153264\n253614\n315426\n362541\n435261\n541632\n632154\n"
+
+
+def test_sixteen_vertex_collection_through_the_cache(tmp_path, capsys, monkeypatch):
+    f = write(tmp_path, "p.txt", SIXTEEN)
+    argv = ["clusters", f, "--n", "8", "--q", "3"]
+    assert main(argv) == 0
+    direct = capsys.readouterr().out
+    monkeypatch.setenv("CLUSTERPERM_CACHE_DIR", str(tmp_path / "cache"))
+    for _ in ("cold", "warm"):
+        assert main([*argv, "--cache"]) == 0
+        assert capsys.readouterr().out == direct
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+def test_sixteen_vertex_collection_against_its_complement(tmp_path, capsys):
+    a = write(tmp_path, "a.txt", SIXTEEN)
+    flipped = ("".join(str(7 - int(x)) for x in w) for w in SIXTEEN.split())
+    b = write(tmp_path, "b.txt", "\n".join(flipped) + "\n")
+    start = time.perf_counter()
+    assert main(["equiv", a, b, "--n", "8"]) == 0
+    assert time.perf_counter() - start < 30
+    assert "equivalent to order N=8" in capsys.readouterr().out

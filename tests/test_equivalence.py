@@ -1,10 +1,12 @@
 """Equivalence checks: structural conditions, graph isomorphism, GF equality."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
 
 from clusterperm import kernels
+from conftest import nudged
 from clusterperm.equivalence import (
     PatternBijection,
     any_monotone_corollary_bijection,
@@ -132,6 +134,64 @@ def test_monotone_corollary_on_nine_family():
         cols[0], cols[2], PatternBijection(((NINE_FAMILY[0], NINE_FAMILY[2]),))
     )
     assert report.ok
+
+
+def exhaustive_first_bijection(pi1, pi2, check):
+    """Reference: run ``check`` on every ordering of sorted(pi2) against
+    sorted(pi1), in lexicographic order, and return the first that passes."""
+    if len(pi1) != len(pi2):
+        return None
+    a = sorted(pi1)
+    for perm in permutations(sorted(pi2)):
+        phi = PatternBijection(tuple(zip(a, perm)))
+        if check(pi1, pi2, phi):
+            return phi
+    return None
+
+
+def seeded_pattern_pairs(count, seed):
+    """Pairs of 1-4 distinct patterns of length 4-6 and a shuffled, nudged
+    copy; every second pair starts each pattern with 1, so that some sides
+    are monotone."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, 4)
+        a = []
+        while len(a) < k:
+            l = rng.randint(4, 6)
+            p = tuple(rng.sample(range(1, l + 1), l))
+            if len(out) % 2:
+                p = (1,) + tuple(x + 1 for x in rng.sample(range(1, l), l - 1))
+            if p not in a:
+                a.append(p)
+        b = [nudged(p, rng) for p in a]
+        rng.shuffle(b)
+        if len(set(b)) == k:
+            out.append((a, b))
+    return out
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except MonotoneError:
+        return MonotoneError
+
+
+def test_pruned_bijection_search_matches_exhaustive_scan():
+    found = {check_theorem13: 0, check_monotone_corollary: 0}
+    for a, b in seeded_pattern_pairs(200, seed=7):
+        for search, check in [
+            (any_theorem13_bijection, check_theorem13),
+            (any_monotone_corollary_bijection, check_monotone_corollary),
+        ]:
+            got = outcome(search, a, b)
+            assert got == outcome(exhaustive_first_bijection, a, b, check), (a, b)
+            found[check] += got not in (None, MonotoneError)
+    # the pairs exercise both outcomes of both searches
+    assert found[check_theorem13] > 20 and found[check_monotone_corollary] > 5
+    assert any_theorem13_bijection([(1, 2, 3)], [(1, 2, 3), (1, 3, 2)]) is None
 
 
 def test_monotone_corollary_rejects_non_monotone_sides():

@@ -76,6 +76,23 @@ def test_pure_linear_extensions_matches_bruteforce():
         )
 
 
+def test_linear_extensions_of_any_constraints_match_bruteforce():
+    # constraints in both directions, so some are cyclic and have none
+    import random
+
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(0, 7)
+        less = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.15:
+                    less[i] |= 1 << j
+        assert kernels.count_linear_extensions(n, less) == brute_linear_extensions(
+            n, less
+        )
+
+
 @pytest.mark.skipif(compiled is None, reason="compiled extension not built")
 def test_compiled_matches_pure():
     pats = [(1, 2, 3), (1, 3, 2), (3, 1, 2)]
