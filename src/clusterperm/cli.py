@@ -173,27 +173,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_, paths=1, **defaults):
+    def add(name, help_, paths=1, n=None, formats=(), q=False, force=False,
+            cache=False):
+        """A subcommand with only the flags its handler reads; the first of
+        ``formats`` is the default ``--format``."""
         p = sub.add_parser(name, help=help_)
         for i in range(paths):
-            p.add_argument(f"patterns{i if i else ''}" if paths > 1 else "patterns")
-        p.add_argument("--n", type=int, default=defaults.get("n", 10))
-        p.add_argument("--q", type=int, default=defaults.get("q", 5))
-        p.add_argument("--format", default=defaults.get("fmt", "tsv"))
-        p.add_argument("--force", action="store_true")
-        p.add_argument("--cache", action="store_true")
-        return p
+            p.add_argument("patterns" + (str(i) if i else ""))
+        if n is not None:
+            p.add_argument("--n", type=int, default=n)
+        if q:
+            p.add_argument("--q", type=int, default=5)
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
+        if force:
+            p.add_argument("--force", action="store_true")
+        if cache:
+            p.add_argument("--cache", action="store_true")
 
-    add("count", "occurrence-count tables alpha_{n,q}")
-    add("clusters", "cluster-count table cl_{n,q}")
+    add("count", "occurrence-count tables alpha_{n,q}", n=10,
+        formats=("tsv", "avoiders"))
+    add("clusters", "cluster-count table cl_{n,q}", n=10, q=True, cache=True)
     add("graph", "overlap graph as DOT")
-    add("gf", "generating function coefficients")
+    add("gf", "generating function coefficients", n=10,
+        formats=("tsv", "cluster"))
     add("equiv", "strong c-Wilf equivalence of two collections", paths=2, n=12)
-    add("monotone", "monotonicity check and ODE emission")
+    add("monotone", "monotonicity check and ODE emission",
+        formats=("tsv", "json"))
     add("verify-ode", "verify the emitted ODE system against the series", n=20)
-    p5 = sub.add_parser("classify-s5", help="orbit classification of S_5")
-    p5.add_argument("--format", default="text")
-    add("oracle", "brute-force cross-checks")
+    add("classify-s5", "orbit classification of S_5", paths=0,
+        formats=("text", "json"))
+    add("oracle", "brute-force cross-checks", n=10, q=True, force=True)
     return parser
 
 

@@ -251,7 +251,9 @@ def alpha_counts(series: BiSeries) -> dict[tuple[int, int], int]:
 def count_distribution_oracle(
     collection: PatternCollection, n: int
 ) -> dict[int, int]:
-    """Definitional alpha_{n,q}: full scan of S_n."""
+    """Definitional alpha_{n,q} at one n, from the occurrence DP over S_n
+    (``kernels.count_distribution``), which standardizes windows of sigma
+    and never reads the overlap graph or the cluster counts."""
     if n < 1:
         raise DomainError("need n >= 1")
     return kernels.count_distribution(n, list(collection))

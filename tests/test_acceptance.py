@@ -3,9 +3,9 @@
 Criteria 5, 6 and 7 carry worked examples from the source material, some of
 which are false.  Each false sub-claim is asserted as its negation, backed
 inside the test by an independent check (standardization computed directly,
-an S_n scan, or the brute-force cluster oracle), so the gate fails if the
-program ever agrees with the false claim.  The README section "Acceptance
-criteria 5-7" gives the counterexamples and the re-derived ODE.
+the occurrence DP over S_n, or the brute-force cluster oracle), so the gate
+fails if the program ever agrees with the false claim.  The README section
+"Acceptance criteria 5-7" gives the counterexamples and the re-derived ODE.
 """
 
 from fractions import Fraction
@@ -97,7 +97,7 @@ def test_criterion_3(reference_tables):
 
 
 # --------------------------------------------------------------------------
-# criterion 4: occurrence distributions against the full S_n scan
+# criterion 4: occurrence distributions against the occurrence DP over S_n
 # --------------------------------------------------------------------------
 
 
@@ -143,7 +143,7 @@ NOT_REDUCED = {
     0: (parse_perm("13452"), parse_perm("145623"), 0),  # window 14562
     3: (parse_perm("13542"), parse_perm("146523"), 0),  # window 14652
 }
-# alpha_{n,q} from the S_n scan: non-reduced collections vs reduced ones.
+# alpha_{n,q} from the occurrence DP: non-reduced collections vs reduced ones.
 SCAN_CLASSES = {
     6: ({0: 708, 1: 11, 2: 1}, {0: 707, 1: 13}),
     7: ({0: 4914, 1: 112, 2: 14}, {0: 4900, 1: 140}),
@@ -185,7 +185,8 @@ def test_criterion_5():
 
     # (c) four two-pattern collections.  The condition holds for all 6 pairs,
     # but it implies equivalence only for reduced collections, and collections
-    # 1 and 4 are not reduced: the S_n scan splits the four into two classes.
+    # 1 and 4 are not reduced: the occurrence DP splits the four into two
+    # classes.
     for pats1, pats2 in combinations(FOUR_COLLECTIONS, 2):
         if any_theorem13_bijection(pats1, pats2) is None:
             failures.append(f"(c) condition fails for {pats1} vs {pats2}")
@@ -225,7 +226,7 @@ def test_criterion_5():
             got = kernels.count_distribution(n, pats)
             if got != want:
                 failures.append(
-                    f"(c) S_{n} scan of collection {i + 1} {pats}: "
+                    f"(c) alpha_{{{n},q}} of collection {i + 1} {pats}: "
                     f"{got} != {want}"
                 )
 
@@ -277,8 +278,8 @@ ONLY_TWO_OVERLAP = ONLY_TWO_OVERLAP_15 + ["21354"]
 # 13254 has the length-3 self-overlap 254 ~ 132 and no other of length >= 2.
 ONLY_THREE_OVERLAP = ["13254", "14253", "15243"]
 BUCKET_SIZES = {"none": 12, "2": 16, "3": 3, "2,3,4": 1}
-# (n, pattern, avoiders from the S_n scan, cl_{n,2} from the cluster oracle)
-# for the two pairs once transcribed as no-overlap classes.
+# (n, pattern, avoiders from the occurrence DP, cl_{n,2} from the cluster
+# oracle) for the two pairs once transcribed as no-overlap classes.
 SPLIT_PAIRS = [
     (7, "12354", 4914, 0),
     (7, "13254", 4915, 1),

@@ -169,6 +169,19 @@ def test_usage_error_exit_code():
         assert exc.value.code == 2, argv
 
 
+def test_flags_a_subcommand_does_not_read_are_usage_errors(p123, tmp_path, capsys):
+    other = write(tmp_path, "q.txt", "132\n")
+    for argv in (
+        ["graph", p123, "--n", "5"],
+        ["equiv", p123, other, "--cache"],
+        ["count", p123, "--format", "avoider"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert "invalid choice: 'avoider'" in capsys.readouterr().err
+
+
 # sha256 of the exact stdout, recorded with the Fraction-coefficient series
 # layer; the EGF-normalised integer layer must reproduce every byte
 PINNED_OUTPUTS = [
