@@ -8,6 +8,7 @@ classify-s5, oracle.  Exit status 0 on success, 1 on a domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -166,7 +167,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="clusterperm",
         description="Consecutive pattern statistics via cluster recurrences",

@@ -11,12 +11,16 @@ Counts are produced two independent ways:
   counts the permutations realizing each shape (linear extensions of the
   induced value order);
 * a recurrence over the edges of the overlap graph, refined by the actual
-  initial subword of the cluster, filled by induction on q.
+  initial subword of the cluster.
 
 The refined count cl[v, n, q, p_bar] is the number of q-clusters sigma of
 length n whose first len(v) entries are literally the word p_bar (with
 standardization v).  Summing over admissible words at the distinguished
-vertex (1) gives the total cl_{n,q}.
+vertex (1) gives the total cl_{n,q}.  The recurrence is evaluated on
+t-polynomials: one memoized entry per (v, n, p_bar) holds cl[v, n, q, p_bar]
+for every q <= q_max, and an edge shifts its target's polynomial by one mark.
+Since q marks cover at most 1 + q (l_max - 1) entries, every (v, n, p_bar)
+with n beyond 1 + q_max (l_max - 1) is zero and is not expanded.
 
 For a monotone collection the initial subword of a cluster is the vertex
 permutation itself, and the recurrence collapses to one binomial per edge
@@ -206,24 +210,39 @@ def _first_row(collection: PatternCollection) -> tuple[int, ...]:
     return (1, 1) if collection.patterns == ((1,),) else (1,)
 
 
+Terms = tuple[tuple[int, int], ...]  # the nonzero (q, count) of a t-polynomial
+
+
 class _Engine:
-    """Memoized evaluator of the refined recurrence on one overlap graph.
+    """Memoized evaluator of the refined recurrence on one overlap graph,
+    truncated at q_max marks.
+
+    ``_vec(v, n, word)`` is the t-polynomial of cl[v, n, q, word] truncated
+    at q_max, as the tuple of its nonzero (q, count) terms; the memo holds
+    one per (v, n, word).  An edge step adds its target's terms, shifted up
+    by one mark.  Above ``n_cap`` = 1 + q_max (l_max - 1) every count is
+    zero, so the recursion stops there: without that cap a small q_max would
+    still expand every word up to n_max.
 
     ``refined`` and ``vertex_total`` check their input; the recursion
     builds only admissible words and skips the check.
     """
 
-    def __init__(self, graph: OverlapGraph):
+    def __init__(self, graph: OverlapGraph, q_max: int):
         self.graph = graph
-        self.memo: dict = {}
+        self.q_max = q_max
+        self.n_cap = 1 + q_max * (max(map(len, graph.collection)) - 1)
+        self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
         self.by_source: dict[Perm, list[LinkageProfile]] = {
             v: [] for v in graph.vertices
         }
         for e in graph.edges:
             self.by_source[e.source].append(_edge_profile(e))
-        self.first_row = _first_row(graph.collection)
+        row = _first_row(graph.collection)[: q_max + 1]
+        self.first_row: Terms = tuple(enumerate(row))
 
     def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
+        self._check_q(q)
         if (
             v not in self.by_source
             or len(word) != len(v)
@@ -232,33 +251,44 @@ class _Engine:
             or standardize(word) != v
         ):
             return 0
-        return self._refined(v, n, q, word)
+        return dict(self._vec(v, n, word)).get(q, 0)
 
     def vertex_total(self, v: Perm, n: int, q: int) -> int:
+        self._check_q(q)
         if v not in self.by_source:
             return 0
         total = 0
         for values in combinations(range(1, n + 1), len(v)):
-            total += self._refined(v, n, q, tuple(values[x - 1] for x in v))
+            word = tuple(values[x - 1] for x in v)
+            total += dict(self._vec(v, n, word)).get(q, 0)
         return total
 
-    def _refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
-        if n == 1 or q == 0:  # at n = 1, v and word are (1)
-            return self.first_row[q] if n == 1 and q < len(self.first_row) else 0
-        key = (v, n, q, word)
+    def _check_q(self, q: int):
+        if q > self.q_max:
+            raise DomainError(
+                f"refined counts capped at q_max={self.q_max}, asked for q={q}"
+            )
+
+    def _vec(self, v: Perm, n: int, word: Perm) -> Terms:
+        if n == 1:  # v and word are (1)
+            return self.first_row
+        if n > self.n_cap:
+            return ()
+        key = (v, n, word)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        total = 0
+        acc = [0] * (self.q_max + 1)
         for prof in self.by_source[v]:
-            total += self._edge_step(prof, n, q, word)
-        self.memo[key] = total
-        return total
+            self._edge_step(prof, n, word, acc)
+        vec = tuple((q, c) for q, c in enumerate(acc) if c)
+        self.memo[key] = vec
+        return vec
 
-    def _edge_step(self, prof: LinkageProfile, n: int, q: int, word: Perm) -> int:
+    def _edge_step(self, prof: LinkageProfile, n: int, word: Perm, acc: list):
         n_sub = n - prof.drop
         if n_sub < 1:
-            return 0
+            return
         source = tuple(sorted(word))
         bounds = (0, *source, n + 1)
         weight = 1
@@ -268,7 +298,7 @@ class _Engine:
             if not fresh:
                 weight *= comb(hi - lo - 1, room)
                 if not weight:
-                    return 0
+                    return
                 continue
             options = []
             for low in combinations(range(lo + 1, hi - room), fresh):
@@ -280,18 +310,18 @@ class _Engine:
                     prev = x
                 options.append((picked, ways))
             if not options:
-                return 0
+                return
             choices.append(options)
-        target, q_sub, sub = prof.edge.target, q - 1, prof.sub
-        total = 0
+        target, sub, top = prof.edge.target, prof.sub, self.q_max
         for chosen in product(*choices):
             values, ways = source, weight
             for picked, w in chosen:
                 values += picked
                 ways *= w
             word_sub = tuple(values[i] - s for i, s in sub)
-            total += ways * self._refined(target, n_sub, q_sub, word_sub)
-        return total
+            for q, c in self._vec(target, n_sub, word_sub):
+                if q < top:
+                    acc[q + 1] += ways * c
 
 
 def _refined_cluster_counts(
@@ -299,13 +329,16 @@ def _refined_cluster_counts(
 ) -> ClusterTable:
     """cl_{n,q} by the refined recurrence, summed over first letters."""
     graph = build_graph(collection)
-    engine = _Engine(graph)
+    engine = _Engine(graph, q_max)
     totals = {(1, 0): 1}
     for n in range(1, n_max + 1):
+        row = [0] * (q_max + 1)
+        for p1 in range(1, n + 1):
+            for q, c in engine._vec((1,), n, (p1,)):
+                row[q] += c
         for q in range(1, q_max + 1):
-            c = sum(engine._refined((1,), n, q, (p1,)) for p1 in range(1, n + 1))
-            if c:
-                totals[(n, q)] = c
+            if row[q]:
+                totals[(n, q)] = row[q]
     return ClusterTable(collection, n_max, q_max, totals, graph, engine)
 
 
@@ -404,7 +437,7 @@ class ClusterTable:
         if self._engine is None:
             if self.graph is None:
                 raise DomainError("table carries totals only")
-            self._engine = _Engine(self.graph)
+            self._engine = _Engine(self.graph, self.q_max)
         return self._engine
 
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from clusterperm import clusters, series
-from clusterperm.cli import main
+from clusterperm.cli import build_parser, main
 
 
 def write(tmp_path, name, text):
@@ -167,6 +167,21 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_successive_calls_share_one_parser(p123, capsys):
+    # the parser is built once per process; each call must parse afresh
+    assert build_parser() is build_parser()
+    assert main(["count", p123, "--n", "5", "--format", "avoiders"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(l.split("\t")[1]) for l in lines] == [1, 2, 5, 17, 70]
+    assert main(["clusters", p123, "--n", "6", "--q", "3"]) == 0
+    assert "3\t1\t1" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", p123, "--n", "5"])
+    assert exc.value.code == 2
+    assert main(["graph", p123]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
 
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(p123, tmp_path, capsys):

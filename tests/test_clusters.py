@@ -189,6 +189,48 @@ def test_refined_counts_sum_to_totals():
             assert by_first == table.total(n, q)
 
 
+def test_engine_memo_holds_one_vector_per_word():
+    # a 1324-cluster with q marks has length 3q + 1, so a memo keyed on
+    # (v, n, q, word) would hold 22,591 states here, almost all of them zero
+    table = cluster_counts(PatternCollection(((1, 3, 2, 4),)), 20, 20)
+    assert len(table._engine.memo) == 1178
+
+
+def _below(totals, q_cap):
+    return {(n, q): c for (n, q), c in totals.items() if q <= q_cap}
+
+
+def test_capped_tables_restrict_the_full_table(reference_tables):
+    for coll, full in reference_tables:
+        for q_cap in (1, 2, 3):
+            capped = cluster_counts(coll, 12, q_cap).totals
+            assert capped == _below(full.totals, q_cap), (coll, q_cap)
+
+
+def test_q_cap_prunes_long_words():
+    coll = PatternCollection(((1, 3, 2, 4),))
+    full = cluster_counts(coll, 30, 30).totals
+    for q_cap in (1, 3):
+        table = cluster_counts(coll, 30, q_cap)
+        assert table.totals == _below(full, q_cap), q_cap
+        # beyond length 1 + 3 q_cap the recursion stops at once
+        assert all(n <= 1 + 3 * q_cap for _, n, _ in table._engine.memo)
+
+
+@pytest.mark.parametrize("coll", [
+    PatternCollection(((1, 4, 2, 5, 3),)),  # refined recurrence
+    PatternCollection(((1, 3, 2, 5, 4),)),  # collapsed recurrence
+])
+def test_refined_queries_above_q_max_are_domain_errors(coll):
+    table = cluster_counts(coll, 9, 3)
+    v = (1, 3, 2)
+    assert table.vertex_total(v, 9, 3) > 0
+    with pytest.raises(DomainError, match="q_max=3"):
+        table.refined(v, 9, 4, v)
+    with pytest.raises(DomainError, match="q_max=3"):
+        table.vertex_total(v, 9, 4)
+
+
 def test_totals_tsv_round_trip():
     coll = PatternCollection(((1, 2, 3),))
     totals = table_totals(cluster_counts(coll, 8, 3))
