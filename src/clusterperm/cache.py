@@ -59,11 +59,13 @@ def atomic_write_text(path: Path, text: str):
         raise
 
 
-def save_table(table: ClusterTable, directory: Path | None = None) -> Path:
-    return _save_table(cache_key(table.collection), table, directory)
-
-
-def _save_table(key: str, table: ClusterTable, directory: Path | None) -> Path:
+def save_table(
+    table: ClusterTable, directory: Path | None = None, *, key: str | None = None
+) -> Path:
+    """Write the table under ``key``, computed from its collection when
+    absent."""
+    if key is None:
+        key = cache_key(table.collection)
     directory = directory or cache_dir()
     doc = {
         "schema": SCHEMA,
@@ -84,17 +86,13 @@ def load_table(
     n_max: int,
     q_max: int,
     directory: Path | None = None,
+    *,
+    key: str | None = None,
 ) -> ClusterTable | None:
-    return _load_table(cache_key(collection), collection, n_max, q_max, directory)
-
-
-def _load_table(
-    key: str,
-    collection: PatternCollection,
-    n_max: int,
-    q_max: int,
-    directory: Path | None,
-) -> ClusterTable | None:
+    """The cached table under ``key`` (computed from the collection when
+    absent), or None on a miss."""
+    if key is None:
+        key = cache_key(collection)
     directory = directory or cache_dir()
     path = _table_path(key, n_max, q_max, directory)
     if not path.exists():
@@ -120,9 +118,9 @@ def cached_cluster_counts(
     """Load the table from cache or compute and store it.  The key is
     computed once: on a large overlap graph it is the costly part."""
     key = cache_key(collection)
-    hit = _load_table(key, collection, n_max, q_max, directory)
+    hit = load_table(collection, n_max, q_max, directory, key=key)
     if hit is not None:
         return hit
     table = cluster_counts(collection, n_max, q_max)
-    _save_table(key, table, directory)
+    save_table(table, directory, key=key)
     return table

@@ -12,7 +12,8 @@ this at increasing cost:
   equality of canonical forms (graph.canonical_form, the form the cache
   keys on);
 * verify_strong_equivalence: coefficientwise equality of the avoidance
-  generating functions to a finite order (the definition, truncated).
+  generating functions to a finite order (the definition, truncated),
+  decided on the cluster tables that determine them.
 
 The module also provides the separated pattern families (whose members are
 pairwise equivalent by construction) and the full classification of S_5
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as _it_permutations
 
-from .clusters import cluster_counts_single_pattern
+from .clusters import cluster_counts, cluster_counts_single_pattern
 from .graph import (
     OverlapGraph,
     PatternCollection,
@@ -42,7 +43,6 @@ from .perms import (
     occurrences,
     symmetry_orbit,
 )
-from .series import avoidance_gf
 
 
 def _patterns_of(collection) -> tuple[Perm, ...]:
@@ -251,8 +251,17 @@ def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):
 def verify_strong_equivalence(
     pi1: PatternCollection, pi2: PatternCollection, order: int
 ) -> bool:
-    """Definitional check to finite order: equality of avoidance GFs."""
-    return avoidance_gf(pi1, order).eq_through(avoidance_gf(pi2, order))
+    """Definitional check to finite order: equality of avoidance GFs.
+
+    Pi = 1/(1 - Pi_cl(x, t-1)) can be inverted order by order in x, so the
+    avoidance GFs agree through x^order exactly when the cluster counts
+    cl_{n,q} agree for every n <= order and every q; a cluster of length n
+    has at most n marked occurrences, so q <= order covers them all.  Both
+    recurrences keep nonzero cells only, so the totals compare as dicts.
+    """
+    t1 = cluster_counts(pi1, order, order).totals
+    t2 = cluster_counts(pi2, order, order).totals
+    return t1 == t2
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ unordered entry sets of those subwords together with l.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,19 +88,43 @@ def reduce_collection(patterns) -> PatternCollection:
     return PatternCollection(tuple(kept))
 
 
+# Patterns whose border tables are kept; a fixed bound, so a long-running
+# process cannot grow the table without limit.
+_BORDER_PATTERNS = 4096
+
+
+@functools.lru_cache(maxsize=_BORDER_PATTERNS)
+def _borders(p: Perm) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
+    """(heads, tails): ``heads[k - 1]`` and ``tails[k - 1]`` standardize the
+    length-k proper prefix and suffix of the permutation ``p``.
+
+    Every overlap query reads this table, so each border of a pattern is
+    standardized once per process rather than once per query.  The
+    oracles keep their own standardization and never read it.
+    """
+    p = check_permutation(p)
+    l = len(p)
+    heads = tuple(standardize(p[:k]) for k in range(1, l))
+    tails = tuple(standardize(p[l - k :]) for k in range(1, l))
+    return heads, tails
+
+
 def k_overlaps(pi: Perm, pi_prime: Perm, k: int) -> bool:
     """Does the length-k suffix of pi standardize like the prefix of pi_prime?"""
-    pi = check_permutation(pi)
-    pi_prime = check_permutation(pi_prime)
+    pi, pi_prime = tuple(pi), tuple(pi_prime)
+    tails, heads = _borders(pi)[1], _borders(pi_prime)[0]
     if not 1 <= k <= min(len(pi), len(pi_prime)):
         raise DomainError(f"overlap length {k} out of range")
-    return standardize(pi[len(pi) - k :]) == standardize(pi_prime[:k])
+    # a whole pattern is its own standardization
+    tail = tails[k - 1] if k < len(pi) else pi
+    head = heads[k - 1] if k < len(pi_prime) else pi_prime
+    return tail == head
 
 
 def overlap_lengths(pi: Perm, pi_prime: Perm) -> list[int]:
     """All proper overlap lengths k < min(l, l') of the ordered pair."""
-    top = min(len(pi), len(pi_prime))
-    return [k for k in range(1, top) if k_overlaps(pi, pi_prime, k)]
+    tails, heads = _borders(tuple(pi))[1], _borders(tuple(pi_prime))[0]
+    return [k for k, (t, h) in enumerate(zip(tails, heads), 1) if t == h]
 
 
 class MonotoneResult(NamedTuple):
@@ -242,20 +267,20 @@ class OverlapGraph:
 
 
 def build_graph(coll: PatternCollection) -> OverlapGraph:
-    # heads[p][k - 1] and tails[p][k - 1] standardize the proper prefix and
-    # suffix of length k; each is computed once
-    heads = {p: [standardize(p[:k]) for k in range(1, len(p))] for p in coll}
-    tails = {p: [standardize(p[len(p) - k :]) for k in range(1, len(p))] for p in coll}
+    borders = {p: _borders(p) for p in coll}
     verts: set[Perm] = {(1,)}
     for pb in coll:
         for pa in coll:
-            verts.update(h for h, t in zip(heads[pa], tails[pb]) if h == t)
+            verts.update(
+                h for h, t in zip(borders[pa][0], borders[pb][1]) if h == t
+            )
     vertices = tuple(sorted(verts, key=lambda v: (len(v), v)))
     edges: list[Edge] = []
     for pat in coll:
         l = len(pat)
-        prefix_ok = {k: h for k, h in enumerate(heads[pat], 1) if h in verts}
-        suffix_ok = {kp: t for kp, t in enumerate(tails[pat], 1) if t in verts}
+        heads, tails = borders[pat]
+        prefix_ok = {k: h for k, h in enumerate(heads, 1) if h in verts}
+        suffix_ok = {kp: t for kp, t in enumerate(tails, 1) if t in verts}
         for k, src in prefix_ok.items():
             for kp, tgt in suffix_ok.items():
                 label = EdgeLabel(

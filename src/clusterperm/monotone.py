@@ -31,7 +31,7 @@ from .clusters import (
     _vertex_tables,
     monotone_recurrence_data,
 )
-from .graph import PatternCollection, build_graph, is_monotone
+from .graph import PatternCollection, build_graph, is_monotone, overlap_lengths
 from .perms import DomainError, Perm, format_perm, parse_perm
 from .series import BiSeries
 
@@ -134,13 +134,7 @@ def emit_single_pattern_ode(pattern) -> OdeSystem:
     _require_monotone(collection)
     pat = collection.patterns[0]
     l = len(pat)
-    from .perms import standardize
-
-    ks = [
-        k
-        for k in range(1, l)
-        if standardize(pat[l - k :]) == standardize(pat[:k])
-    ]
+    ks = overlap_lengths(pat, pat)
     if not ks:
         raise DomainError(f"pattern {pat} has no self-overlap (length-1 expected)")
     ms = [max(pat[l - k :]) for k in ks]

@@ -394,6 +394,42 @@ def test_cache_miss_and_hit_compute_the_key_once(tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 1
 
 
+def test_cached_counts_read_and_write_through_the_public_functions(
+    tmp_path, monkeypatch
+):
+    # a wrapper set on the module attributes, as a profiler or tracer would
+    # install it, sees every lookup and every store
+    coll = PatternCollection(((1, 3, 2), (2, 1, 3)))
+    key = cache_key(coll)
+    loads, saves = [], []
+    real_load, real_save = cache_module.load_table, cache_module.save_table
+
+    def load(*args, **kwargs):
+        table = real_load(*args, **kwargs)
+        loads.append((kwargs.get("key"), table is None))
+        return table
+
+    def save(*args, **kwargs):
+        saves.append(kwargs.get("key"))
+        return real_save(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "load_table", load)
+    monkeypatch.setattr(cache_module, "save_table", save)
+    cached_cluster_counts(coll, 6, 2, tmp_path)
+    cached_cluster_counts(coll, 6, 2, tmp_path)
+    assert loads == [(key, True), (key, False)]
+    assert saves == [key]
+
+
+def test_given_key_is_used_as_is(tmp_path):
+    coll = PatternCollection(((1, 3, 2),))
+    table = cluster_counts(coll, 6, 2)
+    path = save_table(table, tmp_path, key="k" * 64)
+    assert path.name.startswith("k" * 64)
+    assert load_table(coll, 6, 2, tmp_path, key="k" * 64).totals == table.totals
+    assert load_table(coll, 6, 2, tmp_path) is None
+
+
 def test_isomorphic_collections_share_cached_table(tmp_path):
     t1 = cached_cluster_counts(WILF_PAIR[0], 11, 2, tmp_path)
     t2 = cached_cluster_counts(WILF_PAIR[1], 11, 2, tmp_path)

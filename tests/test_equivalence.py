@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from clusterperm import kernels
-from conftest import nudged
+from conftest import nudged, random_two_pattern_collections
 from clusterperm.equivalence import (
     PatternBijection,
     any_monotone_corollary_bijection,
@@ -22,6 +22,7 @@ from clusterperm.equivalence import (
 from clusterperm.graph import NotReducedError, PatternCollection, build_graph
 from clusterperm.monotone import MonotoneError
 from clusterperm.perms import DomainError, occurrences, parse_perm
+from clusterperm.series import avoidance_gf
 
 WILF_PAIR = (
     PatternCollection(((1, 4, 3, 2, 6, 5, 9, 8, 7),)),
@@ -119,6 +120,27 @@ def test_reduced_pair_of_the_four_is_equivalent():
     c1 = PatternCollection(FOUR_COLLECTIONS[1])
     c2 = PatternCollection(FOUR_COLLECTIONS[2])
     assert verify_strong_equivalence(c1, c2, 10)
+
+
+def test_table_verdict_matches_gf_comparison():
+    # reverse and complement preserve the distribution, so half the pairs
+    # agree; a seeded partner from the same list almost never does
+    colls = random_two_pattern_collections(12, seed=21, max_len=5)
+    rng = random.Random(21)
+    pairs = [
+        (PatternCollection(((1, 3, 4, 2),)), PatternCollection(((1, 4, 3, 2),))),
+        (PatternCollection(((1, 2, 3, 4),)), PatternCollection(((4, 3, 2, 1),))),
+        (PatternCollection(((1, 2, 3),)), PatternCollection(((1, 3, 2),))),
+        tuple(PatternCollection(FOUR_COLLECTIONS[i]) for i in (1, 2)),
+    ]
+    for c in colls:
+        pairs += [(c, c.reversed()), (c, c.complemented()), (c, rng.choice(colls))]
+    verdicts = []
+    for c1, c2 in pairs:
+        gf_equal = avoidance_gf(c1, 7).eq_through(avoidance_gf(c2, 7))
+        assert verify_strong_equivalence(c1, c2, 7) == gf_equal, (c1, c2)
+        verdicts.append(gf_equal)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 10
 
 
 def test_monotone_corollary_on_nine_family():

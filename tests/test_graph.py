@@ -1,9 +1,16 @@
 """Pattern collections, overlaps, linkages, and the overlap graph."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import clusterperm.graph as graph_module
+from clusterperm import kernels
+from clusterperm.clusters import count_clusters_oracle, enumerate_clusters_oracle
+from clusterperm.equivalence import classify_s5
 from clusterperm.graph import (
+    Edge,
     EdgeLabel,
     NotReducedError,
     PatternCollection,
@@ -16,7 +23,13 @@ from clusterperm.graph import (
     overlap_lengths,
     reduce_collection,
 )
-from clusterperm.perms import DomainError, occurrences, standardize
+from clusterperm.perms import (
+    DomainError,
+    InvalidPermutationError,
+    all_permutations,
+    occurrences,
+    standardize,
+)
 
 small_perm = st.integers(2, 5).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -122,3 +135,115 @@ def test_deterministic_edge_order():
     g1, g2 = build_graph(coll), build_graph(coll)
     assert g1.edges == g2.edges
     assert g1.vertices == g2.vertices
+
+
+def _reference_overlaps(pi, pip):
+    """Per-k standardization of both borders, as the definition reads."""
+    l, lp = len(pi), len(pip)
+    return [
+        k for k in range(1, min(l, lp) + 1)
+        if standardize(pi[l - k :]) == standardize(pip[:k])
+    ]
+
+
+def _check_overlap_queries(pi, pip):
+    ref = _reference_overlaps(pi, pip)
+    top = min(len(pi), len(pip))
+    assert overlap_lengths(pi, pip) == [k for k in ref if k < top]
+    assert [k for k in range(1, top + 1) if k_overlaps(pi, pip, k)] == ref
+
+
+def test_overlap_queries_match_per_k_standardization():
+    small = [p for l in range(1, 5) for p in all_permutations(l)]
+    for pi in small:
+        for pip in small:
+            _check_overlap_queries(pi, pip)
+    rng = random.Random(9)
+    for _ in range(300):
+        pi, pip = (
+            tuple(rng.sample(range(1, l + 1), l))
+            for l in (rng.randint(5, 7), rng.randint(5, 7))
+        )
+        _check_overlap_queries(pi, pip)
+
+
+@pytest.mark.parametrize(
+    "pi, pip", [((1,), (5,)), ((1,), (2, 1, 1)), ((5,), (1,)), ((2, 1, 1), (1,))]
+)
+def test_overlap_queries_reject_invalid_input(pi, pip):
+    # one side of length 1 leaves no proper overlap to test, so both sides
+    # must be validated before any comparison
+    with pytest.raises(InvalidPermutationError):
+        overlap_lengths(pi, pip)
+    with pytest.raises(InvalidPermutationError):
+        linkage_lengths(pi, pip)
+    with pytest.raises(InvalidPermutationError):
+        k_overlaps(pi, pip, 1)
+
+
+def _reference_build_graph(coll):
+    """The builder before the border table: its own per-pattern
+    standardization of every proper prefix and suffix."""
+    heads = {p: [standardize(p[:k]) for k in range(1, len(p))] for p in coll}
+    tails = {p: [standardize(p[len(p) - k :]) for k in range(1, len(p))] for p in coll}
+    verts = {(1,)}
+    for pb in coll:
+        for pa in coll:
+            verts.update(h for h, t in zip(heads[pa], tails[pb]) if h == t)
+    edges = []
+    for pat in coll:
+        l = len(pat)
+        prefix_ok = {k: h for k, h in enumerate(heads[pat], 1) if h in verts}
+        suffix_ok = {kp: t for kp, t in enumerate(tails[pat], 1) if t in verts}
+        for k, src in prefix_ok.items():
+            for kp, tgt in suffix_ok.items():
+                label = EdgeLabel(
+                    tuple(sorted(pat[:k])), tuple(sorted(pat[l - kp :])), l
+                )
+                edges.append(Edge(src, tgt, label, pat, k, kp))
+    edges.sort(key=lambda e: (e.source, e.target, e.label, e.pattern))
+    return tuple(sorted(verts, key=lambda v: (len(v), v))), tuple(edges)
+
+
+def test_build_graph_matches_reference_builder():
+    rng = random.Random(11)
+    done = 0
+    while done < 200:
+        pats = [
+            tuple(rng.sample(range(1, l + 1), l))
+            for l in (rng.randint(2, 7) for _ in range(rng.randint(1, 4)))
+        ]
+        try:
+            coll = collection(pats)
+        except DomainError:  # duplicate or not reduced
+            continue
+        g = build_graph(coll)
+        assert (g.vertices, g.edges) == _reference_build_graph(coll)
+        done += 1
+
+
+def test_classify_s5_standardizes_each_border_once(monkeypatch):
+    calls = []
+    real = graph_module.standardize
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(graph_module, "standardize", counting)
+    graph_module._borders.cache_clear()
+    classify_s5(n_max=9)
+    # at most the 4 proper prefixes and 4 proper suffixes of each of the
+    # 120 patterns of S_5; per-query standardization makes about 9,500
+    assert 0 < len(calls) <= 120 * 8
+
+
+def test_oracles_do_not_read_the_border_table(monkeypatch):
+    coll = PatternCollection(((1, 3, 2, 4), (1, 2, 3)))
+
+    def forbidden(p):
+        raise AssertionError("an oracle read the border table")
+
+    monkeypatch.setattr(graph_module, "_borders", forbidden)
+    assert count_clusters_oracle(coll, 6, 2) == len(enumerate_clusters_oracle(coll, 6, 2))
+    assert sum(kernels.count_distribution(6, list(coll)).values()) == 720
