@@ -8,8 +8,9 @@ equivalence check; colour refinement orders the vertices by their labelled
 edges, and individualise-and-refine breaks only the ties it leaves.  Tables
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
-atomic rename.  A file that cannot be read back as a table, or whose schema
-or key differs, counts as a miss and is rewritten.
+atomic rename.  A file that cannot be read back as a table, or whose schema,
+key or fill bounds differ from the request, counts as a miss and is
+rewritten.
 """
 
 from __future__ import annotations
@@ -101,10 +102,12 @@ def load_table(
     # and overwrites it
     try:
         doc = json.loads(path.read_text())
-        if doc["schema"] != SCHEMA or doc["key"] != key:
+        if (doc["schema"], doc["key"], doc["n_max"], doc["q_max"]) != (
+            SCHEMA, key, n_max, q_max
+        ):
             return None
         totals = {(n, q): int(c) for n, q, c in doc["totals"]}
-        return ClusterTable(collection, doc["n_max"], doc["q_max"], totals)
+        return ClusterTable(collection, n_max, q_max, totals)
     except (ValueError, KeyError, TypeError):
         return None
 

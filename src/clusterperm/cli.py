@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: count, clusters, graph, gf, equiv, monotone, verify-ode,
-classify-s5, oracle.  Exit status 0 on success, 1 on a domain error
-(malformed pattern, non-reduced collection, cap exceeded), 2 on usage errors.
+classify-s5, oracle.  ``build_parser`` registers each in one ``add`` call
+that names it, declares only the flags its handler reads and binds the
+handler; ``main`` parses and calls that handler with the namespace.  Exit
+status 0 on success, 1 on a domain error (malformed pattern, non-reduced
+collection, cap exceeded) or an unreadable file, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cache, clusters, equivalence, monotone, series
@@ -19,17 +21,6 @@ from .graph import PatternCollection, build_graph, graph_to_dot
 from .perms import DomainError, parse_collection_text
 
 ORACLE_CAP = 10
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    paths: tuple[Path, ...]
-    n: int
-    q: int
-    fmt: str
-    force: bool
-    use_cache: bool
 
 
 def _load_collection(path) -> PatternCollection:
@@ -41,45 +32,45 @@ def _emit(text: str):
     sys.stdout.write(text)
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    coll = _load_collection(cfg.paths[0])
-    gf = series.avoidance_gf(coll, cfg.n)
-    if cfg.fmt == "avoiders":
+def cmd_count(args: argparse.Namespace) -> int:
+    coll = _load_collection(args.patterns)
+    gf = series.avoidance_gf(coll, args.n)
+    if args.format == "avoiders":
         _emit(series.avoiders_to_tsv(gf))
     else:
         _emit(series.alpha_to_tsv(gf))
     return 0
 
 
-def cmd_clusters(cfg: RunConfig) -> int:
-    coll = _load_collection(cfg.paths[0])
-    if cfg.use_cache:
-        table = cache.cached_cluster_counts(coll, cfg.n, cfg.q)
+def cmd_clusters(args: argparse.Namespace) -> int:
+    coll = _load_collection(args.patterns)
+    if args.cache:
+        table = cache.cached_cluster_counts(coll, args.n, args.q)
     else:
-        table = clusters.cluster_counts(coll, cfg.n, cfg.q)
+        table = clusters.cluster_counts(coll, args.n, args.q)
     _emit(clusters.totals_to_tsv(table.totals))
     return 0
 
 
-def cmd_graph(cfg: RunConfig) -> int:
-    coll = _load_collection(cfg.paths[0])
+def cmd_graph(args: argparse.Namespace) -> int:
+    coll = _load_collection(args.patterns)
     _emit(graph_to_dot(build_graph(coll)))
     return 0
 
 
-def cmd_gf(cfg: RunConfig) -> int:
-    coll = _load_collection(cfg.paths[0])
-    if cfg.fmt == "cluster":
-        table = clusters.cluster_counts(coll, cfg.n, cfg.n)
-        _emit(series.gf_to_tsv(series.cluster_gf(table, cfg.n)))
+def cmd_gf(args: argparse.Namespace) -> int:
+    coll = _load_collection(args.patterns)
+    if args.format == "cluster":
+        table = clusters.cluster_counts(coll, args.n, args.n)
+        _emit(series.gf_to_tsv(series.cluster_gf(table, args.n)))
     else:
-        _emit(series.gf_to_tsv(series.avoidance_gf(coll, cfg.n)))
+        _emit(series.gf_to_tsv(series.avoidance_gf(coll, args.n)))
     return 0
 
 
-def cmd_equiv(cfg: RunConfig) -> int:
-    c1 = _load_collection(cfg.paths[0])
-    c2 = _load_collection(cfg.paths[1])
+def cmd_equiv(args: argparse.Namespace) -> int:
+    c1 = _load_collection(args.patterns)
+    c2 = _load_collection(args.patterns1)
     phi = equivalence.any_theorem13_bijection(c1, c2)
     if phi is not None:
         pairs = ", ".join(f"{a} -> {b}" for a, b in phi.pairs)
@@ -89,22 +80,22 @@ def cmd_equiv(cfg: RunConfig) -> int:
     if iso is not None:
         _emit("equivalent (overlap graphs isomorphic)\n")
         return 0
-    if equivalence.verify_strong_equivalence(c1, c2, cfg.n):
-        _emit(f"equivalent to order N={cfg.n} (generating functions agree)\n")
+    if equivalence.verify_strong_equivalence(c1, c2, args.n):
+        _emit(f"equivalent to order N={args.n} (generating functions agree)\n")
     else:
-        _emit(f"not equivalent (generating functions differ within order {cfg.n})\n")
+        _emit(f"not equivalent (generating functions differ within order {args.n})\n")
     return 0
 
 
-def cmd_monotone(cfg: RunConfig) -> int:
-    coll = _load_collection(cfg.paths[0])
+def cmd_monotone(args: argparse.Namespace) -> int:
+    coll = _load_collection(args.patterns)
     res = monotone.is_monotone(coll)
     if not res:
         pi, pp, k = res.witness
         _emit(f"not monotone: {pi} -> {pp} at k={k}\n")
         return 0
     system = monotone.emit_ode_system(coll)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit(monotone.system_to_json(system))
     else:
         _emit("monotone\n")
@@ -112,11 +103,11 @@ def cmd_monotone(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify_ode(cfg: RunConfig) -> int:
-    coll = _load_collection(cfg.paths[0])
+def cmd_verify_ode(args: argparse.Namespace) -> int:
+    coll = _load_collection(args.patterns)
     system = monotone.emit_ode_system(coll)
-    ys = monotone.monotone_vertex_series(coll, cfg.n)
-    report = monotone.verify_ode(system, ys, cfg.n)
+    ys = monotone.monotone_vertex_series(coll, args.n)
+    report = monotone.verify_ode(system, ys, args.n)
     for check in report.equations:
         status = "pass" if check.ok else "fail"
         line = f"{check.vertex}: {status} (through x^{check.checked_order})"
@@ -128,9 +119,9 @@ def cmd_verify_ode(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_classify_s5(cfg: RunConfig) -> int:
+def cmd_classify_s5(args: argparse.Namespace) -> int:
     report = equivalence.classify_s5()
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n")
     else:
         _emit(f"orbits: {report['orbit_count']}\n")
@@ -141,28 +132,28 @@ def cmd_classify_s5(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    coll = _load_collection(cfg.paths[0])
-    if cfg.n > ORACLE_CAP and not cfg.force:
+def cmd_oracle(args: argparse.Namespace) -> int:
+    coll = _load_collection(args.patterns)
+    if args.n > ORACLE_CAP and not args.force:
         raise DomainError(
             f"oracle capped at n={ORACLE_CAP}; pass --force to override"
         )
     ok = True
-    # one table serves the cluster check (q <= cfg.q) and the GF (q <= cfg.n)
-    table = clusters.cluster_counts(coll, cfg.n, max(cfg.n, cfg.q))
-    for q in range(1, cfg.q + 1):
-        for n in range(1, cfg.n + 1):
+    # one table serves the cluster check (q <= --q) and the GF (q <= --n)
+    table = clusters.cluster_counts(coll, args.n, max(args.n, args.q))
+    for q in range(1, args.q + 1):
+        for n in range(1, args.n + 1):
             oracle = clusters.count_clusters_oracle(coll, n, q)
             fast = table.total(n, q)
             if oracle != fast:
                 ok = False
                 _emit(f"cluster mismatch at n={n} q={q}: {oracle} != {fast}\n")
-    dist = series.count_distribution_oracle(coll, cfg.n)
-    alpha = series.alpha_counts(series.avoidance_gf(coll, cfg.n, table=table))
+    dist = series.count_distribution_oracle(coll, args.n)
+    alpha = series.alpha_counts(series.avoidance_gf(coll, args.n, table=table))
     for q, count in dist.items():
-        if alpha.get((cfg.n, q), 0) != count:
+        if alpha.get((args.n, q), 0) != count:
             ok = False
-            _emit(f"distribution mismatch at n={cfg.n} q={q}\n")
+            _emit(f"distribution mismatch at n={args.n} q={q}\n")
     _emit("oracle agreement: " + ("pass" if ok else "fail") + "\n")
     return 0 if ok else 1
 
@@ -176,11 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_, paths=1, n=None, formats=(), q=False, force=False,
-            cache=False):
-        """A subcommand with only the flags its handler reads; the first of
-        ``formats`` is the default ``--format``."""
+    def add(name, handler, help_, paths=1, n=None, formats=(), q=False,
+            force=False, cache=False):
+        """Subcommand ``name`` bound to ``handler``, with only the flags it reads."""
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         for i in range(paths):
             p.add_argument("patterns" + (str(i) if i else ""))
         if n is not None:
@@ -194,57 +185,27 @@ def build_parser() -> argparse.ArgumentParser:
         if cache:
             p.add_argument("--cache", action="store_true")
 
-    add("count", "occurrence-count tables alpha_{n,q}", n=10,
+    add("count", cmd_count, "occurrence-count tables alpha_{n,q}", n=10,
         formats=("tsv", "avoiders"))
-    add("clusters", "cluster-count table cl_{n,q}", n=10, q=True, cache=True)
-    add("graph", "overlap graph as DOT")
-    add("gf", "generating function coefficients", n=10,
-        formats=("tsv", "cluster"))
-    add("equiv", "strong c-Wilf equivalence of two collections", paths=2, n=12)
-    add("monotone", "monotonicity check and ODE emission",
+    add("clusters", cmd_clusters, "cluster-count table cl_{n,q}", n=10, q=True, cache=True)
+    add("graph", cmd_graph, "overlap graph as DOT")
+    add("gf", cmd_gf, "generating function coefficients", n=10, formats=("tsv", "cluster"))
+    add("equiv", cmd_equiv, "strong c-Wilf equivalence of two collections", paths=2, n=12)
+    add("monotone", cmd_monotone, "monotonicity check and ODE emission",
         formats=("tsv", "json"))
-    add("verify-ode", "verify the emitted ODE system against the series", n=20)
-    add("classify-s5", "orbit classification of S_5", paths=0,
+    add("verify-ode", cmd_verify_ode, "verify the emitted ODE system against the series",
+        n=20)
+    add("classify-s5", cmd_classify_s5, "orbit classification of S_5", paths=0,
         formats=("text", "json"))
-    add("oracle", "brute-force cross-checks", n=10, q=True, force=True)
+    add("oracle", cmd_oracle, "brute-force cross-checks", n=10, q=True, force=True)
     return parser
 
 
-_DISPATCH = {
-    "count": cmd_count,
-    "clusters": cmd_clusters,
-    "graph": cmd_graph,
-    "gf": cmd_gf,
-    "equiv": cmd_equiv,
-    "monotone": cmd_monotone,
-    "verify-ode": cmd_verify_ode,
-    "classify-s5": cmd_classify_s5,
-    "oracle": cmd_oracle,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    paths = []
-    for attr in ("patterns", "patterns1"):
-        if hasattr(args, attr):
-            paths.append(Path(getattr(args, attr)))
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        paths=tuple(paths),
-        n=getattr(args, "n", 10),
-        q=getattr(args, "q", 5),
-        fmt=getattr(args, "format", "tsv"),
-        force=getattr(args, "force", False),
-        use_cache=getattr(args, "cache", False),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.subcommand](cfg)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.handler(args)
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

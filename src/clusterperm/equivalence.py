@@ -29,6 +29,7 @@ from .clusters import cluster_counts, cluster_counts_single_pattern
 from .graph import (
     OverlapGraph,
     PatternCollection,
+    _overlaps,
     build_graph,
     canonical_form,
     overlap_lengths,
@@ -145,9 +146,7 @@ def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
     if len(pats1) != len(pats2):
         return None
     a, b = sorted(pats1), sorted(pats2)
-    overlaps = {
-        (x, y): overlap_lengths(x, y) for side in (a, b) for x in side for y in side
-    }
+    overlaps = {(x, y): _overlaps(x, y) for side in (a, b) for x in side for y in side}
 
     def pair_ok(x, y, fx, fy):
         ks = overlaps[x, y]
@@ -299,7 +298,7 @@ def separated_set(alpha, beta, l: int) -> list[Perm]:
 
 
 def _self_overlap_profile(p: Perm) -> tuple[int, ...]:
-    return tuple(k for k in overlap_lengths(p, p) if k >= 2)
+    return tuple(k for k in _overlaps(p, p) if k >= 2)
 
 
 def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:

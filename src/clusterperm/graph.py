@@ -111,7 +111,7 @@ def _borders(p: Perm) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
 
 def k_overlaps(pi: Perm, pi_prime: Perm, k: int) -> bool:
     """Does the length-k suffix of pi standardize like the prefix of pi_prime?"""
-    pi, pi_prime = tuple(pi), tuple(pi_prime)
+    pi, pi_prime = check_permutation(pi), check_permutation(pi_prime)
     tails, heads = _borders(pi)[1], _borders(pi_prime)[0]
     if not 1 <= k <= min(len(pi), len(pi_prime)):
         raise DomainError(f"overlap length {k} out of range")
@@ -123,7 +123,16 @@ def k_overlaps(pi: Perm, pi_prime: Perm, k: int) -> bool:
 
 def overlap_lengths(pi: Perm, pi_prime: Perm) -> list[int]:
     """All proper overlap lengths k < min(l, l') of the ordered pair."""
-    tails, heads = _borders(tuple(pi))[1], _borders(tuple(pi_prime))[0]
+    return _overlaps(check_permutation(pi), check_permutation(pi_prime))
+
+
+def _overlaps(pi: Perm, pi_prime: Perm) -> list[int]:
+    """``overlap_lengths`` of two permutations the caller has validated.
+
+    The border table is keyed by equality, so an unvalidated tuple such
+    as ``(1.0, 3.0, 2.0)`` would be served the entry of ``(1, 3, 2)``.
+    """
+    tails, heads = _borders(pi)[1], _borders(pi_prime)[0]
     return [k for k, (t, h) in enumerate(zip(tails, heads), 1) if t == h]
 
 
@@ -138,9 +147,10 @@ class MonotoneResult(NamedTuple):
 def is_monotone(collection: PatternCollection) -> MonotoneResult:
     """Is every realized k-overlap's prefix of the right pattern made of
     entries <= k?  Checks all ordered pairs, self-pairs included."""
-    for pi in collection:
-        for pi_prime in collection:
-            for k in overlap_lengths(pi, pi_prime):
+    pats = [check_permutation(p) for p in collection]  # also plain sequences
+    for pi in pats:
+        for pi_prime in pats:
+            for k in _overlaps(pi, pi_prime):
                 if max(pi_prime[:k]) > k:
                     return MonotoneResult(False, (pi, pi_prime, k))
     return MonotoneResult(True, None)
@@ -258,12 +268,6 @@ class OverlapGraph:
     @property
     def distinguished(self) -> Perm:
         return (1,)
-
-    def out_edges(self, vertex: Perm) -> list[Edge]:
-        return [e for e in self.edges if e.source == vertex]
-
-    def in_edges(self, vertex: Perm) -> list[Edge]:
-        return [e for e in self.edges if e.target == vertex]
 
 
 def build_graph(coll: PatternCollection) -> OverlapGraph:

@@ -120,11 +120,12 @@ def emit_ode_system(collection: PatternCollection) -> OdeSystem:
             sorted(OdeTerm(m_v - d.m, d.l - d.m, d.k, d.target) for d in data[v])
         )
         equations.append(OdeEquation(v, m_v, terms))
-    series = monotone_vertex_series(collection, max(orders.values()))
-    boundary = {
-        v: tuple(_derivative_at_zero(series[v], i) for i in range(orders[v]))
-        for v in graph.vertices
-    }
+    # y_v^(i)(0, t) = sum_q cl_{v,i,q} t^q, read off this graph's cell table
+    top = max(orders.values())
+    boundary = {v: tuple({} for _ in range(orders[v])) for v in graph.vertices}
+    for (v, n, q), c in _vertex_tables(graph, top, top).items():
+        if n < orders[v]:
+            boundary[v][n][q] = c
     return OdeSystem(tuple(equations), boundary)
 
 

@@ -42,17 +42,14 @@ def check_word(word: Sequence[int]) -> Perm:
 
 
 def check_permutation(perm: Sequence[int]) -> Perm:
-    """Validate that ``perm`` contains each of 1..n exactly once."""
+    """Validate that ``perm`` contains each of 1..n exactly once, as ints
+    (``check_word``'s rule: ``1.0`` compares equal to ``1`` but is no entry)."""
     p = tuple(perm)
     if not p:
         raise InvalidPermutationError("empty permutation")
-    if set(p) != set(range(1, len(p) + 1)):
+    if not all(isinstance(x, int) for x in p) or set(p) != set(range(1, len(p) + 1)):
         raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {p}")
     return p
-
-
-def is_permutation(word: Sequence[int]) -> bool:
-    return set(word) == set(range(1, len(word) + 1)) and len(word) > 0
 
 
 def standardize(word: Sequence[int]) -> Perm:

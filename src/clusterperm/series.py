@@ -221,11 +221,15 @@ class BiSeries:
 
 def cluster_gf(table: ClusterTable, order: int) -> BiSeries:
     """Pi_cl(x,t): EGF of the cluster counts, including the fictitious
-    0-cluster term x.  The counts are its normalised coefficients."""
+    0-cluster term x.  The counts are its normalised coefficients; a
+    cluster of length n <= order can have up to n marks, so the table must
+    be filled to order in both n and q."""
     if table.n_max < order:
         raise DomainError(
             f"table filled to n={table.n_max}, need n={order}"
         )
+    if table.q_max < order:
+        raise DomainError(f"table capped at q={table.q_max}, need q={order}")
     return BiSeries._normalised(order, table.totals)
 
 

@@ -467,6 +467,20 @@ def test_file_with_a_foreign_key_is_a_miss_and_is_rewritten(tmp_path):
     assert path.read_text() == whole
 
 
+def test_file_with_other_bounds_is_a_miss_and_is_rewritten(tmp_path):
+    coll = PatternCollection(((1, 2, 3), (1, 3, 2)))
+    direct = cluster_counts(coll, 9, 3)
+    assert any(n > 6 for n, _ in direct.totals)
+    path = save_table(direct, tmp_path)
+    whole = path.read_text()
+    # a (6, 3) table under the (9, 3) file name
+    save_table(cluster_counts(coll, 6, 3), tmp_path).replace(path)
+    assert load_table(coll, 9, 3, tmp_path) is None
+    table = cached_cluster_counts(coll, 9, 3, tmp_path)
+    assert (table.n_max, table.q_max, table.totals) == (9, 3, direct.totals)
+    assert path.read_text() == whole
+
+
 @pytest.mark.parametrize("schema", [None, 1, cache_module.SCHEMA + 1])
 def test_file_of_another_schema_is_a_miss_and_is_rewritten(tmp_path, schema):
     coll = PatternCollection(((1, 2, 3), (1, 3, 2)))

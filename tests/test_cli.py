@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import clusterperm
 from clusterperm import clusters, series
 from clusterperm.cli import build_parser, main
 
@@ -167,6 +172,23 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_module_entry_point_exits_with_the_status_of_main(p123, tmp_path):
+    src = Path(clusterperm.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    bad = write(tmp_path, "bad.txt", "145623\n13452\n")  # not reduced
+    for argv, code, stream, start in (
+        (["graph", p123], 0, "stdout", "digraph"),
+        (["count", bad, "--n", "5"], 1, "stderr", "error: "),
+        (["no-such-command"], 2, "stderr", "usage: clusterperm"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "clusterperm.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == code, (argv, done.stderr)
+        assert getattr(done, stream).startswith(start), argv
 
 
 def test_successive_calls_share_one_parser(p123, capsys):

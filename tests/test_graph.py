@@ -18,6 +18,7 @@ from clusterperm.graph import (
     collection,
     enumerate_linkages,
     graph_to_dot,
+    is_monotone,
     k_overlaps,
     linkage_lengths,
     overlap_lengths,
@@ -27,6 +28,7 @@ from clusterperm.perms import (
     DomainError,
     InvalidPermutationError,
     all_permutations,
+    check_permutation,
     occurrences,
     standardize,
 )
@@ -179,6 +181,27 @@ def test_overlap_queries_reject_invalid_input(pi, pip):
         linkage_lengths(pi, pip)
     with pytest.raises(InvalidPermutationError):
         k_overlaps(pi, pip, 1)
+
+
+def test_float_entries_are_rejected_with_the_table_cold_or_warm():
+    # (1.0, 3.0, 2.0) hashes and compares equal to (1, 3, 2): a query that
+    # read the table before validating would be served that pattern's entry
+    floats, ints = (1.0, 3.0, 2.0), (1, 3, 2)
+    with pytest.raises(InvalidPermutationError):
+        check_permutation(floats)
+    graph_module._borders.cache_clear()
+    for _ in ("cold", "warm"):
+        for query in (
+            lambda: overlap_lengths(floats, ints),
+            lambda: overlap_lengths(ints, floats),
+            lambda: linkage_lengths(floats, ints),
+            lambda: k_overlaps(ints, floats, 1),
+            lambda: is_monotone([floats]),
+        ):
+            with pytest.raises(InvalidPermutationError):
+                query()
+        assert overlap_lengths(ints, ints) == [1]
+        assert graph_module._borders.cache_info().currsize > 0
 
 
 def _reference_build_graph(coll):

@@ -1,10 +1,14 @@
 """Monotone collections: recurrence, ODE emission, and verification."""
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import clusterperm.clusters as clusters_module
+import clusterperm.graph as graph_module
+import clusterperm.monotone as monotone_module
 from conftest import MONO_A, MONO_B, MONO_C, MONO_D, MONO_ALL
 from clusterperm.clusters import (
     _refined_cluster_counts,
@@ -66,6 +70,23 @@ def test_emit_requires_monotone():
         emit_ode_system(PatternCollection(((2, 1, 3),)))
     with pytest.raises(MonotoneError):
         emit_single_pattern_ode((2, 1, 3))
+
+
+@pytest.mark.parametrize("patterns", [MONO_C.patterns, ((1, 2, 3, 4, 5),), ((1,),)])
+def test_emit_builds_the_graph_and_checks_monotonicity_once(monkeypatch, patterns):
+    coll = PatternCollection(patterns)
+    calls = Counter()
+    for name in ("build_graph", "is_monotone"):
+        def counting(collection, _name=name, _real=getattr(graph_module, name)):
+            calls[_name] += 1
+            return _real(collection)
+
+        for module in (monotone_module, clusters_module):
+            monkeypatch.setattr(module, name, counting)
+    system = emit_ode_system(coll)
+    assert calls == {"build_graph": 1, "is_monotone": 1}
+    order = max(eq.order for eq in system.equations)
+    assert verify_ode(system, monotone_vertex_series(coll, order), order).boundary_ok
 
 
 def test_emitted_equation_orders():

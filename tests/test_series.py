@@ -126,6 +126,19 @@ def test_cluster_gf_contains_base_term():
     assert pcl.coeff(3, 1) == Fraction(1, factorial(3))
 
 
+def test_table_capped_below_the_order_in_q_is_rejected():
+    # a (8, 2) table of 123 lacks the clusters with 3..6 occurrences; its
+    # n = 8 row would be wrong yet still sum to 8!
+    coll = PatternCollection(((1, 2, 3),))
+    short = cluster_counts(coll, 8, 2)
+    with pytest.raises(DomainError, match="capped at q=2, need q=8"):
+        cluster_gf(short, 8)
+    with pytest.raises(DomainError, match="capped at q=2"):
+        avoidance_gf(coll, 8, table=short)
+    row = {q: a for (n, q), a in alpha_counts(avoidance_gf(coll, 8)).items() if n == 8}
+    assert row[6] == 1 and sum(row.values()) == factorial(8)
+
+
 def test_alpha_counts_rejects_non_integer():
     s = BiSeries(3, {(2, 0): Fraction(1, 3)})
     with pytest.raises(DomainError):
