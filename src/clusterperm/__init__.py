@@ -29,6 +29,7 @@ from .equivalence import (
 )
 from .graph import (
     EdgeLabel,
+    LeafBudgetError,
     NotReducedError,
     OverlapGraph,
     PatternCollection,

@@ -5,7 +5,8 @@ labels free, distinguished vertex fixed) have identical cluster statistics,
 so the canonical form of the graph plus the fill bounds (N, Q) is a sound
 cache key.  The form is ``graph.canonical_form``, shared with the
 equivalence check; colour refinement orders the vertices by their labelled
-edges, and individualise-and-refine breaks only the ties it leaves.  Tables
+edges, and individualise-and-refine breaks the ties it leaves; a graph past
+that search's leaf budget has no key, and its table is computed uncached.  Tables
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
 atomic rename.  A file that cannot be read back as a table, or whose schema,
@@ -22,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from .clusters import ClusterTable, cluster_counts
-from .graph import PatternCollection, build_graph, canonical_form
+from .graph import LeafBudgetError, PatternCollection, build_graph, canonical_form
 
 ENV_CACHE_DIR = "CLUSTERPERM_CACHE_DIR"
 # Bumped whenever the key or the file layout changes.
@@ -120,7 +121,10 @@ def cached_cluster_counts(
 ) -> ClusterTable:
     """Load the table from cache or compute and store it.  The key is
     computed once: on a large overlap graph it is the costly part."""
-    key = cache_key(collection)
+    try:
+        key = cache_key(collection)
+    except LeafBudgetError:
+        return cluster_counts(collection, n_max, q_max)
     hit = load_table(collection, n_max, q_max, directory, key=key)
     if hit is not None:
         return hit

@@ -10,7 +10,7 @@ this at increasing cost:
 * graphs_isomorphic: a label-preserving isomorphism of overlap graphs, also
   sufficient since the graph determines the cluster recurrence; decided by
   equality of canonical forms (graph.canonical_form, the form the cache
-  keys on);
+  keys on), or left to the next check when the form passes its leaf budget;
 * verify_strong_equivalence: coefficientwise equality of the avoidance
   generating functions to a finite order (the definition, truncated),
   decided on the cluster tables that determine them.
@@ -236,7 +236,9 @@ def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):
     distinguished vertex fixed; None when no such bijection exists.
 
     Two graphs are isomorphic exactly when their canonical forms are equal,
-    and the bijection matches the two orders that attain the form.
+    and the bijection matches the two orders that attain the form.  A form
+    whose search passes its leaf budget raises ``LeafBudgetError``: None
+    would claim the graphs are not isomorphic.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None

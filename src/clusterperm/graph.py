@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .perms import (
@@ -29,6 +30,10 @@ class NotReducedError(DomainError):
         self.divisor = divisor
         self.multiple = multiple
         super().__init__(f"collection not reduced: {divisor} divides {multiple}")
+
+
+class LeafBudgetError(DomainError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -297,6 +302,11 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
     return OverlapGraph(coll, vertices, tuple(edges))
 
 
+# Leaves the canonical-form search may visit; a fixed bound, so a graph with
+# a large automorphism group gives an error instead of a factorial search.
+_LEAF_BUDGET = 1000
+
+
 def _refine(colour: list[int], out, inn) -> list[int]:
     """Colour refinement to a stable colouring, as dense ranks 0..k-1.
 
@@ -333,15 +343,12 @@ def canonical_form(graph: OverlapGraph) -> tuple[tuple, tuple[Perm, ...]]:
     A vertex order is encoded as (vertex lengths by index, sorted (source,
     target, mu_i, mu_f, length) edge tuples), vertex permutation labels
     discarded.  The orders searched are the leaves of individualise-and-
-    refine (McKay & Piperno, "Practical graph isomorphism, II", 2014):
-    colours start from vertex lengths, so (1) sits alone at index 0, and
-    colour refinement splits cells by their labelled edges.  While a cell is
-    still tied, each of its vertices is individualised in turn and refined
-    again; a discrete colouring is a leaf, and the form is the least leaf
-    encoding.  Automorphisms revealed by equal leaves prune the search:
-    a subtree that maps onto the first path's is abandoned, and a vertex in
-    the orbit of one already tried is skipped.  ``order[i]`` is the vertex
-    given index i.
+    refine: colours start from vertex lengths, so (1) sits alone at index 0,
+    and colour refinement splits cells by their labelled edges.  While a
+    cell is still tied, each of its vertices is individualised in turn and
+    refined again; a discrete colouring is a leaf, and the form is the least
+    leaf encoding.  A search that passes ``_LEAF_BUDGET`` leaves raises
+    ``LeafBudgetError``.  ``order[i]`` is the vertex given index i.
     """
     verts = graph.vertices
     index = {v: i for i, v in enumerate(verts)}
@@ -356,60 +363,30 @@ def canonical_form(graph: OverlapGraph) -> tuple[tuple, tuple[Perm, ...]]:
         edges.append((s, t, lab.mu_i, lab.mu_f, lab.length))
     lengths = tuple(sorted(len(v) for v in verts))
 
-    first = best = None  # (encoding, colouring, individualised path)
-    autos: list[list[int]] = []
-
-    def automorphism(leaf_a, leaf_b) -> list[int]:
-        # the vertex at each position of leaf a goes to the one of leaf b
-        at = [0] * len(leaf_b)
-        for w, c in enumerate(leaf_b):
-            at[c] = w
-        return [at[c] for c in leaf_a]
-
-    def search(colour: list[int], path: list[int]) -> int | None:
-        """Explore the subtree; a return value d aborts up to depth d."""
-        nonlocal first, best
+    def leaves(colour: list[int]):
+        """The discrete colourings below ``colour``, depth first."""
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colour):
             cells.setdefault(c, []).append(v)
         cell = next((vs for _, vs in sorted(cells.items()) if len(vs) > 1), None)
         if cell is None:
-            enc = tuple(sorted((colour[s], colour[t], *lab) for s, t, *lab in edges))
-            if first is None:
-                first = best = (enc, colour, path)
-            elif enc == first[0]:
-                autos.append(automorphism(first[1], colour))
-                # the subtree below the divergence from the first path is
-                # the image of one already searched
-                return next(d for d, (a, b) in enumerate(zip(path, first[2])) if a != b)
-            elif enc == best[0]:
-                autos.append(automorphism(best[1], colour))
-            elif enc < best[0]:
-                best = (enc, colour, path)
-            return None
-        tried: set[int] = set()
+            yield colour
+            return
         for v in cell:
-            if v in tried:
-                continue
-            abort = search(_refine(_individualise(colour, v), out, inn), path + [v])
-            if abort is not None and abort < len(path):
-                return abort
-            # close the tried set under the automorphisms fixing the path
-            tried.add(v)
-            gens = [g for g in autos if all(g[x] == x for x in path)]
-            frontier = list(tried)
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    if g[x] not in tried:
-                        tried.add(g[x])
-                        frontier.append(g[x])
-        return None
+            yield from leaves(_refine(_individualise(colour, v), out, inn))
 
-    search(_refine([len(v) for v in verts], out, inn), [])
-    enc, colour, _ = best
+    def encode(colour: list[int]) -> tuple:
+        return tuple(sorted((colour[s], colour[t], *lab) for s, t, *lab in edges))
+
+    root = _refine([len(v) for v in verts], out, inn)
+    found = list(islice(leaves(root), _LEAF_BUDGET + 1))
+    if len(found) > _LEAF_BUDGET:
+        raise LeafBudgetError(
+            f"canonical form: over {_LEAF_BUDGET} leaves on a {len(verts)}-vertex graph"
+        )
+    colour = min(found, key=encode)
     order = tuple(sorted(verts, key=lambda v: colour[index[v]]))
-    return (lengths, enc), order
+    return (lengths, encode(colour)), order
 
 
 def graph_to_dot(g: OverlapGraph) -> str:

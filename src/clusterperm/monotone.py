@@ -31,7 +31,13 @@ from .clusters import (
     _vertex_tables,
     monotone_recurrence_data,
 )
-from .graph import PatternCollection, build_graph, is_monotone, overlap_lengths
+from .graph import (
+    OverlapGraph,
+    PatternCollection,
+    build_graph,
+    is_monotone,
+    overlap_lengths,
+)
 from .perms import DomainError, Perm, format_perm, parse_perm
 from .series import BiSeries
 
@@ -65,7 +71,10 @@ def monotone_vertex_series(
 ) -> dict[Perm, BiSeries]:
     """The generating functions y_v(x,t), truncated at x^order."""
     _require_monotone(collection)
-    graph = build_graph(collection)
+    return _vertex_series(build_graph(collection), order)
+
+
+def _vertex_series(graph: OverlapGraph, order: int) -> dict[Perm, BiSeries]:
     by_vertex = {v: {} for v in graph.vertices}
     for (v, n, q), c in _vertex_tables(graph, order, order).items():
         by_vertex[v][(n, q)] = c  # the counts are n! c_{v,n,q}
@@ -106,8 +115,11 @@ class OdeSystem:
 
 
 def emit_ode_system(collection: PatternCollection) -> OdeSystem:
-    _require_monotone(collection)
-    graph = build_graph(collection)
+    return _ode_system(build_graph(collection))
+
+
+def _ode_system(graph: OverlapGraph) -> OdeSystem:
+    _require_monotone(graph.collection)
     data = monotone_recurrence_data(graph)
     equations = []
     orders = {}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import clusterperm.cache as cache_module
+import clusterperm.graph as graph_module
 from clusterperm.cache import (
     atomic_write_text,
     cache_dir,
@@ -24,13 +25,14 @@ from clusterperm.equivalence import graphs_isomorphic
 from clusterperm.graph import (
     Edge,
     EdgeLabel,
+    LeafBudgetError,
     OverlapGraph,
     PatternCollection,
     build_graph,
     canonical_form,
 )
 from clusterperm.perms import DomainError, all_permutations, parse_perm
-from conftest import nudged
+from conftest import MONO_ALL, nudged
 
 WILF_PAIR = (
     PatternCollection(((1, 4, 3, 2, 6, 5, 9, 8, 7),)),
@@ -185,15 +187,6 @@ def circulant_graph(na, nb, aa, bb, ab, ba):
 # Colour refinement leaves tied cells in each of these graphs.  In most,
 # every vertex but (1) has the same length and the same labelled degrees.
 TIED_GRAPHS = {
-    # automorphism group S_12
-    "star": synthetic_graph(
-        [4] * 12,
-        [(0, i, IN) for i in range(1, 13)] + [(i, 0, OUT) for i in range(1, 13)],
-    ),
-    "clique": synthetic_graph(
-        [4] * 10, [(i, j, IN) for i in range(1, 11) for j in range(1, 11) if i != j]
-    ),
-    "no-edges": synthetic_graph([4] * 12, []),
     "hexagon": synthetic_graph([4] * 6, cycles([6])),
     "two-triangles": synthetic_graph([4] * 6, cycles([3, 3])),
     "three-squares": synthetic_graph([4] * 12, cycles([4, 4, 4])),
@@ -215,6 +208,20 @@ TIED_GRAPHS = {
 }
 
 
+# Automorphism groups S_12, S_10 and S_12: refinement splits nothing, and the
+# search has more leaves than the canonical form's budget.
+OVER_BUDGET = {
+    "star": synthetic_graph(
+        [4] * 12,
+        [(0, i, IN) for i in range(1, 13)] + [(i, 0, OUT) for i in range(1, 13)],
+    ),
+    "clique": synthetic_graph(
+        [4] * 10, [(i, j, IN) for i in range(1, 11) for j in range(1, 11) if i != j]
+    ),
+    "no-edges": synthetic_graph([4] * 12, []),
+}
+
+
 @pytest.mark.parametrize("name", sorted(TIED_GRAPHS))
 def test_tied_cells_get_a_renaming_invariant_form(name):
     g = TIED_GRAPHS[name]
@@ -226,6 +233,47 @@ def test_tied_cells_get_a_renaming_invariant_form(name):
         copy = renamed(g, rng)
         assert canonical_form(copy)[0] == form
         assert_isomorphism(graphs_isomorphic(g, copy), g, copy)
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BUDGET))
+def test_over_budget_graphs_raise_the_named_error(name):
+    g = OVER_BUDGET[name]
+    copy = renamed(g, random.Random(name))
+    named = rf"^canonical form: .* {len(g.vertices)}-vertex graph$"
+    for search in (lambda: canonical_form(g), lambda: graphs_isomorphic(g, copy)):
+        start = time.perf_counter()
+        with pytest.raises(LeafBudgetError, match=named):
+            search()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_form_is_the_least_leaf():
+    # individualising the looped vertex first gives the only leaves whose
+    # least edge is (1, 1), the least edge any leaf can have
+    g = TIED_GRAPHS["loop-and-short-cycles"]
+    (_, edges), order = canonical_form(g)
+    assert edges[0][:2] == (1, 1)
+    assert order[1] == g.vertices[1]
+
+
+def test_every_overlap_graph_tried_keys_within_one_leaf(monkeypatch):
+    # the canonical form searches without automorphism pruning because
+    # colour refinement alone makes these graphs discrete
+    monkeypatch.setattr(graph_module, "_LEAF_BUDGET", 1)
+    colls = [
+        *small_reduced_collections(),
+        *MONO_ALL,
+        *(
+            PatternCollection(tuple(parse_perm(w) for w in text.split()))
+            for text in (
+                "123456 153264 253614 315426 362541 435261 541632 632154",
+                "51423 54321 34215 31452",
+            )
+        ),
+    ]
+    assert len(colls) == 552
+    for coll in colls:
+        cache_key(coll)  # raises LeafBudgetError past one leaf
 
 
 def relabelling_form(graph):
@@ -392,6 +440,16 @@ def test_cache_miss_and_hit_compute_the_key_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert cold.totals == warm.totals == cluster_counts(coll, 8, 3).totals
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_collection_past_the_leaf_budget_is_computed_uncached(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_module, "_LEAF_BUDGET", 0)  # every graph is past it
+    coll = PatternCollection(((1, 2, 3), (1, 3, 2)))
+    with pytest.raises(LeafBudgetError):
+        cache_key(coll)
+    table = cached_cluster_counts(coll, 8, 4, tmp_path)
+    assert table.totals == cluster_counts(coll, 8, 4).totals
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cached_counts_read_and_write_through_the_public_functions(

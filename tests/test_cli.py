@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import clusterperm
+import clusterperm.graph as graph_module
 from clusterperm import clusters, series
 from clusterperm.cli import build_parser, main
 
@@ -281,6 +282,25 @@ def test_sixteen_vertex_collection_through_the_cache(tmp_path, capsys, monkeypat
         assert main([*argv, "--cache"]) == 0
         assert capsys.readouterr().out == direct
     assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+def test_cache_and_equiv_answer_past_the_leaf_budget(tmp_path, capsys, monkeypatch):
+    f = write(tmp_path, "p.txt", "51423\n54321\n34215\n31452\n")
+    argv = ["clusters", f, "--n", "8"]
+    assert main(argv) == 0
+    direct = capsys.readouterr().out
+    monkeypatch.setattr(graph_module, "_LEAF_BUDGET", 0)  # every graph is past it
+    monkeypatch.setenv("CLUSTERPERM_CACHE_DIR", str(tmp_path / "cache"))
+    assert main([*argv, "--cache"]) == 0
+    assert capsys.readouterr().out == direct
+    assert not (tmp_path / "cache").exists()
+    # no Theorem 1.3 bijection, and overlap graphs of equal size, so equiv
+    # asks for both canonical forms
+    a = write(tmp_path, "a.txt", "1234\n")
+    b = write(tmp_path, "b.txt", "4321\n")
+    assert main(["equiv", a, b, "--n", "8"]) == 0
+    out = capsys.readouterr().out
+    assert out == "equivalent to order N=8 (generating functions agree)\n"
 
 
 def test_sixteen_vertex_collection_against_its_complement(tmp_path, capsys):
