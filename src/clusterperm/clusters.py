@@ -369,7 +369,7 @@ def monotone_recurrence_data(graph: OverlapGraph) -> dict[Perm, list[EdgeData]]:
 
 def _vertex_tables(
     graph: OverlapGraph, n_max: int, q_max: int
-) -> dict[tuple[Perm, int, int], int]:
+) -> dict[Perm, list[list[int]]]:
     """cl_{v,n,q} for every vertex v of a monotone collection's graph, filled
     bottom-up in n: rows[v][n] lists them by q, and an edge reads a smaller n."""
     data = monotone_recurrence_data(graph)
@@ -388,10 +388,7 @@ def _vertex_tables(
             while acc and not acc[-1]:
                 acc.pop()
             rows[v][n] = acc
-    return {
-        (v, n, q): c for v, by_n in rows.items()
-        for n, row in enumerate(by_n) for q, c in enumerate(row) if c
-    }
+    return rows
 
 
 def _monotone_cluster_counts(
@@ -399,8 +396,10 @@ def _monotone_cluster_counts(
 ) -> ClusterTable:
     """cl_{n,q} by the collapsed recurrence; the collection must be monotone."""
     graph = build_graph(collection)
-    cells = _vertex_tables(graph, n_max, q_max)
-    totals = {(n, q): c for (v, n, q), c in cells.items() if v == (1,)}
+    rows = _vertex_tables(graph, n_max, q_max)[(1,)]
+    totals = {
+        (n, q): c for n, row in enumerate(rows) for q, c in enumerate(row) if c
+    }
     return ClusterTable(collection, n_max, q_max, totals, graph)
 
 

@@ -16,6 +16,12 @@ satisfy a linear ODE system with monomial coefficients:
 
 where m_j is the maximal entry of the final k_j-subword of the edge pattern
 and m is the per-vertex maximum of the m_j.
+
+``verify_ode`` checks the system one coefficient at a time.  On the
+normalised x^n slices Y[n][q] = n! [x^n t^q] y, the term
+d^a(x^b/b! d^c y) has coefficient C(n+a, b) Y[n+a-b+c][q], which is zero when
+n+a < b; with a = m - m_j, b = l_j - m_j and c = k_j the equation at x^n t^q
+is the recurrence above at length n + m.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, perm
 from typing import NamedTuple
 
 from .clusters import (
@@ -75,10 +82,12 @@ def monotone_vertex_series(
 
 
 def _vertex_series(graph: OverlapGraph, order: int) -> dict[Perm, BiSeries]:
-    by_vertex = {v: {} for v in graph.vertices}
-    for (v, n, q), c in _vertex_tables(graph, order, order).items():
-        by_vertex[v][(n, q)] = c  # the counts are n! c_{v,n,q}
-    return {v: BiSeries._normalised(order, d) for v, d in by_vertex.items()}
+    return {  # the counts are n! c_{v,n,q}
+        v: BiSeries._normalised(
+            order, {(n, q): c for n, row in enumerate(rows) for q, c in enumerate(row)}
+        )
+        for v, rows in _vertex_tables(graph, order, order).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +103,6 @@ class OdeTerm:
     b: int
     c: int
     target: Perm
-
-    def apply(self, series: BiSeries) -> BiSeries:
-        return series.dx(self.c).mul_xpow(self.b).dx(self.a)
 
 
 @dataclass(frozen=True)
@@ -122,22 +128,23 @@ def _ode_system(graph: OverlapGraph) -> OdeSystem:
     _require_monotone(graph.collection)
     data = monotone_recurrence_data(graph)
     equations = []
-    orders = {}
     for v in graph.vertices:
         # only (1) of the collection (1) has no out-edges; its series
         # y = x + t x satisfies y'' = 0
         m_v = max((d.m for d in data[v]), default=2)
-        orders[v] = m_v
         terms = tuple(
             sorted(OdeTerm(m_v - d.m, d.l - d.m, d.k, d.target) for d in data[v])
         )
         equations.append(OdeEquation(v, m_v, terms))
     # y_v^(i)(0, t) = sum_q cl_{v,i,q} t^q, read off this graph's cell table
-    top = max(orders.values())
-    boundary = {v: tuple({} for _ in range(orders[v])) for v in graph.vertices}
-    for (v, n, q), c in _vertex_tables(graph, top, top).items():
-        if n < orders[v]:
-            boundary[v][n][q] = c
+    top = max(eq.order for eq in equations)
+    rows = _vertex_tables(graph, top, top)
+    boundary = {
+        eq.vertex: tuple(
+            {q: c for q, c in enumerate(row) if c} for row in rows[eq.vertex][: eq.order]
+        )
+        for eq in equations
+    }
     return OdeSystem(tuple(equations), boundary)
 
 
@@ -183,20 +190,50 @@ class VerifyReport(NamedTuple):
         return self.ok
 
 
-def _derivative_at_zero(y: BiSeries, i: int) -> dict[int, int | Fraction]:
-    """The t-polynomial y^(i)(0, t): the normalised x^i slice."""
-    return {q: c for (n, q), c in y.coeffs.items() if n == i}
+def _slice(specs, n: int) -> list:
+    """The normalised x^n slice, by q, of the sum of w t^p x^e d^a(x^b/b! d^c y)
+    over the specs (w, p, e, a, b, c, slices of y): with k = n - e + a, a term
+    adds w perm(n, e) C(k, b) Y[k-b+c][q-p], and nothing when n < e or k < b."""
+    acc = []
+    for w, p, e, a, b, c, rows in specs:
+        k = n - e + a
+        if n < e or k < b or k - b + c < 0:
+            continue
+        row = rows[k - b + c]
+        f = w * perm(n, e) * comb(k, b)
+        acc.extend([0] * (p + len(row) - len(acc)))
+        for q, y in enumerate(row, p):
+            acc[q] += f * y
+    return acc
 
 
-def _first_term(s: BiSeries, top: int) -> tuple[int, int] | None:
-    """The least (n, q) with n <= top and a nonzero coefficient."""
-    return min((k for k in s.coeffs if k[0] <= top), default=None)
+def _residual(terms, series, slices, top: int):
+    """(order checked, least nonzero (n, q, normalised coefficient) or None) for
+    the sum of the terms (w, p, e, a, b, c, target); each one caps the order and
+    raises where y.dx(c).mul_xpow(b).dx(a).mul_monomial(e).mul_tpow(p) would."""
+    specs = []
+    for w, p, e, a, b, c, target in terms:
+        order = series[target].order
+        for bad, what in ((order < c, "truncation order"), (b < 0, "monomial degree"),
+                          (order - c + b < a, "truncation order"),
+                          (e < 0, "monomial degree"), (p < 0, "t power")):
+            if bad:
+                raise DomainError(f"{what} must be nonnegative")
+        top = min(top, order - c + b - a + e)
+        specs.append((w, p, e, a, b, c, slices[target]))
+    for n in range(top + 1):
+        for q, r in enumerate(_slice(specs, n)):
+            if r:
+                return top, (n, q, r)
+    return top, None
 
 
 def verify_ode(
     system: OdeSystem, series: dict[Perm, BiSeries], order: int
 ) -> VerifyReport:
-    """Check every equation (and the boundary data) against the series."""
+    """Check every equation (and the boundary data) against the series, one
+    coefficient at a time on their normalised x^n slices."""
+    slices = {v: y._slices() for v, y in series.items()}
     checks = []
     for eq in system.equations:
         if order < eq.order:
@@ -207,19 +244,21 @@ def verify_ode(
             )
         y = series[eq.vertex]
         if y.order < order:
-            raise DomainError(
-                f"series for {eq.vertex} filled to {y.order}, need {order}"
-            )
-        lhs = y.dx(eq.order)
-        terms = (t.apply(series[t.target]) for t in eq.terms)
-        rhs = sum(terms, BiSeries.zero(order)).mul_tpow(1)
-        top = min(lhs.order, rhs.order, order - eq.order)
-        bad = _first_term(lhs - rhs, top)
+            raise DomainError(f"series for {eq.vertex} filled to {y.order}, need {order}")
+        if order < 0:  # only with m_v < 0; the sum of the terms has this order
+            raise DomainError("truncation order must be nonnegative")
+        lhs = (1, 0, 0, 0, 0, eq.order, eq.vertex)  # y^(m) - t (sum of the terms)
+        rhs = [(-1, 1, 0, t.a, t.b, t.c, t.target) for t in eq.terms]
+        top, bad = _residual([lhs, *rhs], series, slices, min(order, order - eq.order))
         if bad:
-            bad = (*bad, lhs.coeff(*bad), rhs.coeff(*bad))
+            n, q, r = bad
+            row = _slice([(*lhs[:6], slices[eq.vertex])], n)
+            y_m = row[q] if q < len(row) else 0
+            bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
     boundary_ok = all(
-        _derivative_at_zero(series[v], i) == {q: c for q, c in row.items() if c}
+        {q: c for q, c in enumerate(slices[v][i] if i < len(slices[v]) else []) if c}
+        == {q: c for q, c in row.items() if c}
         for v, rows in system.boundary.items()
         for i, row in enumerate(rows)
     )
@@ -241,26 +280,19 @@ class OdePolyTerm:
     c: int
     target: Perm
 
-    def apply(self, series: BiSeries) -> BiSeries:
-        s = series.dx(self.c).mul_xpow(self.b).dx(self.a)
-        s = s.mul_monomial(self.pre_degree).mul_tpow(self.t_power)
-        return s.scale(self.coeff)
-
 
 def verify_poly_ode(
     terms: list[OdePolyTerm], series: dict[Perm, BiSeries], order: int
 ) -> tuple[bool, tuple[int, int, Fraction] | None, int]:
     """Check that the sum of the terms vanishes; returns (ok, first nonzero
     residual coefficient as (n, q, value) or None, order actually checked)."""
-    acc = None
-    for term in terms:
-        s = term.apply(series[term.target])
-        acc = s if acc is None else acc + s
-    top = min(acc.order, order)
-    bad = _first_term(acc, top)
+    slices = {v: y._slices() for v, y in series.items()}
+    terms = [(Fraction(t.coeff), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
+             for t in terms]
+    top, bad = _residual(terms, series, slices, order)
     if bad:
-        return False, (*bad, acc.coeff(*bad)), top
-    return True, None, top
+        bad = (*bad[:2], Fraction(bad[2], factorial(bad[0])))
+    return bad is None, bad, top
 
 
 # ---------------------------------------------------------------------------

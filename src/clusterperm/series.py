@@ -78,10 +78,6 @@ class BiSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "BiSeries":
         return cls(order, {(0, 0): 1})
 
@@ -116,7 +112,10 @@ class BiSeries:
         return BiSeries._normalised(self.order, out)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) - c
+        return BiSeries._normalised(min(self.order, other.order), out)
 
     def scale(self, factor) -> "BiSeries":
         f = Fraction(factor)

@@ -254,6 +254,18 @@ def test_verify_ode_order_below_derivative_order(tmp_path, capsys):
     assert out.count("pass (through x^0)") == 4 and "boundary: pass" in out
 
 
+def test_verify_ode_output_is_pinned(tmp_path, capsys):
+    f = write(tmp_path, "p.txt", "12345\n")
+    assert main(["verify-ode", f, "--n", "60"]) == 0
+    assert capsys.readouterr().out == (
+        "(1,): pass (through x^55)\n"
+        "(1, 2): pass (through x^55)\n"
+        "(1, 2, 3): pass (through x^55)\n"
+        "(1, 2, 3, 4): pass (through x^55)\n"
+        "boundary: pass\n"
+    )
+
+
 def test_length_one_pattern_has_an_ode(tmp_path, capsys):
     # the series of (1) for the collection (1) is y = x + t x
     f = write(tmp_path, "p.txt", "1\n")

@@ -138,7 +138,7 @@ def test_monotone_table_answers_refined_queries():
     # routed to the collapsed recurrence: the refined engine is built lazily
     table = cluster_counts(MONO_D, 10, 4)
     assert table._engine is None
-    cells = _vertex_tables(table.graph, 10, 4)
+    rows = _vertex_tables(table.graph, 10, 4)
     for n in range(1, 11):
         for q in range(1, 5):
             by_first = sum(
@@ -147,7 +147,8 @@ def test_monotone_table_answers_refined_queries():
             assert by_first == table.total(n, q), (n, q)
             for v in table.graph.vertices:
                 # a monotone cluster's initial subword is the vertex itself
-                expected = cells.get((v, n, q), 0)
+                row = rows[v][n]
+                expected = row[q] if q < len(row) else 0
                 assert table.vertex_total(v, n, q) == expected, (v, n, q)
                 assert table.refined(v, n, q, v) == expected, (v, n, q)
     assert table._engine is not None

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -10,16 +11,22 @@ import clusterperm.clusters as clusters_module
 import clusterperm.graph as graph_module
 import clusterperm.monotone as monotone_module
 from conftest import MONO_A, MONO_B, MONO_C, MONO_D, MONO_ALL
+from test_acceptance import CORRECT_D, ELIMINATED_C, ELIMINATED_D, ONE, _poly_terms
 from clusterperm.clusters import (
     _refined_cluster_counts,
     cluster_counts,
     count_clusters_oracle,
     table_totals,
 )
-from clusterperm.graph import PatternCollection
+from clusterperm.graph import PatternCollection, overlap_lengths
 from clusterperm.monotone import (
+    EquationCheck,
     MonotoneError,
+    OdeEquation,
     OdePolyTerm,
+    OdeSystem,
+    OdeTerm,
+    VerifyReport,
     emit_ode_system,
     emit_single_pattern_ode,
     is_monotone,
@@ -31,6 +38,7 @@ from clusterperm.monotone import (
     verify_ode,
     verify_poly_ode,
 )
+from clusterperm.perms import DomainError
 from clusterperm.series import (
     BiSeries,
     alpha_counts,
@@ -181,3 +189,186 @@ def test_length_one_pattern_on_the_monotone_path():
     for n in range(1, 7):
         row = {q: c for (m, q), c in from_table.items() if m == n}
         assert row == count_distribution_oracle(coll, n) == {n: factorial(n)}
+
+
+# ---------------------------------------------------------------------------
+# The coefficient-wise verifiers against the operator chains they replace
+# ---------------------------------------------------------------------------
+
+
+def ref_first_term(s, top):
+    return min((k for k in s.coeffs if k[0] <= top), default=None)
+
+
+def ref_verify_ode(system, series, order):
+    """The verifier as a chain of BiSeries operators: every RHS term is
+    dx(c).mul_xpow(b).dx(a), and their sum times t is subtracted from y^(m)."""
+    checks = []
+    for eq in system.equations:
+        if order < eq.order:
+            raise DomainError(
+                f"truncation order {order} is below m_v={eq.order}, the "
+                f"derivative order of the equation for vertex "
+                f"({''.join(map(str, eq.vertex))})"
+            )
+        y = series[eq.vertex]
+        if y.order < order:
+            raise DomainError(f"series for {eq.vertex} filled to {y.order}, need {order}")
+        lhs = y.dx(eq.order)
+        terms = (series[t.target].dx(t.c).mul_xpow(t.b).dx(t.a) for t in eq.terms)
+        rhs = sum(terms, BiSeries(order)).mul_tpow(1)
+        top = min(lhs.order, rhs.order, order - eq.order)
+        bad = ref_first_term(lhs + (-rhs), top)
+        if bad:
+            bad = (*bad, lhs.coeff(*bad), rhs.coeff(*bad))
+        checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
+    boundary_ok = all(
+        {q: c for (n, q), c in series[v].coeffs.items() if n == i}
+        == {q: c for q, c in row.items() if c}
+        for v, rows in system.boundary.items()
+        for i, row in enumerate(rows)
+    )
+    ok = boundary_ok and all(c.ok for c in checks)
+    return VerifyReport(ok, tuple(checks), boundary_ok)
+
+
+def ref_verify_poly_ode(terms, series, order):
+    acc = None
+    for t in terms:
+        s = series[t.target].dx(t.c).mul_xpow(t.b).dx(t.a)
+        s = s.mul_monomial(t.pre_degree).mul_tpow(t.t_power).scale(t.coeff)
+        acc = s if acc is None else acc + s
+    top = min(acc.order, order)
+    bad = ref_first_term(acc, top)
+    if bad:
+        return False, (*bad, acc.coeff(*bad)), top
+    return True, None, top
+
+
+def _bumped(ys, v, n, q):
+    """The series with the normalised coefficient of y_v at (n, q) raised by 1."""
+    coeffs = dict(ys[v].coeffs)
+    coeffs[(n, q)] = coeffs.get((n, q), 0) + 1
+    return {**ys, v: BiSeries._normalised(ys[v].order, coeffs)}
+
+
+def test_verify_ode_matches_the_operator_chain_on_the_reference_systems():
+    for coll in MONO_ALL:
+        system = emit_ode_system(coll)
+        m = max(eq.order for eq in system.equations)
+        ys = monotone_vertex_series(coll, m + 16)
+        for order in (m, m + 1, m + 9, m + 16):
+            report = verify_ode(system, ys, order)
+            assert report == ref_verify_ode(system, ys, order), (coll, order)
+            assert report.ok
+        wrong = {v: y.scale(2) for v, y in ys.items()}
+        report = verify_ode(system, wrong, m + 16)
+        assert report == ref_verify_ode(system, wrong, m + 16)
+        assert not report.ok and not report.boundary_ok
+
+
+def _monotone_self_overlapping(max_len):
+    for l in range(2, max_len + 1):
+        for p in permutations(range(1, l + 1)):
+            if overlap_lengths(p, p) and is_monotone(PatternCollection((p,))):
+                yield p
+
+
+def test_verify_ode_matches_the_operator_chain_on_single_patterns():
+    patterns = list(_monotone_self_overlapping(6))
+    assert len(patterns) == 80
+    for p in patterns:
+        system = emit_single_pattern_ode(p)
+        order = system.equations[0].order + 8
+        ys = monotone_vertex_series(PatternCollection((p,)), order)
+        report = verify_ode(system, ys, order)
+        assert report == ref_verify_ode(system, ys, order), p
+        assert report.ok, p
+
+
+@pytest.mark.parametrize("coll", [MONO_C, MONO_D])
+def test_verify_ode_matches_the_operator_chain_on_bumped_series(coll):
+    system = emit_ode_system(coll)
+    order = 16
+    ys = monotone_vertex_series(coll, order + 2)  # filled past the checked order
+    for eq in system.equations:
+        m, top = eq.order, order - eq.order
+        bumps = [(m - 1, 1), (m + 3, 1), (top + m, 1), (top + m + 1, 1)]
+        if eq.vertex == ONE:
+            bumps.append((1, 0))
+        for n, q in bumps:
+            wrong = _bumped(ys, eq.vertex, n, q)
+            report = verify_ode(system, wrong, order)
+            assert report == ref_verify_ode(system, wrong, order), (eq.vertex, n, q)
+            (check,) = [c for c in report.equations if c.vertex == eq.vertex]
+            if n == top + m + 1:  # only y^(m) at x^(top+1) reads it
+                assert report.ok, (eq.vertex, n, q)
+            elif n == top + m:
+                assert check.mismatch[:2] == (top, q), (eq.vertex, n, q)
+            elif n < m:
+                assert not report.boundary_ok, (eq.vertex, n, q)
+
+
+def test_verify_poly_ode_matches_the_operator_chain():
+    cases = [
+        (MONO_D, 29, CORRECT_D),
+        (MONO_C, 36, ELIMINATED_C),
+        (MONO_D, 29, ELIMINATED_D),
+    ]
+    for coll, order, data in cases:
+        series = {ONE: monotone_vertex_series(coll, order)[ONE]}
+        terms = _poly_terms(data)
+        for top in (order, order - 9):
+            got = verify_poly_ode(terms, series, top)
+            assert got == ref_verify_poly_ode(terms, series, top), (data, top)
+
+
+def _raised(verifier, *args):
+    with pytest.raises(DomainError) as info:
+        verifier(*args)
+    return str(info.value)
+
+
+def test_verifiers_raise_where_the_operator_chain_does():
+    ys = monotone_vertex_series(MONO_A, 12)
+    systems = [(emit_ode_system(MONO_A), 4), (emit_ode_system(MONO_A), 13)]
+    # y_(1) is filled to x^12: dx(13), and dx(16) after x^3/3!, leave no terms;
+    # one derivative fewer leaves a term of order 0
+    for bad, fits in (((0, 0, 13), (0, 0, 12)), ((13, 0, 0), (12, 0, 0)),
+                      ((16, 3, 0), (15, 3, 0)), ((0, -1, 0), (0, 0, 0))):
+        bad, fits = (OdeSystem((OdeEquation(ONE, 2, (OdeTerm(*t, ONE),)),), {})
+                     for t in (bad, fits))
+        systems.append((bad, 12))
+        assert verify_ode(fits, ys, 12) == ref_verify_ode(fits, ys, 12)
+    systems.append((OdeSystem((OdeEquation(ONE, -1, ()),), {}), -1))
+    for system, order in systems:
+        message = _raised(ref_verify_ode, system, ys, order)
+        assert _raised(verify_ode, system, ys, order) == message, (system, order)
+    y = {ONE: ys[ONE]}
+    for bad in ((1, 0, 0, 0, 0, 13), (1, 0, 0, 13, 0, 0), (1, 0, 0, 16, 3, 0),
+                (1, 0, 0, 0, -1, 0), (1, 0, 0, 0, -1, 13), (1, 0, -1, 0, 0, 0),
+                (1, -1, 0, 0, 0, 0)):
+        terms = [OdePolyTerm(Fraction(1), 0, 0, 0, 0, 1, ONE), OdePolyTerm(*bad, ONE)]
+        message = _raised(ref_verify_poly_ode, terms, y, 12)
+        assert _raised(verify_poly_ode, terms, y, 12) == message, bad
+
+
+def test_verifiers_build_no_series(monkeypatch):
+    system = emit_ode_system(MONO_C)
+    ys = monotone_vertex_series(MONO_C, 20)
+    wrong = _bumped(ys, ONE, 9, 1)
+    calls = Counter()
+    real = BiSeries._normalised.__func__
+
+    def counting(cls, order, coeffs):
+        calls["_normalised"] += 1
+        return real(cls, order, coeffs)
+
+    monkeypatch.setattr(BiSeries, "_normalised", classmethod(counting))
+    assert verify_ode(system, ys, 20).ok
+    assert not verify_ode(system, wrong, 20).ok
+    terms = [OdePolyTerm(Fraction(1), 0, 0, 0, 0, 1, ONE)]
+    assert not verify_poly_ode(terms, ys, 20)[0]
+    assert calls == {}
+    ys[ONE].dx()  # the counter sees the operators
+    assert calls == {"_normalised": 1}
