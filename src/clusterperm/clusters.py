@@ -17,10 +17,12 @@ The refined count cl[v, n, q, p_bar] is the number of q-clusters sigma of
 length n whose first len(v) entries are literally the word p_bar (with
 standardization v).  Summing over admissible words at the distinguished
 vertex (1) gives the total cl_{n,q}.  The recurrence is evaluated on
-t-polynomials: one memoized entry per (v, n, p_bar) holds cl[v, n, q, p_bar]
-for every q <= q_max, and an edge shifts its target's polynomial by one mark.
-Since q marks cover at most 1 + q (l_max - 1) entries, every (v, n, p_bar)
-with n beyond 1 + q_max (l_max - 1) is zero and is not expanded.
+t-polynomials: one entry per (v, n, p_bar) holds cl[v, n, q, p_bar] for
+every q <= q_max, and an edge shifts its target's polynomial by one mark.
+It is filled forward in n from the base state ((1), 1, (1)): each nonzero
+state is pushed along the edges into its vertex, so only nonzero states are
+ever built, and none beyond 1 + q_max (l_max - 1), the most entries q_max
+marks can cover.
 
 For a monotone collection the initial subword of a cluster is the vertex
 permutation itself, and the recurrence collapses to one binomial per edge
@@ -153,25 +155,29 @@ class LinkageProfile:
     """Per-edge data driving one step of the refined recurrence.
 
     The boundary of an edge is the whole pattern when l <= k + k', and its
-    first k and last k' entries otherwise.  A step extends the source word
-    (the boundary's first k entries) by the fresh boundary entries.  Their
-    ranks among the source entries are fixed by the pattern, so each fresh
-    entry lies in a known gap between consecutive source entries.
+    first k and last k' entries otherwise.  Write b_1 < ... < b_s for its
+    values in the cluster, with b_0 = 0 and b_{s+1} = n + 1.  spacing_r
+    pattern entries off the boundary lie between ranks r and r + 1, so a
+    step has weight prod_r C(b_{r+1} - b_r - 1, spacing_r).
 
-    ``gaps`` lists (g, fresh entries, spacing, lifts, room) for every gap g
-    that holds fresh entries or must leave room: spacing[i] pattern entries
-    off the boundary lie between the i-th and (i+1)-th boundary entries of
-    the gap (its ends included), lifts[i] is the room needed below the i-th
-    fresh entry, and room is the total.  ``sub`` gives, for each entry of
-    the target's initial word, its index in the step's value list (the
-    sorted source entries, then each gap's fresh entries) and the shift that
-    standardizes it within the sub-cluster.
+    ``fixed[j]`` is (rank, shift) of the target's j-th entry: b at that
+    rank, less the shift that standardizes it within the sub-cluster.  The
+    source entries not shared with the target are free.  ``runs`` lists
+    (lo, hi, spacing[lo:hi]) for each pair of consecutive fixed ranks, 0 and
+    s + 1 included, with free ranks or spacing between them.  ``source``
+    gives the rank of each source entry.
+
+    A shift counts the entries outside the sub-cluster below its entry, so
+    the fixed values leave room for every free entry and spacing: each run
+    has a placement, and every weight is positive.
     """
 
     edge: Edge
     drop: int  # l - k': the sub-cluster is this much shorter
-    gaps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...], int], ...]
-    sub: tuple[tuple[int, int], ...]
+    fixed: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, tuple[int, ...]], ...]
+    source: tuple[int, ...]
+    size: int  # s
 
 
 def _edge_profile(e: Edge) -> LinkageProfile:
@@ -179,29 +185,19 @@ def _edge_profile(e: Edge) -> LinkageProfile:
     where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
     values = [pat[i] for i in where]
     size = len(values)
-    tilde = standardize(values)
-    source_ranks = sorted(tilde[:k])
-    ranks = (0, *source_ranks, size + 1)
+    rank = standardize(values)
     entry = (0, *sorted(values), l + 1)  # pattern entry of each rank
     spacing = [entry[r + 1] - entry[r] - 1 for r in range(size + 1)]
-    gaps = []
-    for g in range(k + 1):
-        lo, hi = ranks[g], ranks[g + 1]
-        fresh, gap_spacing = hi - lo - 1, tuple(spacing[lo:hi])
-        if fresh or gap_spacing[0]:
-            lifts = tuple(accumulate(gap_spacing))[:fresh]
-            gaps.append((g, fresh, gap_spacing, lifts, sum(gap_spacing)))
-
-    def index(r):  # position of boundary rank r in the step's value list
-        if r in source_ranks:
-            return source_ranks.index(r)
-        return k + r - 1 - sum(x < r for x in source_ranks)
-
-    sub = tuple(
-        (index(tilde[size - kp + j]), pat[l - kp + j] - e.target[j])
-        for j in range(kp)
+    fixed = tuple(
+        (rank[size - kp + j], pat[l - kp + j] - e.target[j]) for j in range(kp)
     )
-    return LinkageProfile(e, l - kp, tuple(gaps), sub)
+    ends = sorted({0, size + 1, *(r for r, _ in fixed)})
+    runs = tuple(
+        (lo, hi, tuple(spacing[lo:hi]))
+        for lo, hi in zip(ends, ends[1:])
+        if hi - lo > 1 or spacing[lo]
+    )
+    return LinkageProfile(e, l - kp, fixed, runs, rank[:k], size)
 
 
 def _first_row(collection: PatternCollection) -> tuple[int, ...]:
@@ -214,54 +210,57 @@ Terms = tuple[tuple[int, int], ...]  # the nonzero (q, count) of a t-polynomial
 
 
 class _Engine:
-    """Memoized evaluator of the refined recurrence on one overlap graph,
-    truncated at q_max marks.
+    """The refined recurrence on one overlap graph, truncated at q_max marks
+    and filled forward from the base state ((1), 1, (1)).
 
-    ``_vec(v, n, word)`` is the t-polynomial of cl[v, n, q, word] truncated
-    at q_max, as the tuple of its nonzero (q, count) terms; the memo holds
-    one per (v, n, word).  An edge step adds its target's terms, shifted up
-    by one mark.  Above ``n_cap`` = 1 + q_max (l_max - 1) every count is
-    zero, so the recursion stops there: without that cap a small q_max would
-    still expand every word up to n_max.
+    ``memo[v, n, word]`` is the t-polynomial of cl[v, n, q, word], as the
+    tuple of its nonzero (q, count) terms; only nonzero states are stored.
+    Every edge shortens the cluster, so the states at n are complete once
+    every shorter state has been pushed.  Pushing a state along an edge into
+    its vertex adds its terms, shifted up by one mark and weighted, to each
+    source state the step can come from.  A state whose lowest q is q_max
+    pushes nothing, so no state beyond 1 + q_max (l_max - 1) is built.
 
-    ``refined`` and ``vertex_total`` check their input; the recursion
-    builds only admissible words and skips the check.
+    ``refined`` and ``vertex_total`` check their input, then read the memo;
+    a query above the filled length refills it from scratch.
     """
 
     def __init__(self, graph: OverlapGraph, q_max: int):
         self.graph = graph
         self.q_max = q_max
-        self.n_cap = 1 + q_max * (max(map(len, graph.collection)) - 1)
+        self.n_filled = 0
         self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
-        self.by_source: dict[Perm, list[LinkageProfile]] = {
+        self.into: dict[Perm, list[LinkageProfile]] = {
             v: [] for v in graph.vertices
         }
         for e in graph.edges:
-            self.by_source[e.source].append(_edge_profile(e))
-        row = _first_row(graph.collection)[: q_max + 1]
-        self.first_row: Terms = tuple(enumerate(row))
+            self.into[e.target].append(_edge_profile(e))
+        self.first_row = list(_first_row(graph.collection)[: q_max + 1])
+        self.options: dict[tuple[tuple[int, ...], int], list] = {}
 
     def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
         self._check_q(q)
         if (
-            v not in self.by_source
+            v not in self.into
             or len(word) != len(v)
             or any(not 1 <= x <= n for x in word)
             or len(set(word)) != len(word)
             or standardize(word) != v
         ):
             return 0
-        return dict(self._vec(v, n, word)).get(q, 0)
+        self._fill(n)
+        return dict(self.memo.get((v, n, word), ())).get(q, 0)
 
     def vertex_total(self, v: Perm, n: int, q: int) -> int:
         self._check_q(q)
-        if v not in self.by_source:
+        if v not in self.into:
             return 0
-        total = 0
-        for values in combinations(range(1, n + 1), len(v)):
-            word = tuple(values[x - 1] for x in v)
-            total += dict(self._vec(v, n, word)).get(q, 0)
-        return total
+        self._fill(n)
+        return sum(
+            dict(terms).get(q, 0)
+            for (u, m, _), terms in self.memo.items()
+            if u == v and m == n
+        )
 
     def _check_q(self, q: int):
         if q > self.q_max:
@@ -269,59 +268,66 @@ class _Engine:
                 f"refined counts capped at q_max={self.q_max}, asked for q={q}"
             )
 
-    def _vec(self, v: Perm, n: int, word: Perm) -> Terms:
-        if n == 1:  # v and word are (1)
-            return self.first_row
-        if n > self.n_cap:
-            return ()
-        key = (v, n, word)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        acc = [0] * (self.q_max + 1)
-        for prof in self.by_source[v]:
-            self._edge_step(prof, n, word, acc)
-        vec = tuple((q, c) for q, c in enumerate(acc) if c)
-        self.memo[key] = vec
-        return vec
-
-    def _edge_step(self, prof: LinkageProfile, n: int, word: Perm, acc: list):
-        n_sub = n - prof.drop
-        if n_sub < 1:
+    def _fill(self, n_max: int):
+        if n_max <= self.n_filled:
             return
-        source = tuple(sorted(word))
-        bounds = (0, *source, n + 1)
-        weight = 1
-        choices = []
-        for g, fresh, spacing, lifts, room in prof.gaps:
-            lo, hi = bounds[g], bounds[g + 1]
-            if not fresh:
-                weight *= comb(hi - lo - 1, room)
-                if not weight:
-                    return
-                continue
+        layers: list[dict] = [{} for _ in range(n_max + 1)]
+        layers[1][(1,), (1,)] = self.first_row
+        self.memo.clear()
+        for n in range(1, n_max + 1):
+            for (v, word), acc in layers[n].items():
+                self.memo[v, n, word] = tuple(
+                    (q, c) for q, c in enumerate(acc) if c
+                )
+                pushed = [(q + 1, c) for q, c in enumerate(acc[: self.q_max]) if c]
+                for prof in self.into[v] if pushed else ():
+                    m = n + prof.drop
+                    if m <= n_max:
+                        self._push(prof, m, word, pushed, layers[m])
+            layers[n] = {}
+        self.n_filled = n_max
+
+    def _push(
+        self, prof: LinkageProfile, n: int, y: Perm, pushed: list, layer: dict
+    ):
+        """Add ``pushed``, times each step's weight, to every source state at
+        length n of a step whose target word is y."""
+        b = [0] * (prof.size + 2)
+        b[-1] = n + 1
+        for (r, shift), x in zip(prof.fixed, y):
+            b[r] = x + shift
+        choices = [self._options(sp, b[hi] - b[lo]) for lo, hi, sp in prof.runs]
+        v = prof.edge.source
+        for chosen in product(*choices):
+            ways = 1
+            for (lo, _, _), (picked, w) in zip(prof.runs, chosen):
+                for r, x in enumerate(picked, lo + 1):
+                    b[r] = b[lo] + x
+                ways *= w
+            key = v, tuple(b[r] for r in prof.source)
+            acc = layer.get(key)
+            if acc is None:
+                acc = layer[key] = [0] * (self.q_max + 1)
+            for q, c in pushed:
+                acc[q] += ways * c
+
+    def _options(self, spacing: tuple[int, ...], width: int) -> list:
+        """(offsets above the run's lower end, weight) of each way to place
+        len(spacing) - 1 free values in a run spanning ``width``."""
+        key = spacing, width
+        options = self.options.get(key)
+        if options is None:
+            lifts = tuple(accumulate(spacing))[: len(spacing) - 1]
             options = []
-            for low in combinations(range(lo + 1, hi - room), fresh):
+            for low in combinations(range(1, width - sum(spacing)), len(lifts)):
                 picked = tuple(x + s for x, s in zip(low, lifts))
-                ways, prev = 1, lo
-                for x, m in zip(picked + (hi,), spacing):
-                    if m:
-                        ways *= comb(x - prev - 1, m)
+                ways, prev = 1, 0
+                for x, m in zip(picked + (width,), spacing):
+                    ways *= comb(x - prev - 1, m)
                     prev = x
                 options.append((picked, ways))
-            if not options:
-                return
-            choices.append(options)
-        target, sub, top = prof.edge.target, prof.sub, self.q_max
-        for chosen in product(*choices):
-            values, ways = source, weight
-            for picked, w in chosen:
-                values += picked
-                ways *= w
-            word_sub = tuple(values[i] - s for i, s in sub)
-            for q, c in self._vec(target, n_sub, word_sub):
-                if q < top:
-                    acc[q + 1] += ways * c
+            self.options[key] = options
+        return options
 
 
 def _refined_cluster_counts(
@@ -330,15 +336,13 @@ def _refined_cluster_counts(
     """cl_{n,q} by the refined recurrence, summed over first letters."""
     graph = build_graph(collection)
     engine = _Engine(graph, q_max)
+    engine._fill(n_max)
     totals = {(1, 0): 1}
-    for n in range(1, n_max + 1):
-        row = [0] * (q_max + 1)
-        for p1 in range(1, n + 1):
-            for q, c in engine._vec((1,), n, (p1,)):
-                row[q] += c
-        for q in range(1, q_max + 1):
-            if row[q]:
-                totals[(n, q)] = row[q]
+    for (v, n, _), terms in engine.memo.items():
+        for q, c in terms if v == (1,) else ():
+            if q:
+                totals[n, q] = totals.get((n, q), 0) + c
+    totals = dict(sorted(totals.items()))
     return ClusterTable(collection, n_max, q_max, totals, graph, engine)
 
 

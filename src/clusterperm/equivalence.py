@@ -38,9 +38,9 @@ from .monotone import _require_monotone
 from .perms import (
     DomainError,
     Perm,
+    _format_perm,
     all_permutations,
     check_permutation,
-    format_perm,
     occurrences,
     symmetry_orbit,
 )
@@ -324,14 +324,13 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         rep: cluster_counts_single_pattern(rep, n_max, q_max).totals
         for rep in reps
     }
+    single = {m: PatternCollection((m,)) for orb in orbits.values() for m in orb}
 
     def positive(r1: Perm, r2: Perm) -> bool:
-        c1 = PatternCollection((r1,))
-        for member in orbits[r2]:
-            c2 = PatternCollection((member,))
-            if any_theorem13_bijection(c1, c2) is not None:
-                return True
-        return False
+        return any(
+            any_theorem13_bijection(single[r1], single[m]) is not None
+            for m in orbits[r2]
+        )
 
     def separating(r1: Perm, r2: Perm):
         for q in range(1, q_max + 1):
@@ -368,8 +367,8 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
                             n, q, a, b = sep
                             separations.append(
                                 {
-                                    "a": format_perm(r1),
-                                    "b": format_perm(r2),
+                                    "a": _format_perm(r1),
+                                    "b": _format_perm(r2),
                                     "n": n,
                                     "q": q,
                                     "a_count": str(a),
@@ -380,22 +379,22 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         "orbit_count": len(reps),
         "orbits": [
             {
-                "representative": format_perm(rep),
+                "representative": _format_perm(rep),
                 "size": len(orbits[rep]),
-                "members": [format_perm(m) for m in orbits[rep]],
+                "members": [_format_perm(m) for m in orbits[rep]],
             }
             for rep in reps
         ],
         "buckets": {
-            key: [format_perm(r) for r in members]
+            key: [_format_perm(r) for r in members]
             for key, members in sorted(buckets.items())
         },
         "classes": {
-            key: [[format_perm(r) for r in grp] for grp in groups]
+            key: [[_format_perm(r) for r in grp] for grp in groups]
             for key, groups in sorted(classes.items())
         },
         "separations": separations,
         "undecided": [
-            (format_perm(a), format_perm(b)) for a, b in undecided
+            (_format_perm(a), _format_perm(b)) for a, b in undecided
         ],
     }

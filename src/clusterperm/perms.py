@@ -114,7 +114,8 @@ def complement(perm: Sequence[int]) -> Perm:
 def symmetry_orbit(perm: Sequence[int]) -> frozenset[Perm]:
     """Orbit under the group generated by reverse and complement."""
     p = check_permutation(perm)
-    return frozenset({p, reverse(p), complement(p), reverse(complement(p))})
+    c = tuple(len(p) + 1 - x for x in p)
+    return frozenset({p, p[::-1], c, c[::-1]})
 
 
 def all_permutations(n: int) -> Iterable[Perm]:
@@ -148,7 +149,12 @@ def parse_perm(text: str) -> Perm:
 
 
 def format_perm(perm: Sequence[int]) -> str:
-    return " ".join(str(x) for x in check_permutation(perm))
+    return _format_perm(check_permutation(perm))
+
+
+def _format_perm(perm: Perm) -> str:
+    """``format_perm`` for a permutation already checked."""
+    return " ".join(map(str, perm))
 
 
 def parse_collection_text(text: str) -> list[Perm]:

@@ -1,11 +1,20 @@
 """Cluster enumeration oracle and the recurrence engines."""
 
+from itertools import accumulate, combinations, product
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MONO_D, random_two_pattern_collections
+from conftest import (
+    MONO_ALL,
+    MONO_D,
+    random_two_pattern_collections,
+    reference_collections,
+)
 from clusterperm.clusters import (
     Cluster,
+    _first_row,
     _vertex_tables,
     binom,
     cluster_counts,
@@ -17,7 +26,7 @@ from clusterperm.clusters import (
     totals_to_tsv,
 )
 from clusterperm.graph import PatternCollection, is_monotone
-from clusterperm.perms import DomainError, occurrences
+from clusterperm.perms import DomainError, occurrences, standardize
 
 small_pattern = st.integers(3, 4).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -191,10 +200,31 @@ def test_refined_counts_sum_to_totals():
 
 
 def test_engine_memo_holds_one_vector_per_word():
-    # a 1324-cluster with q marks has length 3q + 1, so a memo keyed on
-    # (v, n, q, word) would hold 22,591 states here, almost all of them zero
-    table = cluster_counts(PatternCollection(((1, 3, 2, 4),)), 20, 20)
-    assert len(table._engine.memo) == 1178
+    # 1324 overlaps itself at k = 1 and k = 2, so a 1324-cluster with q marks
+    # has length 2q + 2 to 3q + 1; a top-down memo keyed on (v, n, q, word)
+    # held 22,591 states here, and one keyed on (v, n, word) 1,178
+    coll = PatternCollection(((1, 3, 2, 4),))
+    assert [count_clusters_oracle(coll, n, 2) for n in (5, 6, 7, 8)] == [0, 2, 1, 0]
+    table = cluster_counts(coll, 20, 20)
+    assert len(table._engine.memo) == 90
+    assert all(table._engine.memo.values())
+
+
+# Sixteen overlap-graph vertices and 130 edges.
+SIXTEEN = PatternCollection(tuple(
+    tuple(map(int, p))
+    for p in "123456 153264 253614 315426 362541 435261 541632 632154".split()
+))
+
+
+@pytest.mark.parametrize("coll, n, q, bound", [
+    (PatternCollection(((1, 3, 2, 4),)), 60, 60, 1000),  # 870; top-down 34,338
+    (SIXTEEN, 8, 3, 100),  # 81; top-down 312
+])
+def test_forward_fill_builds_only_nonzero_states(coll, n, q, bound):
+    table = cluster_counts(coll, n, q)
+    assert len(table._engine.memo) <= bound
+    assert all(table._engine.memo.values())
 
 
 def _below(totals, q_cap):
@@ -230,6 +260,134 @@ def test_refined_queries_above_q_max_are_domain_errors(coll):
         table.refined(v, 9, 4, v)
     with pytest.raises(DomainError, match="q_max=3"):
         table.vertex_total(v, 9, 4)
+
+
+class RefEngine:
+    """The refined recurrence evaluated top-down with a memo, the reference
+    for the forward fill: ``vec(v, n, word)`` enumerates every fresh pick of
+    every edge out of v and recurses into the target word each one reaches,
+    zero or not."""
+
+    def __init__(self, graph, q_max):
+        self.q_max = q_max
+        self.n_cap = 1 + q_max * (max(map(len, graph.collection)) - 1)
+        self.memo = {}
+        self.by_source = {v: [] for v in graph.vertices}
+        for e in graph.edges:
+            self.by_source[e.source].append(self._profile(e))
+        self.first_row = tuple(enumerate(_first_row(graph.collection)[: q_max + 1]))
+
+    @staticmethod
+    def _profile(e):
+        """(target, drop, gaps, sub): gaps lists (g, fresh entries, spacing,
+        lifts, room) for each gap g between sorted source entries that holds
+        fresh entries or must leave room; sub gives each target entry's index
+        in the step's value list and its standardizing shift."""
+        pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
+        where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
+        values = [pat[i] for i in where]
+        size = len(values)
+        tilde = standardize(values)
+        source_ranks = sorted(tilde[:k])
+        ranks = (0, *source_ranks, size + 1)
+        entry = (0, *sorted(values), l + 1)
+        spacing = [entry[r + 1] - entry[r] - 1 for r in range(size + 1)]
+        gaps = []
+        for g in range(k + 1):
+            lo, hi = ranks[g], ranks[g + 1]
+            fresh, gap_spacing = hi - lo - 1, tuple(spacing[lo:hi])
+            if fresh or gap_spacing[0]:
+                lifts = tuple(accumulate(gap_spacing))[:fresh]
+                gaps.append((g, fresh, gap_spacing, lifts, sum(gap_spacing)))
+
+        def index(r):
+            if r in source_ranks:
+                return source_ranks.index(r)
+            return k + r - 1 - sum(x < r for x in source_ranks)
+
+        sub = tuple(
+            (index(tilde[size - kp + j]), pat[l - kp + j] - e.target[j])
+            for j in range(kp)
+        )
+        return e.target, l - kp, gaps, sub
+
+    def vec(self, v, n, word):
+        if n == 1:
+            return self.first_row
+        if n > self.n_cap:
+            return ()
+        key = (v, n, word)
+        if key not in self.memo:
+            acc = [0] * (self.q_max + 1)
+            for prof in self.by_source[v]:
+                self._step(prof, n, word, acc)
+            self.memo[key] = tuple((q, c) for q, c in enumerate(acc) if c)
+        return self.memo[key]
+
+    def _step(self, prof, n, word, acc):
+        target, drop, gaps, sub = prof
+        if n - drop < 1:
+            return
+        source = tuple(sorted(word))
+        bounds = (0, *source, n + 1)
+        weight, choices = 1, []
+        for g, fresh, spacing, lifts, room in gaps:
+            lo, hi = bounds[g], bounds[g + 1]
+            if not fresh:
+                weight *= comb(hi - lo - 1, room)
+                if not weight:
+                    return
+                continue
+            options = []
+            for low in combinations(range(lo + 1, hi - room), fresh):
+                picked = tuple(x + s for x, s in zip(low, lifts))
+                ways, prev = 1, lo
+                for x, m in zip(picked + (hi,), spacing):
+                    ways *= comb(x - prev - 1, m)
+                    prev = x
+                options.append((picked, ways))
+            if not options:
+                return
+            choices.append(options)
+        for chosen in product(*choices):
+            values, ways = source, weight
+            for picked, w in chosen:
+                values += picked
+                ways *= w
+            word_sub = tuple(values[i] - s for i, s in sub)
+            for q, c in self.vec(target, n - drop, word_sub):
+                if q < self.q_max:
+                    acc[q + 1] += ways * c
+
+
+def _admissible_words(v, n):
+    for values in combinations(range(1, n + 1), len(v)):
+        yield tuple(values[x - 1] for x in v)
+
+
+def test_refined_queries_match_the_top_down_reference():
+    # the monotone collections answer through the lazily built engine; the
+    # short table answers above its n_max by refilling
+    for coll in reference_collections() + list(MONO_ALL):
+        table = cluster_counts(coll, 10, 10)
+        short = cluster_counts(coll, 6, 10)
+        ref = RefEngine(table.graph, 10)
+        for v in table.graph.vertices:
+            for n in range(1, 11):
+                by_vertex = [0] * 11
+                for word in _admissible_words(v, n):
+                    expected = dict(ref.vec(v, n, word))
+                    for q in range(11):
+                        got = table.refined(v, n, q, word)
+                        assert got == expected.get(q, 0), (coll, v, n, q, word)
+                        if n > 6:
+                            assert short.refined(v, n, q, word) == got
+                        by_vertex[q] += got
+                for q in range(11):
+                    assert table.vertex_total(v, n, q) == by_vertex[q]
+                    assert short.vertex_total(v, n, q) == by_vertex[q]
+        assert all(table._engine.memo.values())
+        assert all(short._engine.memo.values())
 
 
 def test_totals_tsv_round_trip():

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from clusterperm import kernels
+from clusterperm import clusters, equivalence, graph, kernels, perms
 from conftest import nudged, random_two_pattern_collections
 from clusterperm.equivalence import (
     PatternBijection,
@@ -271,6 +271,26 @@ def test_separated_set():
 @pytest.fixture(scope="module")
 def s5_report():
     return classify_s5()
+
+
+def test_classify_s5_validates_each_permutation_a_few_times(monkeypatch):
+    calls = []
+    real = perms.check_permutation
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    for module in (perms, graph, clusters, equivalence):
+        assert module.check_permutation is real
+        monkeypatch.setattr(module, "check_permutation", counting)
+    graph._borders.cache_clear()
+    report = classify_s5(n_max=9)
+    assert report["orbit_count"] == 32
+    # at most once for each of the 120 patterns of S_5 in its orbit, its
+    # collection, its border table and its monotonicity test; re-validating
+    # generated patterns makes about 1,950 calls
+    assert 0 < len(calls) <= 4 * 120
 
 
 def test_s5_orbits(s5_report):
