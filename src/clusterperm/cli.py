@@ -108,9 +108,11 @@ def cmd_monotone(args: argparse.Namespace) -> int:
 
 def cmd_verify_ode(args: argparse.Namespace) -> int:
     coll = _load_collection(args.patterns)
-    graph = build_graph(coll)  # one graph serves the system and the series
-    system = monotone._ode_system(graph)  # also checks monotonicity
-    report = monotone.verify_ode(system, monotone._vertex_series(graph, args.n), args.n)
+    # one graph and one fill of the vertex rows serve the system and the check
+    system, rows = monotone._ode_system(build_graph(coll), args.n)  # checks monotonicity
+    if args.n < 0:
+        raise DomainError("truncation order must be nonnegative")
+    report = monotone._verify_rows(system, rows, dict.fromkeys(rows, args.n), args.n)
     for check in report.equations:
         status = "pass" if check.ok else "fail"
         line = f"{check.vertex}: {status} (through x^{check.checked_order})"

@@ -221,21 +221,25 @@ class _Engine:
     source state the step can come from.  A state whose lowest q is q_max
     pushes nothing, so no state beyond 1 + q_max (l_max - 1) is built.
 
-    ``refined`` and ``vertex_total`` check their input, then read the memo;
-    a query above the filled length refills it from scratch.
+    The memo starts with the base state, and every fill resumes from it:
+    the pushes of memo states that land beyond the filled length are made
+    from their terms, then the fill goes on upwards.  ``refined`` and
+    ``vertex_total`` check their input, fill through the length asked, and
+    read the memo.
     """
 
     def __init__(self, graph: OverlapGraph, q_max: int):
         self.graph = graph
         self.q_max = q_max
-        self.n_filled = 0
-        self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
+        self.n_filled = 1  # the base state
+        self.memo: dict[tuple[Perm, int, Perm], Terms] = {
+            ((1,), 1, (1,)): tuple(enumerate(_first_row(graph.collection)[: q_max + 1]))
+        }
         self.into: dict[Perm, list[LinkageProfile]] = {
             v: [] for v in graph.vertices
         }
         for e in graph.edges:
             self.into[e.target].append(_edge_profile(e))
-        self.first_row = list(_first_row(graph.collection)[: q_max + 1])
         self.options: dict[tuple[tuple[int, ...], int], list] = {}
 
     def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
@@ -269,23 +273,28 @@ class _Engine:
             )
 
     def _fill(self, n_max: int):
-        if n_max <= self.n_filled:
+        start = self.n_filled
+        if n_max <= start:
             return
         layers: list[dict] = [{} for _ in range(n_max + 1)]
-        layers[1][(1,), (1,)] = self.first_row
-        self.memo.clear()
-        for n in range(1, n_max + 1):
+        for (v, n, word), terms in self.memo.items():
+            self._push_state(v, n, word, terms, layers, start)
+        for n in range(start + 1, n_max + 1):
             for (v, word), acc in layers[n].items():
-                self.memo[v, n, word] = tuple(
-                    (q, c) for q, c in enumerate(acc) if c
-                )
-                pushed = [(q + 1, c) for q, c in enumerate(acc[: self.q_max]) if c]
-                for prof in self.into[v] if pushed else ():
-                    m = n + prof.drop
-                    if m <= n_max:
-                        self._push(prof, m, word, pushed, layers[m])
+                terms = tuple((q, c) for q, c in enumerate(acc) if c)
+                self.memo[v, n, word] = terms
+                self._push_state(v, n, word, terms, layers, start)
             layers[n] = {}
         self.n_filled = n_max
+
+    def _push_state(self, v: Perm, n: int, word: Perm, terms, layers, start: int):
+        """Push a complete state along every edge into v, to the lengths
+        above ``start`` that ``layers`` holds."""
+        pushed = [(q + 1, c) for q, c in terms if q < self.q_max]
+        for prof in self.into[v] if pushed else ():
+            m = n + prof.drop
+            if start < m < len(layers):
+                self._push(prof, m, word, pushed, layers[m])
 
     def _push(
         self, prof: LinkageProfile, n: int, y: Perm, pushed: list, layer: dict
@@ -382,12 +391,13 @@ def _vertex_tables(
         rows[(1,)][1] = list(_first_row(graph.collection)[: q_max + 1])
     for n in range(2, n_max + 1):
         for v, edges in data.items():
-            acc = [0] * (q_max + 1)
+            acc = []
             for l, k, m, target in edges:
                 coef = binom(n - m, l - m)
                 if coef and n - l + k >= 1:
-                    sub = rows[target][n - l + k]
-                    for q, c in enumerate(sub[:q_max], 1):
+                    sub = rows[target][n - l + k][:q_max]
+                    acc.extend([0] * (len(sub) + 1 - len(acc)))
+                    for q, c in enumerate(sub, 1):
                         acc[q] += coef * c
             while acc and not acc[-1]:
                 acc.pop()

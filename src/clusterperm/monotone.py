@@ -21,7 +21,9 @@ and m is the per-vertex maximum of the m_j.
 normalised x^n slices Y[n][q] = n! [x^n t^q] y, the term
 d^a(x^b/b! d^c y) has coefficient C(n+a, b) Y[n+a-b+c][q], which is zero when
 n+a < b; with a = m - m_j, b = l_j - m_j and c = k_j the equation at x^n t^q
-is the recurrence above at length n + m.
+is the recurrence above at length n + m.  The check itself, ``_verify_rows``,
+reads the rows Y[n] as lists by q: ``verify_ode`` passes a series' slices,
+and ``verify-ode`` the vertex tables its system's boundary was read from.
 """
 
 from __future__ import annotations
@@ -78,15 +80,11 @@ def monotone_vertex_series(
 ) -> dict[Perm, BiSeries]:
     """The generating functions y_v(x,t), truncated at x^order."""
     _require_monotone(collection)
-    return _vertex_series(build_graph(collection), order)
-
-
-def _vertex_series(graph: OverlapGraph, order: int) -> dict[Perm, BiSeries]:
     return {  # the counts are n! c_{v,n,q}
         v: BiSeries._normalised(
             order, {(n, q): c for n, row in enumerate(rows) for q, c in enumerate(row)}
         )
-        for v, rows in _vertex_tables(graph, order, order).items()
+        for v, rows in _vertex_tables(build_graph(collection), order, order).items()
     }
 
 
@@ -121,10 +119,12 @@ class OdeSystem:
 
 
 def emit_ode_system(collection: PatternCollection) -> OdeSystem:
-    return _ode_system(build_graph(collection))
+    return _ode_system(build_graph(collection))[0]
 
 
-def _ode_system(graph: OverlapGraph) -> OdeSystem:
+def _ode_system(graph: OverlapGraph, order: int = 0):
+    """The system, and the vertex rows its boundary came from: one fill of
+    ``_vertex_tables`` through x^order or the largest m_v, if that is more."""
     _require_monotone(graph.collection)
     data = monotone_recurrence_data(graph)
     equations = []
@@ -137,7 +137,7 @@ def _ode_system(graph: OverlapGraph) -> OdeSystem:
         )
         equations.append(OdeEquation(v, m_v, terms))
     # y_v^(i)(0, t) = sum_q cl_{v,i,q} t^q, read off this graph's cell table
-    top = max(eq.order for eq in equations)
+    top = max(order, *(eq.order for eq in equations))
     rows = _vertex_tables(graph, top, top)
     boundary = {
         eq.vertex: tuple(
@@ -145,7 +145,7 @@ def _ode_system(graph: OverlapGraph) -> OdeSystem:
         )
         for eq in equations
     }
-    return OdeSystem(tuple(equations), boundary)
+    return OdeSystem(tuple(equations), boundary), rows
 
 
 def emit_single_pattern_ode(pattern) -> OdeSystem:
@@ -207,13 +207,13 @@ def _slice(specs, n: int) -> list:
     return acc
 
 
-def _residual(terms, series, slices, top: int):
+def _residual(terms, slices, orders, top: int):
     """(order checked, least nonzero (n, q, normalised coefficient) or None) for
     the sum of the terms (w, p, e, a, b, c, target); each one caps the order and
     raises where y.dx(c).mul_xpow(b).dx(a).mul_monomial(e).mul_tpow(p) would."""
     specs = []
     for w, p, e, a, b, c, target in terms:
-        order = series[target].order
+        order = orders[target]
         for bad, what in ((order < c, "truncation order"), (b < 0, "monomial degree"),
                           (order - c + b < a, "truncation order"),
                           (e < 0, "monomial degree"), (p < 0, "t power")):
@@ -234,6 +234,12 @@ def verify_ode(
     """Check every equation (and the boundary data) against the series, one
     coefficient at a time on their normalised x^n slices."""
     slices = {v: y._slices() for v, y in series.items()}
+    return _verify_rows(system, slices, {v: y.order for v, y in series.items()}, order)
+
+
+def _verify_rows(system: OdeSystem, slices, orders, order: int) -> VerifyReport:
+    """``verify_ode`` on the rows slices[v][n][q] = n! [x^n t^q] y_v, trusted
+    through x^orders[v]; cl_{v,n,q} from ``_vertex_tables`` are such rows."""
     checks = []
     for eq in system.equations:
         if order < eq.order:
@@ -242,14 +248,15 @@ def verify_ode(
                 f"derivative order of the equation for vertex "
                 f"({format_perm(eq.vertex)})"
             )
-        y = series[eq.vertex]
-        if y.order < order:
-            raise DomainError(f"series for {eq.vertex} filled to {y.order}, need {order}")
+        if orders[eq.vertex] < order:
+            raise DomainError(
+                f"series for {eq.vertex} filled to {orders[eq.vertex]}, need {order}"
+            )
         if order < 0:  # only with m_v < 0; the sum of the terms has this order
             raise DomainError("truncation order must be nonnegative")
         lhs = (1, 0, 0, 0, 0, eq.order, eq.vertex)  # y^(m) - t (sum of the terms)
         rhs = [(-1, 1, 0, t.a, t.b, t.c, t.target) for t in eq.terms]
-        top, bad = _residual([lhs, *rhs], series, slices, min(order, order - eq.order))
+        top, bad = _residual([lhs, *rhs], slices, orders, min(order, order - eq.order))
         if bad:
             n, q, r = bad
             row = _slice([(*lhs[:6], slices[eq.vertex])], n)
@@ -257,7 +264,7 @@ def verify_ode(
             bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
     boundary_ok = all(
-        {q: c for q, c in enumerate(slices[v][i] if i < len(slices[v]) else []) if c}
+        {q: c for q, c in enumerate(slices[v][i] if i <= orders[v] else []) if c}
         == {q: c for q, c in row.items() if c}
         for v, rows in system.boundary.items()
         for i, row in enumerate(rows)
@@ -289,7 +296,7 @@ def verify_poly_ode(
     slices = {v: y._slices() for v, y in series.items()}
     terms = [(Fraction(t.coeff), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
              for t in terms]
-    top, bad = _residual(terms, series, slices, order)
+    top, bad = _residual(terms, slices, {v: y.order for v, y in series.items()}, order)
     if bad:
         bad = (*bad[:2], Fraction(bad[2], factorial(bad[0])))
     return bad is None, bad, top

@@ -16,7 +16,10 @@ table, the substitution t -> t + delta, series reciprocal, and the avoidance
 generating function Pi(x,t) = 1/(1 - Pi_cl(x, t-1)) whose normalised
 coefficients are alpha_{n,q} = n! c_{n,q}, the number of permutations of
 length n with exactly q consecutive occurrences of patterns from the
-collection.
+collection.  It is computed as Pi(x,t) = P(x, t-1) with
+P(x,s) = 1/(1 - Pi_cl(x,s)): t -> t-1 is a ring homomorphism on each x^n
+slice, so it commutes with inversion, and P is inverted on the unshifted
+cluster rows, which are sparse in s where the shifted ones are dense.
 """
 
 from __future__ import annotations
@@ -235,11 +238,18 @@ def cluster_gf(table: ClusterTable, order: int) -> BiSeries:
 def avoidance_gf(
     collection: PatternCollection, order: int, table: ClusterTable | None = None
 ) -> BiSeries:
-    """Pi(x,t) = 1/(1 - Pi_cl(x, t-1)), truncated at x^order."""
+    """Pi(x,t) = 1/(1 - Pi_cl(x, t-1)), truncated at x^order, computed as
+    P(x, t-1) where P(x,s) = 1/(1 - Pi_cl(x,s)) is inverted on the
+    unshifted cluster series.  A given table must count this collection."""
     if table is None:
         table = cluster_counts(collection, order, order)
+    elif set(table.collection) != set(collection):
+        raise DomainError(
+            f"table counts clusters of {table.collection.patterns}, "
+            f"not of {collection.patterns}"
+        )
     pcl = cluster_gf(table, order)
-    return (BiSeries.one(order) - pcl.shift_t(-1)).reciprocal()
+    return (BiSeries.one(order) - pcl).reciprocal().shift_t(-1)
 
 
 def alpha_counts(series: BiSeries) -> dict[tuple[int, int], int]:

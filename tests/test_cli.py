@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import clusterperm
 import clusterperm.graph as graph_module
-from clusterperm import clusters, series
+from clusterperm import clusters, monotone, series
 from clusterperm.cli import build_parser, main
 
 
@@ -264,6 +265,28 @@ def test_verify_ode_output_is_pinned(tmp_path, capsys):
         "(1, 2, 3, 4): pass (through x^55)\n"
         "boundary: pass\n"
     )
+
+
+@pytest.mark.parametrize("text", ["12345\n", "1576243\n13254\n", "1\n"])
+def test_verify_ode_fills_the_vertex_rows_once(tmp_path, capsys, monkeypatch, text):
+    f = write(tmp_path, "p.txt", text)
+    calls = Counter()
+    real_tables, real_init = clusters._vertex_tables, series.BiSeries.__init__
+
+    def tables(*args):
+        calls["_vertex_tables"] += 1
+        return real_tables(*args)
+
+    def init(self, *args, **kwargs):
+        calls["BiSeries"] += 1
+        real_init(self, *args, **kwargs)
+
+    for module in (clusters, monotone):
+        monkeypatch.setattr(module, "_vertex_tables", tables)
+    monkeypatch.setattr(series.BiSeries, "__init__", init)
+    assert main(["verify-ode", f, "--n", "30"]) == 0
+    assert calls == {"_vertex_tables": 1}
+    assert "fail" not in capsys.readouterr().out
 
 
 def test_length_one_pattern_has_an_ode(tmp_path, capsys):

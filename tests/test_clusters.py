@@ -1,5 +1,6 @@
 """Cluster enumeration oracle and the recurrence engines."""
 
+from collections import Counter
 from itertools import accumulate, combinations, product
 from math import comb
 
@@ -14,6 +15,7 @@ from conftest import (
 )
 from clusterperm.clusters import (
     Cluster,
+    _Engine,
     _first_row,
     _vertex_tables,
     binom,
@@ -25,7 +27,7 @@ from clusterperm.clusters import (
     totals_from_tsv,
     totals_to_tsv,
 )
-from clusterperm.graph import PatternCollection, is_monotone
+from clusterperm.graph import PatternCollection, build_graph, is_monotone
 from clusterperm.perms import DomainError, occurrences, standardize
 
 small_pattern = st.integers(3, 4).flatmap(
@@ -388,6 +390,33 @@ def test_refined_queries_match_the_top_down_reference():
                     assert short.vertex_total(v, n, q) == by_vertex[q]
         assert all(table._engine.memo.values())
         assert all(short._engine.memo.values())
+
+
+@pytest.mark.parametrize("coll", [*MONO_ALL, PatternCollection(((1, 3, 2, 4),))])
+def test_sequential_queries_resume_the_fill(coll, monkeypatch):
+    # walking n = 1..10 upwards pushes each (state, edge) pair once, as one
+    # fill to 10 does, and keeps every value of the top-down reference
+    pushes = Counter()
+    real = _Engine._push
+
+    def counting(engine, *args):
+        pushes[engine] += 1
+        return real(engine, *args)
+
+    monkeypatch.setattr(_Engine, "_push", counting)
+    graph = build_graph(coll)
+    once, walked, ref = _Engine(graph, 10), _Engine(graph, 10), RefEngine(graph, 10)
+    once._fill(10)
+    for n in range(1, 11):
+        for v in graph.vertices:
+            for word in _admissible_words(v, n):
+                expected = dict(ref.vec(v, n, word))
+                for q in range(11):
+                    assert walked.refined(v, n, q, word) == expected.get(q, 0), (
+                        v, n, q, word)
+        assert walked.n_filled == n
+    assert pushes[walked] == pushes[once] > 0
+    assert walked.memo == once.memo
 
 
 def test_totals_tsv_round_trip():

@@ -14,11 +14,12 @@ from conftest import MONO_A, MONO_B, MONO_C, MONO_D, MONO_ALL
 from test_acceptance import CORRECT_D, ELIMINATED_C, ELIMINATED_D, ONE, _poly_terms
 from clusterperm.clusters import (
     _refined_cluster_counts,
+    _vertex_tables,
     cluster_counts,
     count_clusters_oracle,
     table_totals,
 )
-from clusterperm.graph import PatternCollection, overlap_lengths
+from clusterperm.graph import PatternCollection, build_graph, overlap_lengths
 from clusterperm.monotone import (
     EquationCheck,
     MonotoneError,
@@ -27,6 +28,7 @@ from clusterperm.monotone import (
     OdeSystem,
     OdeTerm,
     VerifyReport,
+    _ode_system,
     emit_ode_system,
     emit_single_pattern_ode,
     is_monotone,
@@ -95,6 +97,29 @@ def test_emit_builds_the_graph_and_checks_monotonicity_once(monkeypatch, pattern
     assert calls == {"build_graph": 1, "is_monotone": 1}
     order = max(eq.order for eq in system.equations)
     assert verify_ode(system, monotone_vertex_series(coll, order), order).boundary_ok
+
+
+def test_one_fill_serves_the_boundary_and_the_rows():
+    # the rows _ode_system fills through max(order, m_v) give the boundary a
+    # fill through the top m_v gives, and the rows a fill through the order gives
+    colls = [*MONO_ALL, *(PatternCollection((p,)) for p in _monotone_self_overlapping(6))]
+    assert len(colls) == 84
+    for coll in colls:
+        graph = build_graph(coll)
+        for order in (0, 9, 30):
+            system, rows = _ode_system(graph, order)
+            top = max(eq.order for eq in system.equations)
+            fresh = _vertex_tables(graph, top, top)
+            assert system.boundary == {
+                eq.vertex: tuple(
+                    {q: c for q, c in enumerate(row) if c}
+                    for row in fresh[eq.vertex][: eq.order]
+                )
+                for eq in system.equations
+            }, (coll, order)
+            assert system == emit_ode_system(coll)
+            through = {v: r[: order + 1] for v, r in rows.items()}
+            assert through == _vertex_tables(graph, order, order), (coll, order)
 
 
 def test_emitted_equation_orders():

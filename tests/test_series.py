@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import MONO_ALL
 from clusterperm.clusters import cluster_counts
 from clusterperm.graph import PatternCollection
 from clusterperm.perms import DomainError
@@ -89,6 +90,15 @@ def test_shift_t_round_trip(coeffs):
     assert s.shift_t(1).shift_t(-1).eq_through(s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(coeff_maps, st.integers(-2, 2))
+def test_shift_t_commutes_with_inversion(coeffs, delta):
+    # t -> t + delta is a ring homomorphism on each x^n slice
+    a = series_from(coeffs)  # zero constant term
+    one = BiSeries.one(a.order)
+    assert (one - a).reciprocal().shift_t(delta) == (one - a.shift_t(delta)).reciprocal()
+
+
 def test_subs_t():
     s = series_from({(1, 0): 1, (1, 2): 3})
     vals = s.subs_t(2)
@@ -137,6 +147,32 @@ def test_table_capped_below_the_order_in_q_is_rejected():
         avoidance_gf(coll, 8, table=short)
     row = {q: a for (n, q), a in alpha_counts(avoidance_gf(coll, 8)).items() if n == 8}
     assert row[6] == 1 and sum(row.values()) == factorial(8)
+
+
+def ref_avoidance_gf(table, order):
+    """The inverse GF shifted before inverting: 1/(1 - Pi_cl(x, t-1))."""
+    return (BiSeries.one(order) - cluster_gf(table, order).shift_t(-1)).reciprocal()
+
+
+def test_avoidance_gf_matches_the_shift_first_order(reference_tables):
+    assert len(reference_tables) == 173
+    for coll, table in reference_tables:  # filled to (12, 12)
+        assert avoidance_gf(coll, 10, table=table) == ref_avoidance_gf(table, 10), coll
+    for coll in MONO_ALL:
+        table = cluster_counts(coll, 30, 30)
+        assert avoidance_gf(coll, 30, table=table) == ref_avoidance_gf(table, 30), coll
+
+
+def test_table_of_another_collection_is_rejected():
+    coll, other = PatternCollection(((1, 2, 3),)), PatternCollection(((1, 3, 2),))
+    with pytest.raises(DomainError, match=r"clusters of \(\(1, 3, 2\),\), not of \(\(1, 2, 3\),\)"):
+        avoidance_gf(coll, 6, table=cluster_counts(other, 6, 6))
+    pair = PatternCollection(((1, 3, 2), (2, 1, 3)))
+    with pytest.raises(DomainError, match="not of"):
+        avoidance_gf(pair, 6, table=cluster_counts(other, 6, 6))
+    # the same patterns in another order count the same clusters
+    swapped = PatternCollection(((2, 1, 3), (1, 3, 2)))
+    assert avoidance_gf(pair, 6, table=cluster_counts(swapped, 6, 6)) == avoidance_gf(pair, 6)
 
 
 def test_alpha_counts_rejects_non_integer():
@@ -309,6 +345,7 @@ def test_counts_stay_integers_through_the_pipeline():
     pcl = cluster_gf(table, 9)
     assert pcl.coeffs == {k: c for k, c in table.totals.items() if c}
     gf = avoidance_gf(coll, 9, table=table)
-    for s in (pcl, pcl.shift_t(-1), gf, gf.dx(2).mul_xpow(3)):
+    unshifted = (BiSeries.one(9) - pcl).reciprocal()
+    for s in (pcl, pcl.shift_t(-1), unshifted, gf, gf.dx(2).mul_xpow(3)):
         assert all(type(c) is int for c in s.coeffs.values())
     assert alpha_counts(gf) == gf.coeffs
