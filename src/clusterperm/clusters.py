@@ -140,8 +140,7 @@ def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
         preds = _window_order_preds(n, windows)
         if preds is None:
             continue
-        masks = [sum(1 << j for j in s) for s in preds]
-        total += kernels.count_linear_extensions(n, masks)
+        total += kernels.count_linear_extensions(n, preds)
     return total
 
 

@@ -303,10 +303,28 @@ def _self_overlap_profile(p: Perm) -> tuple[int, ...]:
     return tuple(k for k in _overlaps(p, p) if k >= 2)
 
 
+def _theorem13_signature(p: Perm) -> tuple[int, tuple]:
+    """Length, self-overlap lengths, and the final and initial entry sets at
+    each self-overlap.  For single patterns p and p', the only bijection
+    maps p to p', and it passes check_theorem13 exactly when the two
+    signatures are equal."""
+    l = len(p)
+    return (
+        l,
+        tuple((k, frozenset(p[l - k :]), frozenset(p[:k])) for k in _overlaps(p, p)),
+    )
+
+
 def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
     """Orbits of S_5 under reverse and complement, bucketed by self-overlap
     profile, with strong c-Wilf equivalence classes and the cluster statistics
-    separating inequivalent pairs."""
+    separating inequivalent pairs.
+
+    Two orbits share a class when some member of one passes check_theorem13
+    against the representative of the other.  Between single patterns that
+    test is equality of ``_theorem13_signature``, since the bijection
+    between them is forced, so no bijection search runs.
+    """
     orbits = {}
     for p in all_permutations(5):
         orb = symmetry_orbit(p)
@@ -320,25 +338,22 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         key = ",".join(map(str, prof)) if prof else "none"
         buckets.setdefault(key, []).append(rep)
 
-    totals = {
-        rep: cluster_counts_single_pattern(rep, n_max, q_max).totals
-        for rep in reps
+    signatures = {
+        rep: {_theorem13_signature(m) for m in orbits[rep]} for rep in reps
     }
-    single = {m: PatternCollection((m,)) for orb in orbits.values() for m in orb}
+    cells = [(n, q) for q in range(1, q_max + 1) for n in range(1, n_max + 1)]
+    vectors = {}
+    for rep in reps:
+        totals = cluster_counts_single_pattern(rep, n_max, q_max).totals
+        vectors[rep] = [totals.get(cell, 0) for cell in cells]
 
     def positive(r1: Perm, r2: Perm) -> bool:
-        return any(
-            any_theorem13_bijection(single[r1], single[m]) is not None
-            for m in orbits[r2]
-        )
+        return _theorem13_signature(r1) in signatures[r2]
 
     def separating(r1: Perm, r2: Perm):
-        for q in range(1, q_max + 1):
-            for n in range(1, n_max + 1):
-                a = totals[r1].get((n, q), 0)
-                b = totals[r2].get((n, q), 0)
-                if a != b:
-                    return (n, q, a, b)
+        for (n, q), a, b in zip(cells, vectors[r1], vectors[r2]):
+            if a != b:
+                return (n, q, a, b)
         return None
 
     classes: dict[str, list[list[Perm]]] = {}

@@ -187,57 +187,46 @@ def enumerate_linkages(pi: Perm, pi_prime: Perm, n: int) -> list[Perm]:
 
 
 def _window_order_preds(n: int, windows: list[tuple[int, Perm]]):
-    """Strict-order predecessor sets implied by standardization constraints.
+    """Strict-order predecessor masks implied by standardization constraints.
 
     ``windows`` holds (0-based offset, pattern) pairs; the pattern dictates
     the total value-order of its window's positions.  Returns per-position
-    predecessor sets (transitively closed) or None on contradiction.
+    bitmasks of the positions forced smaller (transitively closed), or None
+    on contradiction.
     """
-    less = [set() for _ in range(n)]  # less[i]: positions with smaller value
+    less = [0] * n  # bit j of less[i]: position j has the smaller value
     for off, pat in windows:
-        by_rank = sorted(range(len(pat)), key=lambda i: pat[i])
-        for a in range(len(pat)):
-            for b in range(a + 1, len(pat)):
-                less[off + by_rank[b]].add(off + by_rank[a])
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
+        below = 0
+        for i in sorted(range(len(pat)), key=pat.__getitem__):
+            less[off + i] |= below
+            below |= 1 << (off + i)
+    # Warshall's transitive closure
+    for k in range(n):
         for i in range(n):
-            extra = set()
-            for j in less[i]:
-                extra |= less[j] - less[i]
-            if extra:
-                less[i] |= extra
-                changed = True
-    for i in range(n):
-        if i in less[i]:
-            return None
+            if less[i] >> k & 1:
+                less[i] |= less[k]
+    if any(less[i] >> i & 1 for i in range(n)):
+        return None
     return less
 
 
-def _extensions_to_perms(n: int, less: list[set[int]]) -> list[Perm]:
+def _extensions_to_perms(n: int, less: list[int]) -> list[Perm]:
     """Enumerate all value assignments consistent with the order constraints."""
     result: list[Perm] = []
     values = [0] * n
-    remaining = set(range(n))
 
-    def assign(rank: int):
-        if rank > n:
+    def assign(rank: int, remaining: int):
+        if not remaining:
             result.append(tuple(values))
             return
-        for pos in sorted(remaining):
+        for pos in range(n):
             # pos may take the next rank only once every smaller-valued
             # position already holds a value
-            if less[pos] & remaining:
-                continue
-            remaining.discard(pos)
-            values[pos] = rank
-            assign(rank + 1)
-            values[pos] = 0
-            remaining.add(pos)
+            if remaining >> pos & 1 and not less[pos] & remaining:
+                values[pos] = rank
+                assign(rank + 1, remaining & ~(1 << pos))
 
-    assign(1)
+    assign(1, (1 << n) - 1)
     return result
 
 

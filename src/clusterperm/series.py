@@ -172,13 +172,15 @@ class BiSeries:
 
     def shift_t(self, delta: int) -> "BiSeries":
         """Substitute t -> t + delta, re-expanding each x^n slice exactly by
-        Horner's rule."""
+        the Taylor shift: pass i divides by (t - delta) once more and leaves
+        the i-th coefficient of the result in row[i]."""
         out: dict[tuple[int, int], int | Fraction] = {}
         for n, row in enumerate(self._slices()):
-            acc = []
-            for c in reversed(row):  # acc <- acc * (t + delta) + c
-                acc = [a + delta * b for a, b in zip([c] + acc, acc + [0])]
-            out.update(((n, q), c) for q, c in enumerate(acc))
+            top = len(row) - 1
+            for i in range(top):
+                for j in range(top - 1, i - 1, -1):
+                    row[j] += delta * row[j + 1]
+            out.update(((n, q), c) for q, c in enumerate(row))
         return BiSeries._normalised(self.order, out)
 
     def subs_t(self, value) -> dict[int, Fraction]:

@@ -268,9 +268,129 @@ def test_separated_set():
         )
 
 
+def test_signature_decides_single_pattern_bijections():
+    singles = [p for l in range(1, 6) for p in perms.all_permutations(l)]
+    sig = {p: equivalence._theorem13_signature(p) for p in singles}
+    for a in singles:
+        for b in singles:
+            found = any_theorem13_bijection([a], [b]) is not None
+            assert found == (sig[a] == sig[b]), (a, b)
+
+
+def test_signature_decides_single_pattern_bijections_in_s6():
+    s6 = list(perms.all_permutations(6))
+    by_sig = {}
+    for p in s6:
+        by_sig.setdefault(equivalence._theorem13_signature(p), []).append(p)
+    equal = [(a, b) for grp in by_sig.values() for a in grp for b in grp if a != b]
+    # 4,020 ordered pairs in 336 signature classes
+    assert len(equal) == 4020
+    for a, b in equal:
+        assert any_theorem13_bijection([a], [b]) is not None, (a, b)
+    rng = random.Random(6)
+    unequal = 0
+    while unequal < 2000:
+        a, b = rng.sample(s6, 2)
+        if equivalence._theorem13_signature(a) != equivalence._theorem13_signature(b):
+            assert any_theorem13_bijection([a], [b]) is None, (a, b)
+            unequal += 1
+
+
+def search_classify_s5(n_max=13, q_max=3):
+    """classify_s5's classes, separations and undecided pairs, with each
+    pair of orbits decided by a bijection search against every member of
+    the second orbit and each separation found by a scan of the totals."""
+    orbits = {}
+    for p in perms.all_permutations(5):
+        orb = perms.symmetry_orbit(p)
+        orbits[min(orb)] = sorted(orb)
+    totals = {
+        rep: clusters.cluster_counts_single_pattern(rep, n_max, q_max).totals
+        for rep in orbits
+    }
+
+    def positive(r1, r2):
+        return any(
+            any_theorem13_bijection(PatternCollection((r1,)), PatternCollection((m,)))
+            is not None
+            for m in orbits[r2]
+        )
+
+    def separating(r1, r2):
+        for q in range(1, q_max + 1):
+            for n in range(1, n_max + 1):
+                a, b = totals[r1].get((n, q), 0), totals[r2].get((n, q), 0)
+                if a != b:
+                    return (n, q, a, b)
+        return None
+
+    buckets = {}
+    for rep in sorted(orbits):
+        prof = equivalence._self_overlap_profile(rep)
+        buckets.setdefault(",".join(map(str, prof)) or "none", []).append(rep)
+    fmt = perms._format_perm
+    classes, separations, undecided = {}, [], []
+    for key, members in buckets.items():
+        groups = []
+        for rep in members:
+            grp = next((g for g in groups if positive(g[0], rep)), None)
+            if grp is None:
+                groups.append([rep])
+            else:
+                grp.append(rep)
+        classes[key] = [[fmt(r) for r in grp] for grp in groups]
+        for i, j in combinations(range(len(groups)), 2):
+            for r1 in groups[i]:
+                for r2 in groups[j]:
+                    sep = separating(r1, r2)
+                    if sep is None:
+                        undecided.append((fmt(r1), fmt(r2)))
+                    else:
+                        n, q, a, b = sep
+                        separations.append(
+                            {"a": fmt(r1), "b": fmt(r2), "n": n, "q": q,
+                             "a_count": str(a), "b_count": str(b)}
+                        )
+    return dict(sorted(classes.items())), separations, undecided
+
+
+def assert_matches_search(report, reference):
+    classes, separations, undecided = reference
+    assert report["classes"] == classes
+    assert report["separations"] == separations
+    assert report["undecided"] == undecided
+
+
 @pytest.fixture(scope="module")
 def s5_report():
     return classify_s5()
+
+
+def test_classify_s5_matches_search_at_n9():
+    report = classify_s5(n_max=9)
+    # one pair needs n_max >= 12 to separate
+    assert len(report["undecided"]) == 1
+    assert_matches_search(report, search_classify_s5(n_max=9))
+
+
+def test_classify_s5_matches_search_at_defaults(s5_report):
+    assert_matches_search(s5_report, search_classify_s5())
+
+
+def test_classify_s5_runs_no_bijection_search(monkeypatch):
+    calls = []
+    real = equivalence._first_bijection
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_first_bijection", counting)
+    assert classify_s5(n_max=9)["orbit_count"] == 32
+    assert calls == []
+    # the wrapper is live: a direct search goes through it
+    any_theorem13_bijection([(1, 2, 3)], [(3, 2, 1)])
+    assert len(calls) == 1
 
 
 def test_classify_s5_validates_each_permutation_a_few_times(monkeypatch):
