@@ -17,6 +17,7 @@ from .clusters import (
 )
 from .equivalence import (
     PatternBijection,
+    SearchBudgetError,
     any_monotone_corollary_bijection,
     any_theorem13_bijection,
     check_monotone_corollary,

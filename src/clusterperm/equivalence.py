@@ -132,6 +132,16 @@ def _check_bijection(pi1, pi2, phi: PatternBijection, overlap_test):
     return Theorem13Report(ok, lengths_ok, linkages_ok, overlaps_ok, tuple(failures))
 
 
+# Nodes (calls of ``extend``) a bijection search may visit.  No search in the
+# tests or the benchmark visits more than 5, while collections of equal-length
+# patterns that all overlap only at k = 1 can need factorially many.
+_NODE_BUDGET = 1000
+
+
+class SearchBudgetError(DomainError):
+    pass
+
+
 def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
     """First bijection passing ``_check_bijection`` with ``overlap_test``,
     pairing sorted(pats1) with the orderings of sorted(pats2) in
@@ -140,7 +150,9 @@ def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
     Every condition of the check concerns one ordered pair of patterns, so a
     backtracking search in the same order, which offers only patterns of
     equal length and tests each new pair against those already assigned,
-    finds the same bijection as a scan of all k! orderings.
+    finds the same bijection as a scan of all k! orderings.  A search that
+    passes ``_NODE_BUDGET`` nodes raises ``SearchBudgetError``: None would
+    claim that no bijection exists.
     """
     pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
     if len(pats1) != len(pats2):
@@ -156,8 +168,15 @@ def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
 
     image: list[Perm] = []
     free = dict.fromkeys(b)  # insertion-ordered set
+    nodes = 0
 
     def extend(i: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise SearchBudgetError(
+                f"bijection search: over {_NODE_BUDGET} nodes on {len(a)} patterns a side"
+            )
         if i == len(a):
             return True
         x = a[i]
@@ -204,7 +223,8 @@ def check_theorem13(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
 
 
 def any_theorem13_bijection(pi1, pi2) -> PatternBijection | None:
-    """First bijection passing check_theorem13, in deterministic order."""
+    """First bijection passing check_theorem13, in deterministic order;
+    raises ``SearchBudgetError`` past the search's node budget."""
     return _first_bijection(pi1, pi2, _equal_overlap_sets)
 
 

@@ -22,7 +22,7 @@ normalised x^n slices Y[n][q] = n! [x^n t^q] y, the term
 d^a(x^b/b! d^c y) has coefficient C(n+a, b) Y[n+a-b+c][q], which is zero when
 n+a < b; with a = m - m_j, b = l_j - m_j and c = k_j the equation at x^n t^q
 is the recurrence above at length n + m.  The check itself, ``_verify_rows``,
-reads the rows Y[n] as lists by q: ``verify_ode`` passes a series' slices,
+reads the rows Y[n] as lists by q: ``verify_ode`` passes a series' rows,
 and ``verify-ode`` the vertex tables its system's boundary was read from.
 """
 
@@ -81,9 +81,7 @@ def monotone_vertex_series(
     """The generating functions y_v(x,t), truncated at x^order."""
     _require_monotone(collection)
     return {  # the counts are n! c_{v,n,q}
-        v: BiSeries._normalised(
-            order, {(n, q): c for n, row in enumerate(rows) for q, c in enumerate(row)}
-        )
+        v: BiSeries._of_rows(order, rows)
         for v, rows in _vertex_tables(build_graph(collection), order, order).items()
     }
 
@@ -233,8 +231,8 @@ def verify_ode(
 ) -> VerifyReport:
     """Check every equation (and the boundary data) against the series, one
     coefficient at a time on their normalised x^n slices."""
-    slices = {v: y._slices() for v, y in series.items()}
-    return _verify_rows(system, slices, {v: y.order for v, y in series.items()}, order)
+    rows = {v: y.rows for v, y in series.items()}
+    return _verify_rows(system, rows, {v: y.order for v, y in series.items()}, order)
 
 
 def _verify_rows(system: OdeSystem, slices, orders, order: int) -> VerifyReport:
@@ -293,10 +291,10 @@ def verify_poly_ode(
 ) -> tuple[bool, tuple[int, int, Fraction] | None, int]:
     """Check that the sum of the terms vanishes; returns (ok, first nonzero
     residual coefficient as (n, q, value) or None, order actually checked)."""
-    slices = {v: y._slices() for v, y in series.items()}
+    rows = {v: y.rows for v, y in series.items()}
     terms = [(Fraction(t.coeff), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
              for t in terms]
-    top, bad = _residual(terms, slices, {v: y.order for v, y in series.items()}, order)
+    top, bad = _residual(terms, rows, {v: y.order for v, y in series.items()}, order)
     if bad:
         bad = (*bad[:2], Fraction(bad[2], factorial(bad[0])))
     return bad is None, bad, top

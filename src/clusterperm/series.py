@@ -5,11 +5,12 @@ explicit truncation order: coefficients of x^n are trusted only for
 n <= order.  Binary operations take the minimum of the operand orders, so
 precision loss is always visible in the result's order.
 
-Coefficients are stored EGF-normalised: ``coeffs[(n, q)]`` holds n! c_{n,q}.
-A labelled product is then a binomial convolution, d/dx an index shift and
-multiplication by x^b/b! a binomial weight, so integral coefficients stay
-integral (no n! denominators, no gcds) under every operation but ``scale``
-by a non-integer.  Values are ``int`` wherever integral, else ``Fraction``.
+Coefficients are stored EGF-normalised, in rows: ``rows[n][q]`` holds
+n! c_{n,q} for n = 0..order.  A labelled product is then a binomial
+convolution, d/dx an index shift and multiplication by x^b/b! a binomial
+weight, so integral coefficients stay integral (no n! denominators, no gcds)
+under every operation but ``scale`` by a non-integer.  Values are ``int``
+wherever integral, else ``Fraction``.
 
 The cluster-method identities live here: Pi_cl(x,t) assembled from a cluster
 table, the substitution t -> t + delta, series reciprocal, and the avoidance
@@ -33,50 +34,59 @@ from .graph import PatternCollection
 from .perms import DomainError
 
 
-def _exact(coeffs, order: int) -> dict:
-    """Normalised coefficients without zeros or terms beyond x^order, each
-    an int wherever it is integral."""
-    return {
-        k: c if type(c) is int or c.denominator != 1 else c.numerator
-        for k, c in coeffs.items()
-        if c and k[0] <= order
-    }
+def _fill_rows(order: int, cells) -> list[list]:
+    """rows[n][q] = cells[(n, q)] for n = 0..order; cells past x^order are dropped."""
+    rows = [[] for _ in range(order + 1)]
+    for (n, q), c in cells.items():
+        if n <= order:
+            row = rows[n]
+            row.extend([0] * (q + 1 - len(row)))
+            row[q] = c
+    return rows
+
+
+def _mac(acc: list, u: list, v: list, w) -> None:
+    """acc += w u v, the three rows read as polynomials in t."""
+    acc.extend([0] * (len(u) + len(v) - 1 - len(acc)))
+    for i, x in enumerate(u):
+        if x:
+            x *= w
+            for j, y in enumerate(v, i):
+                acc[j] += x * y
 
 
 class BiSeries:
-    """A truncated series whose ``coeffs[(n, q)]`` is n! times the
-    coefficient of x^n t^q.  The constructor takes ordinary coefficients;
-    ``coeff`` and ``subs_t`` return ordinary ones."""
+    """A truncated series whose ``rows[n][q]`` (n = 0..order) is n! times the
+    coefficient of x^n t^q; each row ends in a nonzero entry.  Every operation
+    returns fresh rows through ``_of_rows``; ``coeffs`` is a read-only view.
+    The constructor takes ordinary coefficients {(n, q): c}; ``coeff`` and
+    ``subs_t`` return ordinary ones."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "rows")
 
     def __init__(self, order: int, coeffs=None):
-        if order < 0:
-            raise DomainError("truncation order must be nonnegative")
-        self.order = order
-        out = {}
+        cells = {}
         for (n, q), c in (coeffs or {}).items():
-            if n < 0:
-                raise DomainError("x exponents must be nonnegative")
+            if n < 0 or q < 0:
+                raise DomainError(f"{'x' if n < 0 else 't'} exponents must be nonnegative")
             if n <= order:
-                out[(n, q)] = Fraction(c) * factorial(n)
-        self.coeffs: dict[tuple[int, int], int | Fraction] = _exact(out, order)
+                cells[n, q] = Fraction(c) * factorial(n)
+        self.order, self.rows = order, BiSeries._of_rows(order, _fill_rows(order, cells)).rows
 
     @classmethod
-    def _normalised(cls, order: int, coeffs) -> "BiSeries":
-        """A series on normalised coefficients n! c_{n,q}."""
-        s = cls(order)
-        s.coeffs = _exact(coeffs, order)
+    def _of_rows(cls, order: int, rows: list[list]) -> "BiSeries":
+        """The series on the normalised rows[n][q], n = 0..order.  It owns
+        the lists: trailing zeros are trimmed, integral values made ints."""
+        if order < 0:
+            raise DomainError("truncation order must be nonnegative")
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+            if set(map(type, row)) - {int}:
+                row[:] = [c if type(c) is int or c.denominator != 1 else c.numerator for c in row]
+        s = cls.__new__(cls)
+        s.order, s.rows = order, rows
         return s
-
-    def _slices(self) -> list[list]:
-        """slices[n][q] = coeffs[(n, q)]; each list ends in a nonzero entry."""
-        slices = [[] for _ in range(self.order + 1)]
-        for (n, q), c in self.coeffs.items():
-            row = slices[n]
-            row.extend([0] * (q + 1 - len(row)))
-            row[q] = c
-        return slices
 
     # -- constructors ------------------------------------------------------
 
@@ -86,136 +96,127 @@ class BiSeries:
 
     # -- accessors ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[tuple[int, int], int | Fraction]:
+        """{(n, q): n! c_{n,q}} for the nonzero coefficients, in (n, q) order."""
+        return {(n, q): c for n, row in enumerate(self.rows) for q, c in enumerate(row) if c}
+
     def coeff(self, n: int, q: int) -> Fraction:
-        c = self.coeffs.get((n, q))
-        return Fraction(c, factorial(n)) if c else Fraction(0)
+        row = self.rows[n] if 0 <= n <= self.order else []
+        return Fraction(row[q], factorial(n)) if 0 <= q < len(row) else Fraction(0)
 
     def eq_through(self, other: "BiSeries", order: int | None = None) -> bool:
         top = min(self.order, other.order, self.order if order is None else order)
-        return all(n > top for n, _ in (self - other).coeffs)
+        return top < 0 or self.rows[: top + 1] == other.rows[: top + 1]
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.rows == other.rows
 
     def __repr__(self):
         return f"BiSeries(order={self.order}, terms={len(self.coeffs)})"
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return BiSeries._normalised(min(self.order, other.order), out)
-
-    def __neg__(self) -> "BiSeries":
-        out = {k: -c for k, c in self.coeffs.items()}
-        return BiSeries._normalised(self.order, out)
+    def __add__(self, other: "BiSeries", sign: int = 1) -> "BiSeries":
+        rows = []
+        for u, v in zip(self.rows, other.rows):  # through the smaller order
+            acc = u + [0] * (len(v) - len(u))
+            for q, c in enumerate(v):
+                acc[q] += sign * c
+            rows.append(acc)
+        return BiSeries._of_rows(min(self.order, other.order), rows)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return BiSeries._normalised(min(self.order, other.order), out)
+        return self.__add__(other, -1)
+
+    def __neg__(self) -> "BiSeries":
+        return BiSeries._of_rows(self.order, [[-c for c in row] for row in self.rows])
 
     def scale(self, factor) -> "BiSeries":
         f = Fraction(factor)
-        out = {k: c * f for k, c in self.coeffs.items()}
-        return BiSeries._normalised(self.order, out)
+        return BiSeries._of_rows(self.order, [[c * f for c in row] for row in self.rows])
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         """Binomial convolution: n! [x^n] fg = sum C(n, n1) a_{n1} b_{n-n1}."""
         order = min(self.order, other.order)
-        out: dict[tuple[int, int], int | Fraction] = {}
-        for (n1, q1), c1 in self.coeffs.items():
-            if n1 > order:
-                continue
-            for (n2, q2), c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > order:
-                    continue
-                key = (n, q1 + q2)
-                out[key] = out.get(key, 0) + comb(n, n1) * c1 * c2
-        return BiSeries._normalised(order, out)
+        a, b = self.rows, other.rows
+        rows = []
+        for n in range(order + 1):
+            acc = []
+            for n1 in range(n + 1):
+                _mac(acc, a[n1], b[n - n1], comb(n, n1))
+            rows.append(acc)
+        return BiSeries._of_rows(order, rows)
 
     def truncated(self, order: int) -> "BiSeries":
-        return BiSeries._normalised(min(order, self.order), self.coeffs)
+        order = min(order, self.order)
+        return BiSeries._of_rows(order, [row[:] for row in self.rows[: order + 1]])
 
     # -- calculus and substitutions -----------------------------------------
 
     def dx(self, times: int = 1) -> "BiSeries":
         """d^times/dx^times: an index shift of the normalised coefficients."""
-        out = {(n - times, q): c for (n, q), c in self.coeffs.items() if n >= times}
-        return BiSeries._normalised(self.order - times, out)
+        rows = [[] for _ in range(-times)] + [row[:] for row in self.rows[max(times, 0):]]
+        return BiSeries._of_rows(self.order - times, rows)
+
+    def _lift(self, k: int, weight) -> "BiSeries":
+        """Row n moved to n + k and multiplied by weight(n + k, k)."""
+        if k < 0:
+            raise DomainError("monomial degree must be nonnegative")
+        rows = [[weight(n, k) * c for c in row] for n, row in enumerate(self.rows, k)]
+        return BiSeries._of_rows(self.order + k, [[] for _ in range(k)] + rows)
 
     def mul_xpow(self, b: int) -> "BiSeries":
         """Multiply by x^b / b!."""
-        if b < 0:
-            raise DomainError("monomial degree must be nonnegative")
-        out = {(n + b, q): comb(n + b, b) * c for (n, q), c in self.coeffs.items()}
-        return BiSeries._normalised(self.order + b, out)
+        return self._lift(b, comb)
 
     def mul_monomial(self, e: int) -> "BiSeries":
         """Multiply by the plain monomial x^e."""
-        if e < 0:
-            raise DomainError("monomial degree must be nonnegative")
-        out = {(n + e, q): perm(n + e, e) * c for (n, q), c in self.coeffs.items()}
-        return BiSeries._normalised(self.order + e, out)
+        return self._lift(e, perm)
 
     def mul_tpow(self, p: int) -> "BiSeries":
         if p < 0:
             raise DomainError("t power must be nonnegative")
-        out = {(n, q + p): c for (n, q), c in self.coeffs.items()}
-        return BiSeries._normalised(self.order, out)
+        rows = [[0] * p + row if row else [] for row in self.rows]
+        return BiSeries._of_rows(self.order, rows)
 
     def shift_t(self, delta: int) -> "BiSeries":
-        """Substitute t -> t + delta, re-expanding each x^n slice exactly by
-        the Taylor shift: pass i divides by (t - delta) once more and leaves
-        the i-th coefficient of the result in row[i]."""
-        out: dict[tuple[int, int], int | Fraction] = {}
-        for n, row in enumerate(self._slices()):
+        """Substitute t -> t + delta, re-expanding each row exactly by the
+        Taylor shift: pass i divides by (t - delta) once more and leaves the
+        i-th coefficient of the result in row[i]."""
+        rows = [row[:] for row in self.rows]
+        for row in rows:
             top = len(row) - 1
             for i in range(top):
                 for j in range(top - 1, i - 1, -1):
                     row[j] += delta * row[j + 1]
-            out.update(((n, q), c) for q, c in enumerate(row))
-        return BiSeries._normalised(self.order, out)
+        return BiSeries._of_rows(self.order, rows)
 
     def subs_t(self, value) -> dict[int, Fraction]:
         """Evaluate at a numeric t; returns the univariate slice map n -> c."""
         v = Fraction(value)
-        out: dict[int, Fraction] = {}
-        for (n, q), c in self.coeffs.items():
-            out[n] = out.get(n, 0) + c * v**q
-        return {n: Fraction(c, factorial(n)) for n, c in out.items() if c != 0}
+        totals = (sum(c * v**q for q, c in enumerate(row)) for row in self.rows)
+        return {n: Fraction(c, factorial(n)) for n, c in enumerate(totals) if c}
 
     def reciprocal(self) -> "BiSeries":
         """Inverse series in x; requires constant coefficient exactly 1.
 
-        On the normalised x^n slices a_n(t), the inverse r has r_0 = 1 and
+        On the rows a_n(t), the inverse r has r_0 = 1 and
         r_n = -sum_{m=1..n} C(n, m) a_m r_{n-m}."""
-        a = self._slices()
+        a = self.rows
         if a[0] != [1]:
             raise DomainError("reciprocal requires constant term 1")
         r = [[1]]
         for n in range(1, self.order + 1):
             acc = []
             for m in range(1, n + 1):
-                am, rk = a[m], r[n - m]
-                acc.extend([0] * (len(am) + len(rk) - 1 - len(acc)))
-                w = comb(n, m)
-                for i, x in enumerate(am):
-                    if x:
-                        x *= w
-                        for j, y in enumerate(rk, i):
-                            acc[j] -= x * y
+                _mac(acc, a[m], r[n - m], -comb(n, m))
             while acc and not acc[-1]:
                 acc.pop()
             r.append(acc)
-        out = {(n, q): c for n, row in enumerate(r) for q, c in enumerate(row)}
-        return BiSeries._normalised(self.order, out)
+        return BiSeries._of_rows(self.order, r)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def cluster_gf(table: ClusterTable, order: int) -> BiSeries:
         )
     if table.q_max < order:
         raise DomainError(f"table capped at q={table.q_max}, need q={order}")
-    return BiSeries._normalised(order, table.totals)
+    return BiSeries._of_rows(order, _fill_rows(order, table.totals))
 
 
 def avoidance_gf(
@@ -257,10 +258,11 @@ def avoidance_gf(
 def alpha_counts(series: BiSeries) -> dict[tuple[int, int], int]:
     """alpha_{n,q} = n! c_{n,q}, the normalised coefficients; asserts
     integrality and nonnegativity."""
-    for (n, q), a in series.coeffs.items():
+    counts = series.coeffs
+    for (n, q), a in counts.items():
         if type(a) is not int or a < 0:
             raise DomainError(f"coefficient at (n={n}, q={q}) is not a count: {a}")
-    return dict(series.coeffs)
+    return counts
 
 
 def count_distribution_oracle(
@@ -280,22 +282,22 @@ def count_distribution_oracle(
 
 
 def alpha_to_tsv(series: BiSeries) -> str:
-    counts = alpha_counts(series)
-    lines = [f"{n}\t{q}\t{counts[(n, q)]}" for n, q in sorted(counts)]
+    lines = [f"{n}\t{q}\t{a}" for (n, q), a in alpha_counts(series).items()]
     return "\n".join(lines) + "\n"
 
 
 def avoiders_to_tsv(series: BiSeries) -> str:
     """Two-column form n, alpha_n for the avoider counts (q = 0 slice)."""
-    counts = alpha_counts(series)
-    lines = [f"{n}\t{counts.get((n, 0), 0)}" for n in range(1, series.order + 1)]
+    alpha_counts(series)  # every coefficient must be a count
+    lines = [f"{n}\t{row[0] if row else 0}" for n, row in enumerate(series.rows) if n]
     return "\n".join(lines) + "\n"
 
 
 def gf_to_tsv(series: BiSeries) -> str:
     """Exact coefficients as n, q, numerator/denominator rows."""
-    rows = ((n, q, series.coeff(n, q)) for n, q in sorted(series.coeffs))
-    lines = [f"{n}\t{q}\t{c.numerator}/{c.denominator}" for n, q, c in rows]
+    fact = [factorial(n) for n in range(series.order + 1)]
+    cells = ((n, q, Fraction(c, fact[n])) for (n, q), c in series.coeffs.items())
+    lines = [f"{n}\t{q}\t{c.numerator}/{c.denominator}" for n, q, c in cells]
     return "\n".join(lines) + "\n"
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import permutations
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import clusterperm
 import clusterperm.graph as graph_module
-from clusterperm import clusters, monotone, series
+from clusterperm import clusters, equivalence, monotone, series
 from clusterperm.cli import build_parser, main
 
 
@@ -103,6 +104,33 @@ def test_equiv_negative(tmp_path, capsys):
     b = write(tmp_path, "b.txt", "132\n")
     assert main(["equiv", a, b, "--n", "8"]) == 0
     assert "not equivalent" in capsys.readouterr().out
+
+
+def test_equiv_answers_past_the_search_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(equivalence, "_NODE_BUDGET", 1)
+    with pytest.raises(equivalence.SearchBudgetError, match="over 1 nodes on 1 patterns"):
+        equivalence.any_theorem13_bijection([(1, 3, 4, 2)], [(1, 4, 3, 2)])
+    a = write(tmp_path, "a.txt", "1342\n")
+    b = write(tmp_path, "b.txt", "1432\n")
+    assert main(["equiv", a, b]) == 0
+    assert capsys.readouterr().out == "equivalent (overlap graphs isomorphic)\n"
+
+
+def test_equiv_bounds_a_factorial_bijection_search(tmp_path, capsys):
+    # all 120 patterns of length 7 that start with 1 and end with 2 overlap one
+    # another only at k = 1; against 11 of them and a pattern that starts with
+    # 7 and sorts last, an unbounded search tries every pairing of the 11
+    family = [p for p in permutations(range(1, 8)) if p[0] == 1 and p[-1] == 2]
+    pats_a, pats_b = family[:12], [*family[:11], (7, 6, 5, 4, 3, 1, 2)]
+    with pytest.raises(equivalence.SearchBudgetError, match="on 12 patterns"):
+        equivalence.any_theorem13_bijection(pats_a, pats_b)
+    a, b = (write(tmp_path, f"{name}.txt", "".join("".join(map(str, p)) + "\n" for p in pats))
+            for name, pats in (("a", pats_a), ("b", pats_b)))
+    start = time.perf_counter()
+    assert main(["equiv", a, b]) == 0
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out
+    assert out == "not equivalent (generating functions differ within order 12)\n"
 
 
 def test_monotone_positive_and_json(tmp_path, capsys):
@@ -271,19 +299,19 @@ def test_verify_ode_output_is_pinned(tmp_path, capsys):
 def test_verify_ode_fills_the_vertex_rows_once(tmp_path, capsys, monkeypatch, text):
     f = write(tmp_path, "p.txt", text)
     calls = Counter()
-    real_tables, real_init = clusters._vertex_tables, series.BiSeries.__init__
+    real_tables, real_rows = clusters._vertex_tables, series.BiSeries._of_rows.__func__
 
     def tables(*args):
         calls["_vertex_tables"] += 1
         return real_tables(*args)
 
-    def init(self, *args, **kwargs):
+    def of_rows(cls, *args):  # every BiSeries, the constructor's too, is built here
         calls["BiSeries"] += 1
-        real_init(self, *args, **kwargs)
+        return real_rows(cls, *args)
 
     for module in (clusters, monotone):
         monkeypatch.setattr(module, "_vertex_tables", tables)
-    monkeypatch.setattr(series.BiSeries, "__init__", init)
+    monkeypatch.setattr(series.BiSeries, "_of_rows", classmethod(of_rows))
     assert main(["verify-ode", f, "--n", "30"]) == 0
     assert calls == {"_vertex_tables": 1}
     assert "fail" not in capsys.readouterr().out

@@ -274,7 +274,8 @@ def _bumped(ys, v, n, q):
     """The series with the normalised coefficient of y_v at (n, q) raised by 1."""
     coeffs = dict(ys[v].coeffs)
     coeffs[(n, q)] = coeffs.get((n, q), 0) + 1
-    return {**ys, v: BiSeries._normalised(ys[v].order, coeffs)}
+    ordinary = {(m, p): Fraction(c, factorial(m)) for (m, p), c in coeffs.items()}
+    return {**ys, v: BiSeries(ys[v].order, ordinary)}
 
 
 def test_verify_ode_matches_the_operator_chain_on_the_reference_systems():
@@ -383,17 +384,17 @@ def test_verifiers_build_no_series(monkeypatch):
     ys = monotone_vertex_series(MONO_C, 20)
     wrong = _bumped(ys, ONE, 9, 1)
     calls = Counter()
-    real = BiSeries._normalised.__func__
+    real = BiSeries._of_rows.__func__
 
-    def counting(cls, order, coeffs):
-        calls["_normalised"] += 1
-        return real(cls, order, coeffs)
+    def counting(cls, order, rows):
+        calls["_of_rows"] += 1
+        return real(cls, order, rows)
 
-    monkeypatch.setattr(BiSeries, "_normalised", classmethod(counting))
+    monkeypatch.setattr(BiSeries, "_of_rows", classmethod(counting))
     assert verify_ode(system, ys, 20).ok
     assert not verify_ode(system, wrong, 20).ok
     terms = [OdePolyTerm(Fraction(1), 0, 0, 0, 0, 1, ONE)]
     assert not verify_poly_ode(terms, ys, 20)[0]
     assert calls == {}
     ys[ONE].dx()  # the counter sees the operators
-    assert calls == {"_normalised": 1}
+    assert calls == {"_of_rows": 1}

@@ -1,5 +1,6 @@
 """Exact bivariate truncated series and the generating-function assembly."""
 
+from copy import deepcopy
 from fractions import Fraction
 from math import comb, factorial
 
@@ -204,6 +205,17 @@ def test_negative_x_exponent_is_rejected():
     with pytest.raises(DomainError):
         BiSeries(3, {(-2, 1): 1})
     assert BiSeries(3, {(1, 0): 1}).coeff(-1, 0) == 0
+    # a negative t exponent once overwrote the last entry of its row
+    for text in ("1\t-1\t7/1\n", "0\t0\t1/1\n1\t0\t1/1\n1\t2\t5/1\n1\t-1\t7/1\n"):
+        with pytest.raises(DomainError, match="t exponents must be nonnegative"):
+            gf_from_tsv(text, 3)
+    for coeffs in ({(0, 0): 1, (1, 0): 1, (1, 2): 5, (1, -1): 7}, {(0, 0): 1, (1, -1): 2}):
+        with pytest.raises(DomainError, match="t exponents must be nonnegative"):
+            BiSeries(3, coeffs)
+    s = BiSeries(3, {(0, 0): 1, (1, 0): 1, (1, 2): 5})
+    for n, q in ((1, -1), (1, -3), (-1, 0), (4, 0), (1, 3)):
+        assert s.coeff(n, q) == 0 and type(s.coeff(n, q)) is Fraction
+    assert s.shift_t(1).coeff(1, 2) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +303,14 @@ def ref_reciprocal(a):
     return ref(a[0], {(n, q): c for n, row in r.items() for q, c in row.items()})
 
 
-def assert_matches(series, expected):
+def _assert_matches(series, expected):
     order, coeffs = expected
     assert series.order == order
+    # the rows invariant: one row per n, none ending in 0, no integral Fraction
+    assert len(series.rows) == series.order + 1
+    for row in series.rows:
+        assert not row or row[-1] != 0
+        assert all(type(c) is int or c.denominator != 1 for c in row)
     assert set(series.coeffs) == set(coeffs)
     for (n, q), c in coeffs.items():
         assert series.coeff(n, q) == c
@@ -320,7 +337,14 @@ unit_maps = coeff_maps.map(lambda m: {**m, (0, 0): Fraction(1)})
 def test_operations_match_ordinary_reference(a_map, b_map, f, k, p, delta, v):
     a, b = series_from(a_map, 5), series_from(b_map, 4)
     ra, rb = ref(5, a_map), ref(4, b_map)
-    assert_matches(a, ra)
+    a_rows, b_rows = deepcopy(a.rows), deepcopy(b.rows)
+
+    def assert_matches(series, expected):  # and the operands' rows untouched, unshared
+        _assert_matches(series, expected)
+        assert a.rows == a_rows and b.rows == b_rows
+        assert not {id(r) for r in series.rows} & {id(r) for r in a.rows + b.rows}
+
+    _assert_matches(a, ra)
     assert_matches(a + b, ref_add(ra, rb))
     assert_matches(a - b, ref_add(ra, ref_scale(rb, -1)))
     assert_matches(-a, ref_scale(ra, -1))
@@ -334,9 +358,16 @@ def test_operations_match_ordinary_reference(a_map, b_map, f, k, p, delta, v):
     assert_matches(a.shift_t(delta), ref_shift_t(ra, delta))
     assert_matches(b.reciprocal(), ref_reciprocal(rb))
     assert_matches(b.scale(f).shift_t(delta), ref_shift_t(ref_scale(rb, f), delta))
+    assert_matches(a.truncated(k), ref(min(k, 5), a_map))
+    agree = {key for key in ra[1].keys() | rb[1].keys() if ra[1].get(key) == rb[1].get(key)}
+    for top in (None, k):
+        bound = min(4, 4 if top is None else top)
+        want = all(key in agree for key in ra[1].keys() | rb[1].keys() if key[0] <= bound)
+        assert a.eq_through(b, top) == b.eq_through(a, top) == want
     assert a.subs_t(v) == ref_subs_t(ra, v)
     assert all(type(c) is Fraction for c in a.subs_t(v).values())
     assert type(a.coeff(0, 0)) is Fraction
+    assert a.rows == a_rows and b.rows == b_rows
 
 
 def test_counts_stay_integers_through_the_pipeline():
