@@ -4,9 +4,10 @@ Two collections are strongly c-Wilf equivalent when the full distribution of
 consecutive-occurrence counts agrees for every length.  Three tools decide
 this at increasing cost:
 
-* check_theorem13: a structural sufficient condition on a pattern bijection
-  (equal lengths, equal realized overlap lengths for every ordered pair, and
-  equal boundary entry sets at every realized overlap);
+* check_theorem13: a structural sufficient condition on a pattern bijection:
+  it preserves the overlap lengths of every ordered pair and each pattern's
+  label (its length, and its final and initial entry sets at each overlap
+  length where it overlaps its collection), as in labelled isomorphism;
 * graphs_isomorphic: a label-preserving isomorphism of overlap graphs, also
   sufficient since the graph determines the cluster recurrence; decided by
   equality of canonical forms (graph.canonical_form, the form the cache
@@ -32,7 +33,6 @@ from .graph import (
     _overlaps,
     build_graph,
     canonical_form,
-    overlap_lengths,
 )
 from .monotone import _require_monotone
 from .perms import (
@@ -86,6 +86,12 @@ class PatternBijection:
 
 @dataclass(frozen=True)
 class Theorem13Report:
+    """Outcome of a bijection check.  ``linkages_ok`` compares ovl on every
+    ordered pair, ``overlap_sets_ok`` the labels of ``_labels``.  Where
+    ``linkages_ok`` is False the two sides' labels may take their sets at
+    different k, so ``overlap_sets_ok`` can differ from a pair-by-pair
+    comparison at the pairs whose overlap lengths agree; ``ok`` cannot."""
+
     ok: bool
     lengths_ok: bool
     linkages_ok: bool
@@ -96,45 +102,62 @@ class Theorem13Report:
         return self.ok
 
 
-def _check_bijection(pi1, pi2, phi: PatternBijection, overlap_test):
-    """Length and overlap-length preservation, then ``overlap_test`` at each
-    realized overlap.  ``overlap_test(pi, pip, k, fp, fpp)`` returns the
-    failure strings of the k-overlap of the ordered pair (pi, pip) against
-    its image (fp, fpp)."""
+# (key of the final k entries, whether initial k-sets count) of each condition
+_THEOREM13 = (frozenset, True)
+_MONOTONE = (max, False)
+
+
+def _labels(pats, kind) -> dict:
+    """{x: label} over one collection.  K_out(x) is the union of ovl(x, y)
+    over the collection, y = x included, and K_in(x) that of ovl(y, x).  The
+    label is len(x), (k, final_key(final k entries)) for k in K_out(x), and
+    (k, initial k-set) for k in K_in(x) if ``kind`` counts initial sets.
+    Every realized k of (x, y) lies in K_out(x) and K_in(y), and preserving
+    ovl preserves K_out and K_in, so a bijection that preserves ovl on every
+    ordered pair passes the condition exactly when it preserves the labels.
+    """
+    final_key, initials = kind
+    k_out = {x: set() for x in pats}
+    k_in = {x: set() for x in pats}
+    for x in pats:
+        for y in pats:
+            ks = _overlaps(x, y)
+            k_out[x].update(ks)
+            k_in[y].update(ks)
+    return {x: (len(x), tuple((k, final_key(x[-k:])) for k in sorted(k_out[x])),
+                tuple((k, frozenset(x[:k])) for k in sorted(k_in[x]) if initials))
+            for x in pats}
+
+
+def _check_bijection(pi1, pi2, phi: PatternBijection, kind):
+    """Lengths, then ovl on every ordered pair and the labels of ``kind``."""
     phi.check_domains(pi1, pi2)
     pats1 = _patterns_of(pi1)
-    failures = []
-    lengths_ok = True
-    for pi in pats1:
-        if len(pi) != len(phi.apply(pi)):
-            lengths_ok = False
-            failures.append(f"length mismatch: {pi} vs {phi.apply(pi)}")
-    linkages_ok = True
-    overlaps_ok = True
+    image = dict(phi.pairs)
+    failures = [f"length mismatch: {x} vs {image[x]}" for x in pats1 if len(x) != len(image[x])]
+    lengths_ok = not failures
+    linkages_ok = overlaps_ok = True
     if lengths_ok:
-        for pi in pats1:
-            for pip in pats1:
-                fp, fpp = phi.apply(pi), phi.apply(pip)
-                ks1 = overlap_lengths(pi, pip)
-                ks2 = overlap_lengths(fp, fpp)
+        for x in pats1:
+            for y in pats1:
+                ks1, ks2 = _overlaps(x, y), _overlaps(image[x], image[y])
                 if ks1 != ks2:
                     linkages_ok = False
-                    failures.append(
-                        f"overlap lengths differ for ({pi},{pip}): {ks1} vs {ks2}"
-                    )
-                    continue
-                for k in ks1:
-                    found = overlap_test(pi, pip, k, fp, fpp)
-                    if found:
-                        overlaps_ok = False
-                        failures.extend(found)
+                    failures.append(f"overlap lengths differ for ({x},{y}): {ks1} vs {ks2}")
+        labels1, labels2 = _labels(pats1, kind), _labels(_patterns_of(pi2), kind)
+        noun = "set" if kind[0] is frozenset else "set maximum"
+        for x in pats1:
+            mine, theirs = labels1[x], labels2[image[x]]
+            overlaps_ok &= mine == theirs
+            for side, sets, other in zip(("final", "initial"), mine[1:], theirs[1:]):
+                failures += [f"{side} {k}-{noun} differs: {x} vs {image[x]}"
+                             for k, key in sets if (k, key) not in other]
     ok = lengths_ok and linkages_ok and overlaps_ok
     return Theorem13Report(ok, lengths_ok, linkages_ok, overlaps_ok, tuple(failures))
 
 
-# Nodes (calls of ``extend``) a bijection search may visit.  No search in the
-# tests or the benchmark visits more than 5, while collections of equal-length
-# patterns that all overlap only at k = 1 can need factorially many.
+# Nodes (calls of ``extend``) a bijection search may visit; past it the search
+# raises rather than run a factorial backtrack.
 _NODE_BUDGET = 1000
 
 
@@ -142,29 +165,22 @@ class SearchBudgetError(DomainError):
     pass
 
 
-def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
-    """First bijection passing ``_check_bijection`` with ``overlap_test``,
-    pairing sorted(pats1) with the orderings of sorted(pats2) in
-    lexicographic order.
+def _first_bijection(pi1, pi2, kind) -> PatternBijection | None:
+    """First bijection passing ``_check_bijection`` with ``kind``, pairing
+    sorted(pats1) with the orderings of sorted(pats2) in lexicographic order.
 
-    Every condition of the check concerns one ordered pair of patterns, so a
-    backtracking search in the same order, which offers only patterns of
-    equal length and tests each new pair against those already assigned,
-    finds the same bijection as a scan of all k! orderings.  A search that
-    passes ``_NODE_BUDGET`` nodes raises ``SearchBudgetError``: None would
-    claim that no bijection exists.
+    Backtracking in that order, offering only candidates of equal label and
+    testing ovl on the pairs each makes with those already assigned, finds
+    the bijection a scan of all k! orderings would.  A search that passes
+    ``_NODE_BUDGET`` nodes raises ``SearchBudgetError``: None would claim
+    that no bijection exists.
     """
     pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
     if len(pats1) != len(pats2):
         return None
     a, b = sorted(pats1), sorted(pats2)
-    overlaps = {(x, y): _overlaps(x, y) for side in (a, b) for x in side for y in side}
-
-    def pair_ok(x, y, fx, fy):
-        ks = overlaps[x, y]
-        return ks == overlaps[fx, fy] and not any(
-            overlap_test(x, y, k, fx, fy) for k in ks
-        )
+    label_a, label_b = _labels(a, kind), _labels(b, kind)
+    ovl = {(x, y): _overlaps(x, y) for side in (a, b) for x in side for y in side}
 
     image: list[Perm] = []
     free = dict.fromkeys(b)  # insertion-ordered set
@@ -181,11 +197,9 @@ def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
             return True
         x = a[i]
         for fx in list(free):
-            if len(fx) != len(x) or not pair_ok(x, x, fx, fx):
-                continue
-            if all(
-                pair_ok(x, y, fx, fy) and pair_ok(y, x, fy, fx)
-                for y, fy in zip(a, image)
+            if label_b[fx] == label_a[x] and all(
+                ovl[x, y] == ovl[fx, fy] and ovl[y, x] == ovl[fy, fx]
+                for y, fy in zip(a[: i + 1], [*image, fx])
             ):
                 del free[fx]
                 image.append(fx)
@@ -198,34 +212,21 @@ def _first_bijection(pi1, pi2, overlap_test) -> PatternBijection | None:
     return PatternBijection(tuple(zip(a, image))) if extend(0) else None
 
 
-def _equal_overlap_sets(pi, pip, k, fp, fpp):
-    failures = []
-    if set(pi[len(pi) - k :]) != set(fp[len(fp) - k :]):
-        failures.append(f"final {k}-set differs: {pi} vs {fp}")
-    if set(pip[:k]) != set(fpp[:k]):
-        failures.append(f"initial {k}-set differs: {pip} vs {fpp}")
-    return failures
-
-
-def _equal_final_maxima(pi, pip, k, fp, fpp):
-    if max(pi[len(pi) - k :]) != max(fp[len(fp) - k :]):
-        return [f"final {k}-set maximum differs: {pi} vs {fp}"]
-    return []
-
-
 def check_theorem13(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
-    """Sufficient condition for strong c-Wilf equivalence via a bijection.
+    """Sufficient condition for strong c-Wilf equivalence via a bijection: it
+    preserves lengths, ovl(x, y) on every ordered pair, and the labels of
+    ``_labels``, i.e. the final and initial k-sets wherever a pair overlaps.
 
     Accepts PatternCollections or plain sequences of patterns; note the
     condition only implies equivalence for reduced collections.
     """
-    return _check_bijection(pi1, pi2, phi, _equal_overlap_sets)
+    return _check_bijection(pi1, pi2, phi, _THEOREM13)
 
 
 def any_theorem13_bijection(pi1, pi2) -> PatternBijection | None:
     """First bijection passing check_theorem13, in deterministic order;
     raises ``SearchBudgetError`` past the search's node budget."""
-    return _first_bijection(pi1, pi2, _equal_overlap_sets)
+    return _first_bijection(pi1, pi2, _THEOREM13)
 
 
 def check_monotone_corollary(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
@@ -239,7 +240,7 @@ def check_monotone_corollary(pi1, pi2, phi: PatternBijection) -> Theorem13Report
     """
     _require_monotone(_patterns_of(pi1))
     _require_monotone(_patterns_of(pi2))
-    return _check_bijection(pi1, pi2, phi, _equal_final_maxima)
+    return _check_bijection(pi1, pi2, phi, _MONOTONE)
 
 
 def any_monotone_corollary_bijection(pi1, pi2) -> PatternBijection | None:
@@ -248,7 +249,7 @@ def any_monotone_corollary_bijection(pi1, pi2) -> PatternBijection | None:
     if len(pats1) == len(pats2):
         _require_monotone(pats1)
         _require_monotone(pats2)
-    return _first_bijection(pats1, pats2, _equal_final_maxima)
+    return _first_bijection(pats1, pats2, _MONOTONE)
 
 
 def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):
@@ -323,27 +324,15 @@ def _self_overlap_profile(p: Perm) -> tuple[int, ...]:
     return tuple(k for k in _overlaps(p, p) if k >= 2)
 
 
-def _theorem13_signature(p: Perm) -> tuple[int, tuple]:
-    """Length, self-overlap lengths, and the final and initial entry sets at
-    each self-overlap.  For single patterns p and p', the only bijection
-    maps p to p', and it passes check_theorem13 exactly when the two
-    signatures are equal."""
-    l = len(p)
-    return (
-        l,
-        tuple((k, frozenset(p[l - k :]), frozenset(p[:k])) for k in _overlaps(p, p)),
-    )
-
-
 def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
     """Orbits of S_5 under reverse and complement, bucketed by self-overlap
     profile, with strong c-Wilf equivalence classes and the cluster statistics
     separating inequivalent pairs.
 
     Two orbits share a class when some member of one passes check_theorem13
-    against the representative of the other.  Between single patterns that
-    test is equality of ``_theorem13_signature``, since the bijection
-    between them is forced, so no bijection search runs.
+    against the representative of the other.  Between single patterns the
+    bijection is forced and ovl(p, p) is K_out(p), so that test is equality
+    of the patterns' singleton labels and no bijection search runs.
     """
     orbits = {}
     for p in all_permutations(5):
@@ -358,9 +347,8 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         key = ",".join(map(str, prof)) if prof else "none"
         buckets.setdefault(key, []).append(rep)
 
-    signatures = {
-        rep: {_theorem13_signature(m) for m in orbits[rep]} for rep in reps
-    }
+    label = {m: _labels((m,), _THEOREM13)[m] for rep in reps for m in orbits[rep]}
+    orbit_labels = {rep: {label[m] for m in orbits[rep]} for rep in reps}
     cells = [(n, q) for q in range(1, q_max + 1) for n in range(1, n_max + 1)]
     vectors = {}
     for rep in reps:
@@ -368,7 +356,7 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         vectors[rep] = [totals.get(cell, 0) for cell in cells]
 
     def positive(r1: Perm, r2: Perm) -> bool:
-        return _theorem13_signature(r1) in signatures[r2]
+        return label[r1] in orbit_labels[r2]
 
     def separating(r1: Perm, r2: Perm):
         for (n, q), a, b in zip(cells, vectors[r1], vectors[r2]):

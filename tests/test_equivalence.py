@@ -1,6 +1,8 @@
 """Equivalence checks: structural conditions, graph isomorphism, GF equality."""
 
+import functools
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -158,6 +160,51 @@ def test_monotone_corollary_on_nine_family():
     assert report.ok
 
 
+def _ref_check(pi1, pi2, phi, overlap_test):
+    """The per-pair form of the condition: lengths, then overlap lengths on
+    every ordered pair, then ``overlap_test`` at each realized overlap of the
+    pair against its image.  Returns (ok, lengths_ok, linkages_ok,
+    overlap_sets_ok)."""
+    phi.check_domains(pi1, pi2)
+    pats1, f = list(pi1), dict(phi.pairs)
+    lengths_ok = all(len(p) == len(f[p]) for p in pats1)
+    linkages_ok = overlaps_ok = True
+    if lengths_ok:
+        for pi in pats1:
+            for pip in pats1:
+                fp, fpp = f[pi], f[pip]
+                ks = _ref_overlaps(pi, pip)
+                if ks != _ref_overlaps(fp, fpp):
+                    linkages_ok = False
+                elif any(overlap_test(pi, pip, k, fp, fpp) for k in ks):
+                    overlaps_ok = False
+    return (lengths_ok and linkages_ok and overlaps_ok, lengths_ok, linkages_ok, overlaps_ok)
+
+
+@functools.cache
+def _ref_overlaps(x, y):
+    return graph.overlap_lengths(x, y)
+
+
+def _overlap_sets_differ(pi, pip, k, fp, fpp):
+    return set(pi[-k:]) != set(fp[-k:]) or set(pip[:k]) != set(fpp[:k])
+
+
+def _final_maxima_differ(pi, pip, k, fp, fpp):
+    return max(pi[-k:]) != max(fp[-k:])
+
+
+def ref_check_theorem13(pi1, pi2, phi):
+    return _ref_check(pi1, pi2, phi, _overlap_sets_differ)
+
+
+def ref_check_monotone_corollary(pi1, pi2, phi):
+    for side in (pi1, pi2):
+        if not graph.is_monotone(side):
+            raise MonotoneError("not monotone")
+    return _ref_check(pi1, pi2, phi, _final_maxima_differ)
+
+
 def exhaustive_first_bijection(pi1, pi2, check):
     """Reference: run ``check`` on every ordering of sorted(pi2) against
     sorted(pi1), in lexicographic order, and return the first that passes."""
@@ -166,7 +213,7 @@ def exhaustive_first_bijection(pi1, pi2, check):
     a = sorted(pi1)
     for perm in permutations(sorted(pi2)):
         phi = PatternBijection(tuple(zip(a, perm)))
-        if check(pi1, pi2, phi):
+        if check(pi1, pi2, phi)[0]:
             return phi
     return None
 
@@ -201,19 +248,102 @@ def outcome(search, *args):
         return MonotoneError
 
 
+CHECKS = [
+    (any_theorem13_bijection, check_theorem13, ref_check_theorem13),
+    (any_monotone_corollary_bijection, check_monotone_corollary,
+     ref_check_monotone_corollary),
+]
+
+
+# Paired in this order, every pattern keeps its label but not its overlaps:
+# 162453 ends as 246351 starts (1342) and overlaps it at k = 4, while 162543,
+# with the same final 1- and 4-sets, ends as 153246 starts (1432).  No
+# bijection passes.
+LABELS_WITHOUT_OVL = (
+    [(1, 6, 2, 4, 5, 3), (1, 3, 2, 6, 5, 4), (2, 4, 6, 3, 5, 1), (1, 5, 3, 2, 4, 6)],
+    [(1, 6, 2, 5, 4, 3), (1, 3, 2, 5, 6, 4), (2, 4, 6, 3, 5, 1), (1, 5, 3, 2, 4, 6)],
+)
+
+
 def test_pruned_bijection_search_matches_exhaustive_scan():
+    report = check_theorem13(*LABELS_WITHOUT_OVL, PatternBijection(tuple(zip(*LABELS_WITHOUT_OVL))))
+    assert report.overlap_sets_ok and not report.linkages_ok
     found = {check_theorem13: 0, check_monotone_corollary: 0}
-    for a, b in seeded_pattern_pairs(200, seed=7):
-        for search, check in [
-            (any_theorem13_bijection, check_theorem13),
-            (any_monotone_corollary_bijection, check_monotone_corollary),
-        ]:
+    # the seeded pairs, the pairs acceptance criterion 5 checks, every
+    # ordered pair of the two-pattern reference collections, and the pair above
+    twos = [c.patterns for c in random_two_pattern_collections(20, seed=20230815)]
+    pairs = seeded_pattern_pairs(200, seed=7) + list(permutations(FOUR_COLLECTIONS, 2))
+    for a, b in pairs + list(permutations(twos, 2)) + [LABELS_WITHOUT_OVL]:
+        for search, check, ref in CHECKS:
             got = outcome(search, a, b)
-            assert got == outcome(exhaustive_first_bijection, a, b, check), (a, b)
+            assert got == outcome(exhaustive_first_bijection, a, b, ref), (a, b)
             found[check] += got not in (None, MonotoneError)
     # the pairs exercise both outcomes of both searches
     assert found[check_theorem13] > 20 and found[check_monotone_corollary] > 5
     assert any_theorem13_bijection([(1, 2, 3)], [(1, 2, 3), (1, 3, 2)]) is None
+
+
+# The length-7 patterns that start with 1 and end with 2 overlap one another
+# only at k = 1, so every pairing of two sets of them passes the condition.
+FAMILY = [p for p in permutations(range(1, 8)) if p[0] == 1 and p[-1] == 2]
+
+
+def family_pairs(m):
+    """m family patterns against m - 1 of them and 7654312, which every
+    family pattern overlaps at k = 2 (no bijection); then the m patterns
+    against m others, shuffled (a bijection)."""
+    others = FAMILY[m : 2 * m]
+    random.Random(m).shuffle(others)
+    return [(FAMILY[:m], [*FAMILY[: m - 1], (7, 6, 5, 4, 3, 1, 2)]), (FAMILY[:m], others)]
+
+
+def test_family_search_answers_exactly():
+    for m in range(7, 41):
+        (a, b), (c, d) = family_pairs(m)
+        start = time.perf_counter()
+        assert any_theorem13_bijection(a, b) is None, m
+        assert time.perf_counter() - start < 0.1, m
+        phi = any_theorem13_bijection(c, d)
+        assert phi is not None and ref_check_theorem13(c, d, phi)[0], m
+
+
+def test_family_search_matches_the_exhaustive_scan():
+    for m in range(1, 8):
+        for a, b in family_pairs(m):
+            want = exhaustive_first_bijection(a, b, ref_check_theorem13)
+            assert any_theorem13_bijection(a, b) == want, m
+
+
+def flags(check, *args):
+    r = check(*args)
+    return (r.ok, r.lengths_ok, r.linkages_ok, r.overlap_sets_ok)
+
+
+def test_label_check_matches_the_per_pair_check():
+    """ok, lengths_ok and linkages_ok equal the per-pair reference's on every
+    bijection of the seeded pairs and on every ordered pair of singles from
+    S_1 to S_5; overlap_sets_ok may differ only where linkages_ok is False."""
+    cases = [
+        (a, b, PatternBijection(tuple(zip(a, perm))))
+        for a, b in seeded_pattern_pairs(200, seed=7)
+        for perm in permutations(b)
+    ]
+    singles = [p for l in range(1, 6) for p in perms.all_permutations(l)]
+    cases += [([p], [q], PatternBijection(((p, q),))) for p in singles for q in singles]
+    rows = differing = 0
+    for a, b, phi in cases:
+        for _, check, ref in CHECKS:
+            got = outcome(flags, check, a, b, phi)
+            want = outcome(ref, a, b, phi)
+            if want is MonotoneError or got is MonotoneError:
+                assert got == want, (a, b, phi)
+                continue
+            assert got[:3] == want[:3], (a, b, phi)
+            if got[3] != want[3]:
+                assert not got[2], (a, b, phi)
+                differing += 1
+            rows += 1
+    assert rows > 20000 and differing > 0
 
 
 def test_monotone_corollary_rejects_non_monotone_sides():
@@ -268,9 +398,13 @@ def test_separated_set():
         )
 
 
+def single_label(p):
+    return equivalence._labels((p,), equivalence._THEOREM13)[p]
+
+
 def test_signature_decides_single_pattern_bijections():
     singles = [p for l in range(1, 6) for p in perms.all_permutations(l)]
-    sig = {p: equivalence._theorem13_signature(p) for p in singles}
+    sig = {p: single_label(p) for p in singles}
     for a in singles:
         for b in singles:
             found = any_theorem13_bijection([a], [b]) is not None
@@ -281,7 +415,7 @@ def test_signature_decides_single_pattern_bijections_in_s6():
     s6 = list(perms.all_permutations(6))
     by_sig = {}
     for p in s6:
-        by_sig.setdefault(equivalence._theorem13_signature(p), []).append(p)
+        by_sig.setdefault(single_label(p), []).append(p)
     equal = [(a, b) for grp in by_sig.values() for a in grp for b in grp if a != b]
     # 4,020 ordered pairs in 336 signature classes
     assert len(equal) == 4020
@@ -291,7 +425,7 @@ def test_signature_decides_single_pattern_bijections_in_s6():
     unequal = 0
     while unequal < 2000:
         a, b = rng.sample(s6, 2)
-        if equivalence._theorem13_signature(a) != equivalence._theorem13_signature(b):
+        if single_label(a) != single_label(b):
             assert any_theorem13_bijection([a], [b]) is None, (a, b)
             unequal += 1
 

@@ -199,6 +199,17 @@ def test_tsv_rows_beyond_the_order_are_dropped():
     assert back.coeff(2, 1) == 0
 
 
+def test_tsv_t_exponent_above_x_exponent_is_rejected():
+    # a dense row up to q = 10^6 would take 8 MB before the check
+    for text, line in [("1\t1000000\t1/1\n", r"'1\\t1000000\\t1/1'"),
+                       ("0\t0\t1/1\n2\t3\t1/2\n", r"'2\\t3\\t1/2'")]:
+        with pytest.raises(DomainError, match="t exponent above the x exponent in GF line " + line):
+            gf_from_tsv(text, 3)
+    gf = avoidance_gf(PatternCollection(((1, 2, 3),)), 8)
+    assert all(q <= n for n, q in gf.coeffs)
+    assert gf_from_tsv(gf_to_tsv(gf), 8).eq_through(gf)
+
+
 def test_negative_x_exponent_is_rejected():
     with pytest.raises(DomainError, match="nonnegative"):
         gf_from_tsv("-1\t0\t1/1\n", 3)
