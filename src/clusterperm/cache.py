@@ -3,8 +3,8 @@
 Collections whose graphs are isomorphic (label-preserving on edges, vertex
 labels free, distinguished vertex fixed) have identical cluster statistics,
 so the canonical form of the graph plus the fill bounds (N, Q) is a sound
-cache key.  The form is ``graph.canonical_form``, shared with the
-equivalence check; colour refinement orders the vertices by their labelled
+cache key.  The form is ``graph.canonical_form``, shared with
+``graphs_isomorphic``; colour refinement orders the vertices by their labelled
 edges, and individualise-and-refine breaks the ties it leaves; a graph past
 that search's leaf budget has no key, and its table is computed uncached.  Tables
 are stored as JSON files that carry the cache schema version and their own

@@ -17,14 +17,17 @@ import sys
 from pathlib import Path
 
 from . import cache, clusters, equivalence, monotone, series
-from .graph import LeafBudgetError, PatternCollection, build_graph, graph_to_dot
+from .graph import PatternCollection, build_graph, graph_to_dot
 from .perms import DomainError, parse_collection_text
 
 ORACLE_CAP = 10
 
 
 def _load_collection(path) -> PatternCollection:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return PatternCollection(tuple(parse_collection_text(text)))
 
 
@@ -74,17 +77,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     try:
         phi = equivalence.any_theorem13_bijection(c1, c2)
     except equivalence.SearchBudgetError:
-        phi = None  # past the search's node budget the checks below decide
+        phi = None  # past the search's node budget the tables below decide
     if phi is not None:
         pairs = ", ".join(f"{a} -> {b}" for a, b in phi.pairs)
         _emit(f"equivalent (sufficient condition holds via {pairs})\n")
-        return 0
-    try:
-        iso = equivalence.graphs_isomorphic(build_graph(c1), build_graph(c2))
-    except LeafBudgetError:
-        iso = None  # past the canonical form's leaf budget the tables below decide
-    if iso is not None:
-        _emit("equivalent (overlap graphs isomorphic)\n")
         return 0
     if equivalence.verify_strong_equivalence(c1, c2, args.n):
         _emit(f"equivalent to order N={args.n} (generating functions agree)\n")

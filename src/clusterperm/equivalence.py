@@ -1,20 +1,21 @@
 """Strong c-Wilf equivalence: sufficient conditions and ground-truth checks.
 
 Two collections are strongly c-Wilf equivalent when the full distribution of
-consecutive-occurrence counts agrees for every length.  Three tools decide
-this at increasing cost:
+consecutive-occurrence counts agrees for every length.  ``equiv`` decides
+this in two steps:
 
 * check_theorem13: a structural sufficient condition on a pattern bijection:
   it preserves the overlap lengths of every ordered pair and each pattern's
   label (its length, and its final and initial entry sets at each overlap
   length where it overlaps its collection), as in labelled isomorphism;
-* graphs_isomorphic: a label-preserving isomorphism of overlap graphs, also
-  sufficient since the graph determines the cluster recurrence; decided by
-  equality of canonical forms (graph.canonical_form, the form the cache
-  keys on), or left to the next check when the form passes its leaf budget;
+  any_theorem13_bijection searches for one;
 * verify_strong_equivalence: coefficientwise equality of the avoidance
   generating functions to a finite order (the definition, truncated),
   decided on the cluster tables that determine them.
+
+graphs_isomorphic (label-preserving isomorphism of overlap graphs) is also
+sufficient, but ``equiv`` no longer calls it: on the reduced collections of up
+to two patterns of length <= 6 it never decided a pair the search had not.
 
 The module also provides the separated pattern families (whose members are
 pairwise equivalent by construction) and the full classification of S_5
@@ -107,26 +108,28 @@ _THEOREM13 = (frozenset, True)
 _MONOTONE = (max, False)
 
 
-def _labels(pats, kind) -> dict:
-    """{x: label} over one collection.  K_out(x) is the union of ovl(x, y)
-    over the collection, y = x included, and K_in(x) that of ovl(y, x).  The
-    label is len(x), (k, final_key(final k entries)) for k in K_out(x), and
-    (k, initial k-set) for k in K_in(x) if ``kind`` counts initial sets.
-    Every realized k of (x, y) lies in K_out(x) and K_in(y), and preserving
-    ovl preserves K_out and K_in, so a bijection that preserves ovl on every
-    ordered pair passes the condition exactly when it preserves the labels.
+def _ovl_matrix(pats) -> dict:
+    """{(x, y): ovl(x, y)} over the ordered pairs of one collection."""
+    return {(x, y): _overlaps(x, y) for x in pats for y in pats}
+
+
+def _labels(ovl, kind) -> dict:
+    """{x: label} from one collection's ``_ovl_matrix``.  K_out(x) is the
+    union of ovl(x, y) over the collection, y = x included, and K_in(x) that
+    of ovl(y, x).  The label is len(x), (k, final_key(final k entries)) for k
+    in K_out(x), and (k, initial k-set) for k in K_in(x) if ``kind`` counts
+    initial sets.  Every realized k of (x, y) lies in K_out(x) and K_in(y), and
+    preserving ovl preserves K_out and K_in, so a bijection that preserves ovl
+    on every ordered pair passes the condition exactly when it preserves them.
     """
     final_key, initials = kind
-    k_out = {x: set() for x in pats}
-    k_in = {x: set() for x in pats}
-    for x in pats:
-        for y in pats:
-            ks = _overlaps(x, y)
-            k_out[x].update(ks)
-            k_in[y].update(ks)
-    return {x: (len(x), tuple((k, final_key(x[-k:])) for k in sorted(k_out[x])),
+    k_out, k_in = {}, {}
+    for (x, y), ks in ovl.items():
+        k_out.setdefault(x, set()).update(ks)
+        k_in.setdefault(y, set()).update(ks)
+    return {x: (len(x), tuple((k, final_key(x[-k:])) for k in sorted(ks)),
                 tuple((k, frozenset(x[:k])) for k in sorted(k_in[x]) if initials))
-            for x in pats}
+            for x, ks in k_out.items()}
 
 
 def _check_bijection(pi1, pi2, phi: PatternBijection, kind):
@@ -138,13 +141,13 @@ def _check_bijection(pi1, pi2, phi: PatternBijection, kind):
     lengths_ok = not failures
     linkages_ok = overlaps_ok = True
     if lengths_ok:
-        for x in pats1:
-            for y in pats1:
-                ks1, ks2 = _overlaps(x, y), _overlaps(image[x], image[y])
-                if ks1 != ks2:
-                    linkages_ok = False
-                    failures.append(f"overlap lengths differ for ({x},{y}): {ks1} vs {ks2}")
-        labels1, labels2 = _labels(pats1, kind), _labels(_patterns_of(pi2), kind)
+        ovl1, ovl2 = _ovl_matrix(pats1), _ovl_matrix(_patterns_of(pi2))
+        for (x, y), ks1 in ovl1.items():
+            ks2 = ovl2[image[x], image[y]]
+            if ks1 != ks2:
+                linkages_ok = False
+                failures.append(f"overlap lengths differ for ({x},{y}): {ks1} vs {ks2}")
+        labels1, labels2 = _labels(ovl1, kind), _labels(ovl2, kind)
         noun = "set" if kind[0] is frozenset else "set maximum"
         for x in pats1:
             mine, theirs = labels1[x], labels2[image[x]]
@@ -179,8 +182,8 @@ def _first_bijection(pi1, pi2, kind) -> PatternBijection | None:
     if len(pats1) != len(pats2):
         return None
     a, b = sorted(pats1), sorted(pats2)
-    label_a, label_b = _labels(a, kind), _labels(b, kind)
-    ovl = {(x, y): _overlaps(x, y) for side in (a, b) for x in side for y in side}
+    ovl_a, ovl_b = _ovl_matrix(a), _ovl_matrix(b)
+    label_a, label_b = _labels(ovl_a, kind), _labels(ovl_b, kind)
 
     image: list[Perm] = []
     free = dict.fromkeys(b)  # insertion-ordered set
@@ -198,7 +201,7 @@ def _first_bijection(pi1, pi2, kind) -> PatternBijection | None:
         x = a[i]
         for fx in list(free):
             if label_b[fx] == label_a[x] and all(
-                ovl[x, y] == ovl[fx, fy] and ovl[y, x] == ovl[fy, fx]
+                ovl_a[x, y] == ovl_b[fx, fy] and ovl_a[y, x] == ovl_b[fy, fx]
                 for y, fy in zip(a[: i + 1], [*image, fx])
             ):
                 del free[fx]
@@ -259,7 +262,7 @@ def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):
     Two graphs are isomorphic exactly when their canonical forms are equal,
     and the bijection matches the two orders that attain the form.  A form
     whose search passes its leaf budget raises ``LeafBudgetError``: None
-    would claim the graphs are not isomorphic.
+    would claim the graphs are not isomorphic.  ``equiv`` does not call it.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
@@ -347,16 +350,13 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         key = ",".join(map(str, prof)) if prof else "none"
         buckets.setdefault(key, []).append(rep)
 
-    label = {m: _labels((m,), _THEOREM13)[m] for rep in reps for m in orbits[rep]}
+    label = {m: _labels(_ovl_matrix((m,)), _THEOREM13)[m] for m in all_permutations(5)}
     orbit_labels = {rep: {label[m] for m in orbits[rep]} for rep in reps}
     cells = [(n, q) for q in range(1, q_max + 1) for n in range(1, n_max + 1)]
     vectors = {}
     for rep in reps:
         totals = cluster_counts_single_pattern(rep, n_max, q_max).totals
         vectors[rep] = [totals.get(cell, 0) for cell in cells]
-
-    def positive(r1: Perm, r2: Perm) -> bool:
-        return label[r1] in orbit_labels[r2]
 
     def separating(r1: Perm, r2: Perm):
         for (n, q), a, b in zip(cells, vectors[r1], vectors[r2]):
@@ -372,7 +372,7 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         for rep in members:
             placed = False
             for grp in groups:
-                if positive(grp[0], rep):
+                if label[grp[0]] in orbit_labels[rep]:
                     grp.append(rep)
                     placed = True
                     break

@@ -113,7 +113,7 @@ def test_equiv_answers_past_the_search_budget(tmp_path, capsys, monkeypatch):
     a = write(tmp_path, "a.txt", "1342\n")
     b = write(tmp_path, "b.txt", "1432\n")
     assert main(["equiv", a, b]) == 0
-    assert capsys.readouterr().out == "equivalent (overlap graphs isomorphic)\n"
+    assert capsys.readouterr().out == "equivalent to order N=12 (generating functions agree)\n"
 
 
 def test_equiv_bounds_a_factorial_bijection_search(tmp_path, capsys):
@@ -195,6 +195,17 @@ def test_malformed_pattern(tmp_path, capsys):
 
 def test_missing_file(tmp_path, capsys):
     assert main(["count", str(tmp_path / "nope.txt")]) == 1
+
+
+def test_non_utf8_pattern_file_is_a_domain_error(p123, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00\x01")
+    for argv in (["count", bad], ["clusters", bad], ["graph", bad], ["gf", bad],
+                 ["equiv", p123, bad], ["equiv", bad, p123], ["monotone", bad],
+                 ["verify-ode", bad], ["oracle", bad]):
+        assert main([str(a) for a in argv]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():
@@ -357,13 +368,28 @@ def test_cache_and_equiv_answer_past_the_leaf_budget(tmp_path, capsys, monkeypat
     assert main([*argv, "--cache"]) == 0
     assert capsys.readouterr().out == direct
     assert not (tmp_path / "cache").exists()
-    # no Theorem 1.3 bijection, and overlap graphs of equal size, so equiv
-    # asks for both canonical forms
+    # no Theorem 1.3 bijection: equiv goes to the cluster tables and never
+    # asks for a canonical form
+    calls = []
+    original = graph_module.canonical_form
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    bindings = [m for name, m in sys.modules.items() if name.startswith("clusterperm")
+                and getattr(m, "canonical_form", None) is original]
+    for module in bindings:
+        monkeypatch.setattr(module, "canonical_form", counting)
+    assert main([*argv, "--cache"]) == 0
+    assert capsys.readouterr().out == direct and calls  # the wrapper sees the cache
+    calls.clear()
     a = write(tmp_path, "a.txt", "1234\n")
     b = write(tmp_path, "b.txt", "4321\n")
     assert main(["equiv", a, b, "--n", "8"]) == 0
     out = capsys.readouterr().out
     assert out == "equivalent to order N=8 (generating functions agree)\n"
+    assert calls == []
 
 
 def test_sixteen_vertex_collection_against_its_complement(tmp_path, capsys):

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from clusterperm import clusters, equivalence, graph, kernels, perms
+from clusterperm.cache import cache_key
 from conftest import nudged, random_two_pattern_collections
 from clusterperm.equivalence import (
     PatternBijection,
@@ -379,6 +380,29 @@ def test_graph_isomorphism():
     assert graphs_isomorphic(g3, g4) is None
 
 
+def test_isomorphic_overlap_graphs_have_a_theorem13_bijection():
+    # equiv has no graph-isomorphism step: on these collections the label
+    # search finds a bijection wherever the canonical form (cache key) agrees
+    colls = [PatternCollection((p,)) for l in range(1, 7) for p in perms.all_permutations(l)]
+    short = [p for l in range(1, 5) for p in perms.all_permutations(l)]
+    for pair in combinations(short, 2):
+        try:
+            colls.append(PatternCollection(pair))
+        except DomainError:
+            continue
+    assert len(colls) == 1267
+    groups = {}
+    for coll in colls:
+        groups.setdefault(cache_key(coll), []).append(coll)
+    pairs = 0
+    for group in groups.values():
+        assert len({len(coll.patterns) for coll in group}) == 1
+        for c1, c2 in combinations(group, 2):
+            pairs += 1
+            assert any_theorem13_bijection(c1, c2) is not None, (c1, c2)
+    assert pairs == 2096
+
+
 def test_separation_property_examples():
     assert separation_property((1,), (1,))
     assert separation_property((1, 2), (2, 1))
@@ -399,7 +423,7 @@ def test_separated_set():
 
 
 def single_label(p):
-    return equivalence._labels((p,), equivalence._THEOREM13)[p]
+    return equivalence._labels(equivalence._ovl_matrix((p,)), equivalence._THEOREM13)[p]
 
 
 def test_signature_decides_single_pattern_bijections():
