@@ -108,10 +108,11 @@ def cmd_monotone(args: argparse.Namespace) -> int:
 def cmd_verify_ode(args: argparse.Namespace) -> int:
     coll = _load_collection(args.patterns)
     # one graph and one fill of the vertex rows serve the system and the check
-    system, rows = monotone._ode_system(build_graph(coll), args.n)  # checks monotonicity
+    system, tables = monotone._ode_system(build_graph(coll), args.n)  # checks monotonicity
     if args.n < 0:
         raise DomainError("truncation order must be nonnegative")
-    report = monotone._verify_rows(system, rows, dict.fromkeys(rows, args.n), args.n)
+    orders = dict.fromkeys(tables.rows, args.n)
+    report = monotone._verify_rows(system, tables, orders, args.n)
     for check in report.equations:
         status = "pass" if check.ok else "fail"
         line = f"{check.vertex}: {status} (through x^{check.checked_order})"

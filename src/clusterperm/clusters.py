@@ -379,29 +379,109 @@ def monotone_recurrence_data(graph: OverlapGraph) -> dict[Perm, list[EdgeData]]:
     return data
 
 
-def _vertex_tables(
-    graph: OverlapGraph, n_max: int, q_max: int
-) -> dict[Perm, list[list[int]]]:
-    """cl_{v,n,q} for every vertex v of a monotone collection's graph, filled
-    bottom-up in n: rows[v][n] lists them by q, and an edge reads a smaller n."""
+class PackedRows(NamedTuple):
+    """t-polynomial rows packed at t = 2^width, by vertex.
+
+    ``rows[v][n]`` is sum_q d_q 2^(q width) for the row d_q of v at n, and
+    ``bounds[v][n]`` bounds every |d_q| of it.  Every |d_q| stays below
+    2^(width - 1), so the digits are the signed base-2^width digits of the
+    integer: ``unpack_row`` reads them back, and sums of rows add slot by
+    slot (Kronecker substitution).  ``width`` is a multiple of 8, so that
+    ``unpack_row`` can slice bytes.
+    """
+
+    width: int
+    rows: dict[Perm, list[int]]
+    bounds: dict[Perm, list[int]]
+
+    def lists(self, v: Perm) -> list[list[int]]:
+        """The rows of v, unpacked."""
+        return [unpack_row(x, self.width) for x in self.rows[v]]
+
+    def widened(self, width: int) -> "PackedRows":
+        """The same rows at ``width``, if that is wider."""
+        if width <= self.width:
+            return self
+        rows = {v: [pack_row(unpack_row(x, self.width), width) for x in xs]
+                for v, xs in self.rows.items()}
+        return PackedRows(width, rows, self.bounds)
+
+
+def slot_width(bound: int) -> int:
+    """The least multiple of 8 with bound < 2^(width - 1)."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _bias(slots: int, width: int) -> int:
+    """sum_q 2^(width - 1) 2^(q width) over ``slots`` slots: added to a
+    packed row, it makes every digit nonnegative."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
+
+
+def pack_row(row, width: int) -> int:
+    """sum_q row[q] 2^(q width); every |row[q]| < 2^(width - 1)."""
+    size, half = width // 8, 1 << (width - 1)
+    data = b"".join((d + half).to_bytes(size, "little") for d in row)
+    return int.from_bytes(data, "little") - _bias(len(row), width)
+
+
+def unpack_row(x: int, width: int) -> list[int]:
+    """The signed base-2^width digits of x, lowest first and with no
+    trailing zeros; every digit must be below 2^(width - 1) in size."""
+    if not x:
+        return []
+    size, half = width // 8, 1 << (width - 1)
+    slots = abs(x).bit_length() // width + 1
+    data = (x + _bias(slots, width)).to_bytes(slots * size, "little")
+    row = [int.from_bytes(data[i : i + size], "little") - half
+           for i in range(0, len(data), size)]
+    while not row[-1]:
+        row.pop()
+    return row
+
+
+def _vertex_tables(graph: OverlapGraph, n_max: int, q_max: int) -> PackedRows:
+    """cl_{v,n,q} for every vertex v of a monotone collection's graph, packed:
+    row n of v is sum_q cl_{v,n,q} 2^(q s), for q <= q_max.
+
+    The recurrence runs twice, bottom-up in n.  Every count is >= 0, so the
+    first run, on scalars, bounds each row by sum_edges binom * (bound of its
+    source row), without the q cap.  The slot width s is then chosen with
+    twice the largest bound below 2^(s - 1): no slot can carry into the next,
+    and a check comparing a row with another sum of rows (``monotone``) fits
+    at that width too.  The second run adds binom * (row & cap) along each
+    edge, where ``cap`` keeps the slots q < q_max, and shifts the sum up one
+    slot: one big-integer multiply-add per edge instead of one per count.
+    """
     data = monotone_recurrence_data(graph)
-    rows = {v: [[] for _ in range(n_max + 1)] for v in graph.vertices}
+    bounds = {v: [0] * (n_max + 1) for v in data}
+    rows = {v: [0] * (n_max + 1) for v in data}
+    first = _first_row(graph.collection)[: q_max + 1]
     if n_max >= 1:
-        rows[(1,)][1] = list(_first_row(graph.collection)[: q_max + 1])
+        bounds[(1,)][1] = sum(first)
+    into = [(rows[v], bounds[v], [(l, k, m, rows[t], bounds[t]) for l, k, m, t in edges])
+            for v, edges in data.items()]
+    steps = []
     for n in range(2, n_max + 1):
-        for v, edges in data.items():
-            acc = []
-            for l, k, m, target in edges:
-                coef = binom(n - m, l - m)
-                if coef and n - l + k >= 1:
-                    sub = rows[target][n - l + k][:q_max]
-                    acc.extend([0] * (len(sub) + 1 - len(acc)))
-                    for q, c in enumerate(sub, 1):
-                        acc[q] += coef * c
-            while acc and not acc[-1]:
-                acc.pop()
-            rows[v][n] = acc
-    return rows
+        for row, bound, edges in into:
+            # binom(n - m, l - m) vanishes for n < l, and m <= l
+            terms = [(comb(n - m, l - m), r, b, n - l + k)
+                     for l, k, m, r, b in edges if n >= l]
+            bound[n] = sum(c * b[j] for c, _, b, j in terms)
+            steps.append((row, n, terms))
+    width = slot_width(2 * max(map(max, bounds.values()), default=0))
+    if n_max >= 1:
+        rows[(1,)][1] = pack_row(first, width)
+    cap = (1 << (q_max * width)) - 1
+    for row, n, terms in steps:
+        acc = 0
+        for c, r, _, j in terms:
+            x = r[j] if j < q_max else r[j] & cap  # row j holds no q above j
+            if c != 1:
+                x *= c
+            acc = acc + x if acc else x
+        row[n] = acc << width
+    return PackedRows(width, rows, bounds)
 
 
 def _monotone_cluster_counts(
@@ -409,7 +489,7 @@ def _monotone_cluster_counts(
 ) -> ClusterTable:
     """cl_{n,q} by the collapsed recurrence; the collection must be monotone."""
     graph = build_graph(collection)
-    rows = _vertex_tables(graph, n_max, q_max)[(1,)]
+    rows = _vertex_tables(graph, n_max, q_max).lists((1,))
     totals = {
         (n, q): c for n, row in enumerate(rows) for q, c in enumerate(row) if c
     }

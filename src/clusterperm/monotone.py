@@ -17,13 +17,22 @@ satisfy a linear ODE system with monomial coefficients:
 where m_j is the maximal entry of the final k_j-subword of the edge pattern
 and m is the per-vertex maximum of the m_j.
 
-``verify_ode`` checks the system one coefficient at a time.  On the
-normalised x^n slices Y[n][q] = n! [x^n t^q] y, the term
-d^a(x^b/b! d^c y) has coefficient C(n+a, b) Y[n+a-b+c][q], which is zero when
-n+a < b; with a = m - m_j, b = l_j - m_j and c = k_j the equation at x^n t^q
-is the recurrence above at length n + m.  The check itself, ``_verify_rows``,
-reads the rows Y[n] as lists by q: ``verify_ode`` passes a series' rows,
-and ``verify-ode`` the vertex tables its system's boundary was read from.
+``verify_ode`` checks the system on packed rows.  On the normalised x^n
+slices Y[n][q] = n! [x^n t^q] y, the term d^a(x^b/b! d^c y) has coefficient
+C(n+a, b) Y[n+a-b+c][q], which is zero when n+a < b; with a = m - m_j,
+b = l_j - m_j and c = k_j the equation at x^n t^q is the recurrence above at
+length n + m.  Each row Y[n] is kept as one integer, the t-polynomial at
+t = 2^s (``clusters.PackedRows``), so the equation at x^n is one integer
+comparison: the row Y[n+m] against (sum C(n+a, b) Y[n+a-b+c]) << s.  The
+slot width s is chosen from the system's own terms: every residual
+coefficient is at most sum C(n+a, b) |Y[n+a-b+c]| + |Y[n+m]| in size, and s
+keeps that below 2^(s-1).  So no slot can carry into the next, the two
+integers are equal only if every coefficient is, and a wrong system or a
+wrong row can never alias to a right one.  Only the first x^n that fails is
+unpacked, into signed base-2^s digits, to report (n, q, lhs, rhs).
+``_verify_rows`` checks the vertex tables that ``verify-ode`` filled, which
+leave room for the emitted system; ``verify_ode`` and ``verify_poly_ode``
+pack the rows they are given once, times the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -31,14 +40,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
+from operator import add, mul
 from typing import NamedTuple
 
 from .clusters import (
     ClusterTable,
+    PackedRows,
     _monotone_cluster_counts,
     _vertex_tables,
     monotone_recurrence_data,
+    pack_row,
+    slot_width,
+    unpack_row,
 )
 from .graph import (
     OverlapGraph,
@@ -80,10 +94,9 @@ def monotone_vertex_series(
 ) -> dict[Perm, BiSeries]:
     """The generating functions y_v(x,t), truncated at x^order."""
     _require_monotone(collection)
-    return {  # the counts are n! c_{v,n,q}
-        v: BiSeries._of_rows(order, rows)
-        for v, rows in _vertex_tables(build_graph(collection), order, order).items()
-    }
+    tables = _vertex_tables(build_graph(collection), order, order)
+    # the counts are n! c_{v,n,q}
+    return {v: BiSeries._of_rows(order, tables.lists(v)) for v in tables.rows}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +135,13 @@ def emit_ode_system(collection: PatternCollection) -> OdeSystem:
 
 def _ode_system(graph: OverlapGraph, order: int = 0):
     """The system, and the vertex rows its boundary came from: one fill of
-    ``_vertex_tables`` through x^order or the largest m_v, if that is more."""
+    ``_vertex_tables`` through x^order or the largest m_v, if that is more.
+
+    The rows stay packed at t = 2^s; only the first m_v rows of each vertex
+    are unpacked, for the boundary.  The fill's width s holds twice every
+    row bound, and the residual of an emitted equation is a row minus a sum
+    of rows bounded by that same row's bound, so ``_verify_rows`` checks
+    them at s without repacking."""
     _require_monotone(graph.collection)
     data = monotone_recurrence_data(graph)
     equations = []
@@ -136,14 +155,15 @@ def _ode_system(graph: OverlapGraph, order: int = 0):
         equations.append(OdeEquation(v, m_v, terms))
     # y_v^(i)(0, t) = sum_q cl_{v,i,q} t^q, read off this graph's cell table
     top = max(order, *(eq.order for eq in equations))
-    rows = _vertex_tables(graph, top, top)
+    tables = _vertex_tables(graph, top, top)
     boundary = {
         eq.vertex: tuple(
-            {q: c for q, c in enumerate(row) if c} for row in rows[eq.vertex][: eq.order]
+            {q: c for q, c in enumerate(unpack_row(x, tables.width)) if c}
+            for x in tables.rows[eq.vertex][: eq.order]
         )
         for eq in equations
     }
-    return OdeSystem(tuple(equations), boundary), rows
+    return OdeSystem(tuple(equations), boundary), tables
 
 
 def emit_single_pattern_ode(pattern) -> OdeSystem:
@@ -188,28 +208,17 @@ class VerifyReport(NamedTuple):
         return self.ok
 
 
-def _slice(specs, n: int) -> list:
-    """The normalised x^n slice, by q, of the sum of w t^p x^e d^a(x^b/b! d^c y)
-    over the specs (w, p, e, a, b, c, slices of y): with k = n - e + a, a term
-    adds w perm(n, e) C(k, b) Y[k-b+c][q-p], and nothing when n < e or k < b."""
-    acc = []
-    for w, p, e, a, b, c, rows in specs:
-        k = n - e + a
-        if n < e or k < b or k - b + c < 0:
-            continue
-        row = rows[k - b + c]
-        f = w * perm(n, e) * comb(k, b)
-        acc.extend([0] * (p + len(row) - len(acc)))
-        for q, y in enumerate(row, p):
-            acc[q] += f * y
-    return acc
+def _plan(terms, orders, top: int, bounds):
+    """(order checked, plan, size) for the sum of the terms (w, p, e, a, b,
+    c, target); each one caps the order and raises where
+    y.dx(c).mul_xpow(b).dx(a).mul_monomial(e).mul_tpow(p) would.
 
-
-def _residual(terms, slices, orders, top: int):
-    """(order checked, least nonzero (n, q, normalised coefficient) or None) for
-    the sum of the terms (w, p, e, a, b, c, target); each one caps the order and
-    raises where y.dx(c).mul_xpow(b).dx(a).mul_monomial(e).mul_tpow(p) would."""
-    specs = []
+    With k = n - e + a, a term adds w perm(n, e) C(k, b) Y[k-b+c] t^p to the
+    normalised x^n slice, and nothing when n < e or k < b.  The plan lists
+    (n0, fs, p, target, d) by term: fs[n - n0] is its factor at x^n for
+    n0 <= n <= top, and it reads Y[n + d].  No t-coefficient of the slice is
+    larger in size than the sum of |factor| bounds[target][n + d], and
+    ``size`` is the largest such sum."""
     for w, p, e, a, b, c, target in terms:
         order = orders[target]
         for bad, what in ((order < c, "truncation order"), (b < 0, "monomial degree"),
@@ -218,27 +227,93 @@ def _residual(terms, slices, orders, top: int):
             if bad:
                 raise DomainError(f"{what} must be nonnegative")
         top = min(top, order - c + b - a + e)
-        specs.append((w, p, e, a, b, c, slices[target]))
+    plan = []
+    sizes = [0] * (top + 1)
+    for w, p, e, a, b, c, target in terms:
+        n0, d = max(e, e - a + b, e - a + b - c), a - e - b + c
+        fs = [w * perm(n, e) * comb(n - e + a, b) for n in range(n0, top + 1)]
+        plan.append((n0, fs, p, target, d))
+        parts = map(mul, map(abs, fs), bounds[target][n0 + d :])
+        sizes[n0:] = map(add, sizes[n0:], parts)
+    return top, plan, max(sizes, default=0)
+
+
+def _first_residual(plan, top: int, tables: PackedRows):
+    """The least (n, q, normalised coefficient) of the residual that is not
+    zero, or None.  At each x^n, the rows of the terms with a positive
+    factor and of those with a negative one are summed apart, shifted up p
+    slots, and the two sums compared: one integer comparison.  No residual
+    digit reaches 2^(width - 1) in size, so no digit can carry into the
+    next, and the sums are equal only if every digit is."""
+    s, rows = tables.width, tables.rows
     for n in range(top + 1):
-        for q, r in enumerate(_slice(specs, n)):
-            if r:
-                return top, (n, q, r)
-    return top, None
+        sides = {}
+        for n0, fs, p, t, d in plan:
+            if n < n0:
+                continue
+            f, x = fs[n - n0], rows[t][n + d]
+            if f not in (1, -1):
+                x *= abs(f)
+            key = f > 0, p
+            sides[key] = sides[key] + x if key in sides else x
+        lhs = rhs = 0
+        for (up, p), x in sides.items():
+            x <<= p * s
+            if up:
+                lhs = lhs + x if lhs else x
+            else:
+                rhs = rhs + x if rhs else x
+        if lhs != rhs:
+            digits = unpack_row(lhs - rhs, s)
+            q = next(q for q, r in enumerate(digits) if r)
+            return n, q, digits[q]
+    return None
+
+
+def _cleared(series: dict[Perm, BiSeries]):
+    """The series' rows times the lcm of their denominators, which scales
+    every residual alike; the size bound of each row; and that lcm."""
+    scale = lcm(*(c.denominator for y in series.values() for row in y.rows
+                  for c in row if type(c) is not int))
+    lists = {v: [[int(c * scale) for c in row] for row in y.rows] if scale > 1 else y.rows
+             for v, y in series.items()}
+    bounds = {v: [max(map(abs, row), default=0) for row in rows] for v, rows in lists.items()}
+    return lists, bounds, scale
+
+
+def _packed(lists, bounds, size: int) -> PackedRows:
+    """The rows packed once, at the least width holding them and a residual
+    digit of ``size``."""
+    width = slot_width(max([size, *map(max, bounds.values())]))
+    rows = {v: [pack_row(row, width) for row in rows] for v, rows in lists.items()}
+    return PackedRows(width, rows, bounds)
 
 
 def verify_ode(
     system: OdeSystem, series: dict[Perm, BiSeries], order: int
 ) -> VerifyReport:
-    """Check every equation (and the boundary data) against the series, one
-    coefficient at a time on their normalised x^n slices."""
-    rows = {v: y.rows for v, y in series.items()}
-    return _verify_rows(system, rows, {v: y.order for v, y in series.items()}, order)
+    """Check every equation (and the boundary data) against the series: their
+    rows are packed once, and each x^n is checked by one integer comparison."""
+    orders = {v: y.order for v, y in series.items()}
+    lists, bounds, scale = _cleared(series)
+    plans = _equation_plans(system, orders, order, bounds)
+    tables = _packed(lists, bounds, max((size for *_, size in plans), default=0))
+    return _check(system, plans, tables, orders, scale)
 
 
-def _verify_rows(system: OdeSystem, slices, orders, order: int) -> VerifyReport:
-    """``verify_ode`` on the rows slices[v][n][q] = n! [x^n t^q] y_v, trusted
-    through x^orders[v]; cl_{v,n,q} from ``_vertex_tables`` are such rows."""
-    checks = []
+def _verify_rows(system: OdeSystem, tables: PackedRows, orders, order: int) -> VerifyReport:
+    """``verify_ode`` on packed rows tables.rows[v][n], trusted through
+    x^orders[v], where row n packs n! [x^n t^q] y_v: the vertex tables the
+    system's boundary was read from are such rows.  They are repacked only
+    if a residual of the system could carry at their width."""
+    plans = _equation_plans(system, orders, order, tables.bounds)
+    tables = tables.widened(slot_width(max((size for *_, size in plans), default=0)))
+    return _check(system, plans, tables, orders)
+
+
+def _equation_plans(system: OdeSystem, orders, order: int, bounds):
+    """``_plan`` of y_v^(m) - t (sum of the terms), by equation."""
+    plans = []
     for eq in system.equations:
         if order < eq.order:
             raise DomainError(
@@ -252,18 +327,29 @@ def _verify_rows(system: OdeSystem, slices, orders, order: int) -> VerifyReport:
             )
         if order < 0:  # only with m_v < 0; the sum of the terms has this order
             raise DomainError("truncation order must be nonnegative")
-        lhs = (1, 0, 0, 0, 0, eq.order, eq.vertex)  # y^(m) - t (sum of the terms)
+        lhs = (1, 0, 0, 0, 0, eq.order, eq.vertex)
         rhs = [(-1, 1, 0, t.a, t.b, t.c, t.target) for t in eq.terms]
-        top, bad = _residual([lhs, *rhs], slices, orders, min(order, order - eq.order))
+        plans.append(_plan([lhs, *rhs], orders, min(order, order - eq.order), bounds))
+    return plans
+
+
+def _check(system: OdeSystem, plans, tables: PackedRows, orders, scale: int = 1):
+    """The report on the plans and the boundary, for rows scaled by ``scale``;
+    only a failing x^n is unpacked."""
+    checks = []
+    for eq, (top, plan, _) in zip(system.equations, plans):
+        bad = _first_residual(plan, top, tables)
         if bad:
             n, q, r = bad
-            row = _slice([(*lhs[:6], slices[eq.vertex])], n)
+            row = unpack_row(tables.rows[eq.vertex][n + eq.order], tables.width)
             y_m = row[q] if q < len(row) else 0
-            bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
+            d = scale * factorial(n)
+            bad = (n, q, Fraction(y_m, d), Fraction(y_m - r, d))
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
     boundary_ok = all(
-        {q: c for q, c in enumerate(slices[v][i] if i <= orders[v] else []) if c}
-        == {q: c for q, c in row.items() if c}
+        {q: c for q, c in enumerate(
+            unpack_row(tables.rows[v][i], tables.width) if i <= orders[v] else []) if c}
+        == {q: c * scale for q, c in row.items() if c}
         for v, rows in system.boundary.items()
         for i, row in enumerate(rows)
     )
@@ -290,13 +376,18 @@ def verify_poly_ode(
     terms: list[OdePolyTerm], series: dict[Perm, BiSeries], order: int
 ) -> tuple[bool, tuple[int, int, Fraction] | None, int]:
     """Check that the sum of the terms vanishes; returns (ok, first nonzero
-    residual coefficient as (n, q, value) or None, order actually checked)."""
-    rows = {v: y.rows for v, y in series.items()}
-    terms = [(Fraction(t.coeff), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
-             for t in terms]
-    top, bad = _residual(terms, rows, {v: y.order for v, y in series.items()}, order)
+    residual coefficient as (n, q, value) or None, order actually checked).
+    The coefficients are cleared by the lcm of their denominators, and the
+    rows packed as in ``verify_ode``."""
+    coeffs = [Fraction(t.coeff) for t in terms]
+    weight = lcm(*(c.denominator for c in coeffs))
+    terms = [(int(c * weight), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
+             for c, t in zip(coeffs, terms)]
+    lists, bounds, scale = _cleared(series)
+    top, plan, size = _plan(terms, {v: y.order for v, y in series.items()}, order, bounds)
+    bad = _first_residual(plan, top, _packed(lists, bounds, size))
     if bad:
-        bad = (*bad[:2], Fraction(bad[2], factorial(bad[0])))
+        bad = (*bad[:2], Fraction(bad[2], weight * scale * factorial(bad[0])))
     return bad is None, bad, top
 
 

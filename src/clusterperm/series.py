@@ -257,12 +257,17 @@ def avoidance_gf(
 
 def alpha_counts(series: BiSeries) -> dict[tuple[int, int], int]:
     """alpha_{n,q} = n! c_{n,q}, the normalised coefficients; asserts
-    integrality and nonnegativity."""
-    counts = series.coeffs
-    for (n, q), a in counts.items():
-        if type(a) is not int or a < 0:
-            raise DomainError(f"coefficient at (n={n}, q={q}) is not a count: {a}")
-    return counts
+    integrality and nonnegativity in the one pass that builds the table."""
+    return {
+        (n, q): a
+        for n, row in enumerate(series.rows)
+        for q, a in enumerate(row)
+        if a and (type(a) is int and a > 0 or _not_a_count(n, q, a))
+    }
+
+
+def _not_a_count(n: int, q: int, a):
+    raise DomainError(f"coefficient at (n={n}, q={q}) is not a count: {a}")
 
 
 def count_distribution_oracle(

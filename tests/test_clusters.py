@@ -23,12 +23,16 @@ from clusterperm.clusters import (
     cluster_counts_single_pattern,
     count_clusters_oracle,
     enumerate_clusters_oracle,
+    monotone_recurrence_data,
+    pack_row,
+    slot_width,
     table_totals,
     totals_from_tsv,
     totals_to_tsv,
+    unpack_row,
 )
 from clusterperm.graph import PatternCollection, build_graph, is_monotone
-from clusterperm.perms import DomainError, occurrences, standardize
+from clusterperm.perms import DomainError, all_permutations, occurrences, standardize
 
 small_pattern = st.integers(3, 4).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -149,7 +153,8 @@ def test_monotone_table_answers_refined_queries():
     # routed to the collapsed recurrence: the refined engine is built lazily
     table = cluster_counts(MONO_D, 10, 4)
     assert table._engine is None
-    rows = _vertex_tables(table.graph, 10, 4)
+    tables = _vertex_tables(table.graph, 10, 4)
+    rows = {v: tables.lists(v) for v in tables.rows}
     for n in range(1, 11):
         for q in range(1, 5):
             by_first = sum(
@@ -417,6 +422,64 @@ def test_sequential_queries_resume_the_fill(coll, monkeypatch):
         assert walked.n_filled == n
     assert pushes[walked] == pushes[once] > 0
     assert walked.memo == once.memo
+
+
+def ref_vertex_tables(graph, n_max, q_max):
+    """The collapsed recurrence filled on lists, the reference for the packed
+    fill: rows[v][n] lists cl_{v,n,q} by q, bottom-up in n."""
+    data = monotone_recurrence_data(graph)
+    rows = {v: [[] for _ in range(n_max + 1)] for v in graph.vertices}
+    if n_max >= 1:
+        rows[(1,)][1] = list(_first_row(graph.collection)[: q_max + 1])
+    for n in range(2, n_max + 1):
+        for v, edges in data.items():
+            acc = []
+            for l, k, m, target in edges:
+                coef = binom(n - m, l - m)
+                if coef and n - l + k >= 1:
+                    sub = rows[target][n - l + k][:q_max]
+                    acc.extend([0] * (len(sub) + 1 - len(acc)))
+                    for q, c in enumerate(sub, 1):
+                        acc[q] += coef * c
+            while acc and not acc[-1]:
+                acc.pop()
+            rows[v][n] = acc
+    return rows
+
+
+MONOTONE_SINGLES = [
+    PatternCollection((p,))
+    for l in range(1, 7)
+    for p in all_permutations(l)
+    if is_monotone(PatternCollection((p,)))
+]
+
+
+def test_packed_fill_matches_the_list_fill():
+    """Every unpacked row equals the list fill's, under each q cap, and the
+    width leaves room for twice every row bound."""
+    assert len(MONOTONE_SINGLES) == 81
+    for coll in (*MONO_ALL, *MONOTONE_SINGLES):
+        graph = build_graph(coll)
+        for n_max in (1, 2, 13, 30):
+            for q_max in sorted({1, 3, n_max}):
+                tables = _vertex_tables(graph, n_max, q_max)
+                ref = ref_vertex_tables(graph, n_max, q_max)
+                assert {v: tables.lists(v) for v in tables.rows} == ref, (
+                    coll, n_max, q_max)
+                assert tables.width % 8 == 0
+                for v, rows in ref.items():
+                    for row, bound in zip(rows, tables.bounds[v]):
+                        assert max(row, default=0) <= bound < 1 << (tables.width - 2)
+
+
+@given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=12), st.integers(0, 8))
+def test_pack_and_unpack_are_inverse(row, extra):
+    while row and not row[-1]:
+        row.pop()
+    width = slot_width(max(map(abs, row), default=0)) + 8 * extra
+    assert unpack_row(pack_row(row, width), width) == row
+    assert pack_row(row, width) == sum(d << (q * width) for q, d in enumerate(row))
 
 
 def test_totals_tsv_round_trip():

@@ -298,14 +298,22 @@ def family_pairs(m):
     return [(FAMILY[:m], [*FAMILY[: m - 1], (7, 6, 5, 4, 3, 1, 2)]), (FAMILY[:m], others)]
 
 
-def test_family_search_answers_exactly():
+def test_family_search_answers_exactly(monkeypatch):
     for m in range(7, 41):
         (a, b), (c, d) = family_pairs(m)
-        start = time.perf_counter()
-        assert any_theorem13_bijection(a, b) is None, m
-        assert time.perf_counter() - start < 0.1, m
+        times = []
+        for _ in range(3):  # the fastest of three calls, against a loaded machine
+            start = time.perf_counter()
+            assert any_theorem13_bijection(a, b) is None, m
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1, m
         phi = any_theorem13_bijection(c, d)
         assert phi is not None and ref_check_theorem13(c, d, phi)[0], m
+    # the root offers a's first pattern no candidate, so one node decides
+    monkeypatch.setattr(equivalence, "_NODE_BUDGET", 1)
+    for m in range(7, 41):
+        (a, b), _ = family_pairs(m)
+        assert any_theorem13_bijection(a, b) is None, m
 
 
 def test_family_search_matches_the_exhaustive_scan():

@@ -1,9 +1,10 @@
 """Monotone collections: recurrence, ODE emission, and verification."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -11,12 +12,22 @@ import clusterperm.clusters as clusters_module
 import clusterperm.graph as graph_module
 import clusterperm.monotone as monotone_module
 from conftest import MONO_A, MONO_B, MONO_C, MONO_D, MONO_ALL
-from test_acceptance import CORRECT_D, ELIMINATED_C, ELIMINATED_D, ONE, _poly_terms
+from test_acceptance import (
+    CORRECT_C,
+    CORRECT_D,
+    ELIMINATED_C,
+    ELIMINATED_D,
+    ONE,
+    _poly_terms,
+)
 from clusterperm.clusters import (
+    PackedRows,
     _refined_cluster_counts,
     _vertex_tables,
     cluster_counts,
     count_clusters_oracle,
+    pack_row,
+    slot_width,
     table_totals,
 )
 from clusterperm.graph import PatternCollection, build_graph, overlap_lengths
@@ -28,7 +39,9 @@ from clusterperm.monotone import (
     OdeSystem,
     OdeTerm,
     VerifyReport,
+    _equation_plans,
     _ode_system,
+    _verify_rows,
     emit_ode_system,
     emit_single_pattern_ode,
     is_monotone,
@@ -107,19 +120,20 @@ def test_one_fill_serves_the_boundary_and_the_rows():
     for coll in colls:
         graph = build_graph(coll)
         for order in (0, 9, 30):
-            system, rows = _ode_system(graph, order)
+            system, tables = _ode_system(graph, order)
             top = max(eq.order for eq in system.equations)
             fresh = _vertex_tables(graph, top, top)
             assert system.boundary == {
                 eq.vertex: tuple(
                     {q: c for q, c in enumerate(row) if c}
-                    for row in fresh[eq.vertex][: eq.order]
+                    for row in fresh.lists(eq.vertex)[: eq.order]
                 )
                 for eq in system.equations
             }, (coll, order)
             assert system == emit_ode_system(coll)
-            through = {v: r[: order + 1] for v, r in rows.items()}
-            assert through == _vertex_tables(graph, order, order), (coll, order)
+            through = {v: tables.lists(v)[: order + 1] for v in tables.rows}
+            fresh = _vertex_tables(graph, order, order)
+            assert through == {v: fresh.lists(v) for v in fresh.rows}, (coll, order)
 
 
 def test_emitted_equation_orders():
@@ -270,10 +284,10 @@ def ref_verify_poly_ode(terms, series, order):
     return True, None, top
 
 
-def _bumped(ys, v, n, q):
-    """The series with the normalised coefficient of y_v at (n, q) raised by 1."""
+def _bumped(ys, v, n, q, delta=1):
+    """The series with the normalised coefficient of y_v at (n, q) raised by delta."""
     coeffs = dict(ys[v].coeffs)
-    coeffs[(n, q)] = coeffs.get((n, q), 0) + 1
+    coeffs[(n, q)] = coeffs.get((n, q), 0) + delta
     ordinary = {(m, p): Fraction(c, factorial(m)) for (m, p), c in coeffs.items()}
     return {**ys, v: BiSeries(ys[v].order, ordinary)}
 
@@ -398,3 +412,138 @@ def test_verifiers_build_no_series(monkeypatch):
     assert calls == {}
     ys[ONE].dx()  # the counter sees the operators
     assert calls == {"_of_rows": 1}
+
+
+# ---------------------------------------------------------------------------
+# The packed check is exact: no change to a row or a system goes unseen
+# ---------------------------------------------------------------------------
+
+
+def _checked(system, ys, order, width=None):
+    """The operator chain's report, after asserting that ``verify_ode`` on
+    the series gives it, and ``_verify_rows`` too on their rows packed at
+    ``width``."""
+    want = ref_verify_ode(system, ys, order)
+    assert verify_ode(system, ys, order) == want
+    if width is not None:
+        lists = {v: y.rows for v, y in ys.items()}
+        tables = PackedRows(
+            width,
+            {v: [pack_row(row, width) for row in rows] for v, rows in lists.items()},
+            {v: [max(map(abs, row), default=0) for row in rows] for v, rows in lists.items()},
+        )
+        orders = {v: y.order for v, y in ys.items()}
+        assert _verify_rows(system, tables, orders, order) == want
+    return want
+
+
+@pytest.mark.parametrize("coll", MONO_ALL)
+def test_packed_check_reports_entries_changed_by_one(coll):
+    # the lowest q, the highest q and the largest entry of the first and the
+    # last nonzero row past x^(m+1) that the LHS reads
+    system = emit_ode_system(coll)
+    order = max(eq.order for eq in system.equations) + 10
+    width = _vertex_tables(build_graph(coll), order, order).width
+    ys = monotone_vertex_series(coll, order)
+    assert _checked(system, ys, order, width).ok
+    for eq in system.equations:
+        rows = ys[eq.vertex].rows
+        nonempty = [n for n in range(eq.order + 2, order + 1) if rows[n]]
+        for n in (nonempty[0], nonempty[-1]):
+            row = rows[n]
+            low = next(q for q, c in enumerate(row) if c)
+            largest = max(range(len(row)), key=row.__getitem__)
+            for q in {low, len(row) - 1, largest}:
+                for delta in (1, -1):
+                    wrong = _bumped(ys, eq.vertex, n, q, delta)
+                    report = _checked(system, wrong, order, width)
+                    (check,) = [c for c in report.equations if c.vertex == eq.vertex]
+                    assert check.mismatch[:2] == (n - eq.order, q), (eq.vertex, n, q)
+
+
+@pytest.mark.parametrize("coll", [MONO_C, MONO_D, PatternCollection(((1, 2, 3, 4, 5),))])
+def test_packed_check_sees_entries_past_the_fill_width(coll):
+    # an entry raised by 2^s, with the entry above it lowered by 1, packs at
+    # the fill's width s to the very integer the true row does
+    system = emit_ode_system(coll)
+    order = max(eq.order for eq in system.equations) + 10
+    width = _vertex_tables(build_graph(coll), order, order).width
+    ys = monotone_vertex_series(coll, order)
+    for eq in system.equations:
+        rows = ys[eq.vertex].rows
+        n = next(n for n in range(eq.order, order) if len(rows[n]) > 1)
+        row = rows[n]
+        q = len(row) - 2
+        aliased = _bumped(_bumped(ys, eq.vertex, n, q, 1 << width), eq.vertex, n, q + 1, -1)
+        packed = [sum(d << (i * width) for i, d in enumerate(y[eq.vertex].rows[n]))
+                  for y in (ys, aliased)]
+        assert packed[0] == packed[1]
+        for wrong in (aliased, _bumped(ys, eq.vertex, n, len(row) - 1, 1 << width)):
+            report = _checked(system, wrong, order)
+            assert not report.ok, (coll, eq.vertex)
+
+
+def test_packed_check_widens_past_an_aliasing_residual():
+    # y_v' = t (x^2/2! y_u)'' holds with every row of y_u equal to 1 and
+    # Y_v[n+1] = C(n+2, 2) t.  At x^15 the row -120 t + t^2 stands in for
+    # C(17, 2) t = 136 t = (256 - 120) t: every digit is below 2^7 in size,
+    # yet at width 8 both pack to the same integer
+    u = (1, 2)
+    rows_v = [[], *([0, comb(n + 2, 2)] for n in range(15)), [0, comb(17, 2) - 256, 1]]
+    assert [slot_width(max(map(abs, row), default=0)) for row in rows_v] == [8] * 17
+    assert sum(d << (8 * q) for q, d in enumerate(rows_v[16])) == comb(17, 2) << 8
+    lists = {ONE: rows_v, u: [[1] for _ in range(17)]}
+    system = OdeSystem((OdeEquation(ONE, 1, (OdeTerm(2, 2, 0, u),)),), {})
+    ys = {v: BiSeries._of_rows(16, [row[:] for row in rows]) for v, rows in lists.items()}
+    report = _checked(system, ys, 16, width=8)
+    (check,) = report.equations
+    assert check.mismatch == (15, 1, Fraction(-120, factorial(15)), Fraction(136, factorial(15)))
+
+
+@pytest.mark.parametrize("coll", [MONO_C, MONO_D])
+def test_packed_check_reports_altered_systems(coll):
+    # every term of every equation, with another target, with b raised by 1,
+    # or with b and c raised by 6 (it reads the same rows, times C(k, b + 6));
+    # some of these need a wider slot than the fill's
+    system = emit_ode_system(coll)
+    order = max(eq.order for eq in system.equations) + 20
+    _, tables = _ode_system(build_graph(coll), order)
+    ys = monotone_vertex_series(coll, order)
+    orders = dict.fromkeys(tables.rows, order)
+    widened = 0
+    for i, eq in enumerate(system.equations):
+        for j, term in enumerate(eq.terms):
+            other = next(v for v in tables.rows if v != term.target)
+            for changed in (replace(term, target=other), replace(term, b=term.b + 1),
+                            replace(term, b=term.b + 6, c=term.c + 6)):
+                terms = (*eq.terms[:j], changed, *eq.terms[j + 1:])
+                equations = list(system.equations)
+                equations[i] = replace(eq, terms=terms)
+                altered = OdeSystem(tuple(equations), system.boundary)
+                want = _checked(altered, ys, order)
+                assert _verify_rows(altered, tables, orders, order) == want
+                assert not want.ok, (i, j, changed)
+                plans = _equation_plans(altered, orders, order, tables.bounds)
+                widened += slot_width(max(size for *_, size in plans)) > tables.width
+    assert widened
+
+
+def test_packed_poly_check_clears_fractions():
+    # criterion 7's equations, with their coefficients over 3, with one
+    # coefficient moved by 1/5, and on a series scaled by 2/7
+    cases = [
+        (MONO_D, 29, CORRECT_D),
+        (MONO_C, 36, ELIMINATED_C),
+        (MONO_D, 29, ELIMINATED_D),
+        (MONO_C, 16, CORRECT_C),
+    ]
+    for coll, order, data in cases:
+        y = monotone_vertex_series(coll, order)[ONE]
+        terms = _poly_terms(data)
+        thirds = [replace(t, coeff=t.coeff / 3) for t in terms]
+        moved = [replace(terms[0], coeff=terms[0].coeff + Fraction(1, 5)), *terms[1:]]
+        for series in ({ONE: y}, {ONE: y.scale(Fraction(2, 7))}):
+            for ts in (terms, thirds, moved):
+                got = verify_poly_ode(ts, series, order)
+                assert got == ref_verify_poly_ode(ts, series, order), (data, order)
+            assert not verify_poly_ode(moved, series, order)[0]

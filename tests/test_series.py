@@ -114,6 +114,40 @@ def test_avoidance_gf_known_counts():
     assert avoiders == [1, 2, 5, 17, 70, 349, 2017]
 
 
+def ref_alpha_counts(series):
+    """The coefficients first, then the check, in (n, q) order."""
+    counts = series.coeffs
+    for (n, q), a in counts.items():
+        if type(a) is not int or a < 0:
+            raise DomainError(f"coefficient at (n={n}, q={q}) is not a count: {a}")
+    return counts
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(coeff_maps)
+def test_alpha_counts_matches_the_two_pass_reference(coeffs):
+    s = series_from(coeffs)
+    assert _outcome(alpha_counts, s) == _outcome(ref_alpha_counts, s)
+
+
+def test_alpha_counts_names_the_first_bad_coefficient():
+    gf = avoidance_gf(PatternCollection(((1, 2, 3),)), 7)
+    assert alpha_counts(gf) == ref_alpha_counts(gf)
+    for n, q, bad in ((4, 0, -1), (5, 2, Fraction(1, 2)), (3, 1, -2)):
+        rows = [row[:] for row in gf.rows]
+        rows[n][q] = bad
+        rows[6][0] = Fraction(1, 3)  # a later bad row is not the one named
+        wrong = BiSeries._of_rows(gf.order, rows)
+        message = f"coefficient at (n={n}, q={q}) is not a count: {bad}"
+        assert _outcome(alpha_counts, wrong) == _outcome(ref_alpha_counts, wrong) == message
+
+
 def test_avoidance_gf_at_t_one_is_geometric():
     for pats in [((1, 2, 3),), ((1, 3, 2), (2, 1, 3))]:
         gf = avoidance_gf(PatternCollection(pats), 8)
