@@ -413,6 +413,16 @@ def test_save_load_round_trip(tmp_path):
     assert load_table(coll, 10, 4, tmp_path) is None
 
 
+def test_cached_table_has_no_refined_queries(tmp_path):
+    coll = PatternCollection(((1, 3, 2),))
+    save_table(cluster_counts(coll, 9, 4), tmp_path)
+    hit = load_table(coll, 9, 4, tmp_path)
+    assert hit.graph is None and hit.total(5, 2) == count_clusters_oracle(coll, 5, 2)
+    for query in (lambda: hit.refined((1,), 5, 2, (1,)), lambda: hit.vertex_total((1,), 5, 2)):
+        with pytest.raises(DomainError, match="^table carries totals only$"):
+            query()
+
+
 def test_cached_counts_hit_equals_recompute(tmp_path):
     coll = PatternCollection(((1, 2, 3), (1, 3, 2)))
     first = cached_cluster_counts(coll, 8, 4, tmp_path)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 import os
 import subprocess
@@ -154,6 +155,71 @@ def test_verify_ode(tmp_path, capsys):
     assert main(["verify-ode", f, "--n", "20"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out and "fail" not in out
+
+
+def test_verify_ode_reports_the_first_mismatch(tmp_path, capsys, monkeypatch):
+    # the equation for (1), with its first term's b raised by one
+    f = write(tmp_path, "p.txt", "12345\n")
+    real = monotone._ode_system
+
+    def altered(graph, order=0):
+        system, tables = real(graph, order)
+        eq, *rest = system.equations
+        term, *terms = eq.terms
+        eq = replace(eq, terms=(replace(term, b=term.b + 1), *terms))
+        return replace(system, equations=(eq, *rest)), tables
+
+    monkeypatch.setattr(monotone, "_ode_system", altered)
+    assert main(["verify-ode", f, "--n", "12"]) == 1
+    assert capsys.readouterr().out == (
+        "(1,): fail (through x^7) first mismatch at x^0 t^1: 1 != 0\n"
+        "(1, 2): pass (through x^7)\n"
+        "(1, 2, 3): pass (through x^7)\n"
+        "(1, 2, 3, 4): pass (through x^7)\n"
+        "boundary: pass\n"
+    )
+
+
+def test_oracle_reports_each_mismatch(tmp_path, capsys, monkeypatch):
+    # each oracle off by one at one cell
+    f = write(tmp_path, "p.txt", "132\n")
+    real_clusters = clusters.count_clusters_oracle
+    real_dist = series.count_distribution_oracle
+
+    def cluster_oracle(coll, n, q):
+        return real_clusters(coll, n, q) + ((n, q) == (5, 2))
+
+    def distribution_oracle(coll, n):
+        dist = real_dist(coll, n)
+        dist[1] += 1
+        return dist
+
+    monkeypatch.setattr(clusters, "count_clusters_oracle", cluster_oracle)
+    monkeypatch.setattr(series, "count_distribution_oracle", distribution_oracle)
+    assert main(["oracle", f, "--n", "6", "--q", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "cluster mismatch at n=5 q=2: 4 != 3\n"
+        "distribution mismatch at n=6 q=1\n"
+        "oracle agreement: fail\n"
+    )
+
+
+# sha256 of the exact stdout of classify-s5, in each format
+CLASSIFY_S5_DIGESTS = {
+    "text": "ab20a616ec7674ae9b91e6d212c57a400c205d0773b772a0ed0c092c28b161c5",
+    "json": "bbf9d598558c4bdc3214e51acb88bb6f3f30f7fe1bdf34671e8726e6f5be1014",
+}
+
+
+def test_classify_s5_outputs_are_pinned(capsys):
+    outs = {}
+    for fmt, digest in CLASSIFY_S5_DIGESTS.items():
+        assert main(["classify-s5", "--format", fmt]) == 0
+        outs[fmt] = capsys.readouterr().out
+        assert hashlib.sha256(outs[fmt].encode()).hexdigest() == digest, fmt
+    keys = json.loads(outs["json"])["classes"]
+    buckets = [line for line in outs["text"].splitlines() if line.startswith("bucket ")]
+    assert buckets == [f"bucket {key}:" for key in keys]
 
 
 def test_oracle_cap(tmp_path, capsys):
