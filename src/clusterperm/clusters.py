@@ -427,17 +427,19 @@ def pack_row(row, width: int) -> int:
 
 def unpack_row(x: int, width: int) -> list[int]:
     """The signed base-2^width digits of x, lowest first and with no
-    trailing zeros; every digit must be below 2^(width - 1) in size."""
+    trailing zeros; every digit must be below 2^(width - 1) in size.
+
+    If the top nonzero digit has index j, the lower digits sum to less than
+    2^(j width - 1) in size, so 2^(j width - 1) < |x| < 2^(j width + width - 1).
+    Then bit_length() // width + 1 is exactly j + 1 slots, and the top digit
+    read is not zero."""
     if not x:
         return []
     size, half = width // 8, 1 << (width - 1)
     slots = abs(x).bit_length() // width + 1
     data = (x + _bias(slots, width)).to_bytes(slots * size, "little")
-    row = [int.from_bytes(data[i : i + size], "little") - half
-           for i in range(0, len(data), size)]
-    while not row[-1]:
-        row.pop()
-    return row
+    return [int.from_bytes(data[i : i + size], "little") - half
+            for i in range(0, len(data), size)]
 
 
 def _vertex_tables(graph: OverlapGraph, n_max: int, q_max: int) -> PackedRows:

@@ -25,6 +25,7 @@ orbits under reverse and complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from itertools import permutations as _it_permutations
 
 from .clusters import cluster_counts, cluster_counts_single_pattern
@@ -323,81 +324,60 @@ def separated_set(alpha, beta, l: int) -> list[Perm]:
 # ---------------------------------------------------------------------------
 
 
-def _self_overlap_profile(p: Perm) -> tuple[int, ...]:
-    return tuple(k for k in _overlaps(p, p) if k >= 2)
-
-
 def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
     """Orbits of S_5 under reverse and complement, bucketed by self-overlap
-    profile, with strong c-Wilf equivalence classes and the cluster statistics
-    separating inequivalent pairs.
+    lengths k >= 2, with strong c-Wilf equivalence classes and the cluster
+    statistics separating inequivalent pairs.
 
-    Two orbits share a class when some member of one passes check_theorem13
-    against the representative of the other.  Between single patterns the
-    bijection is forced and ovl(p, p) is K_out(p), so that test is equality
-    of the patterns' singleton labels and no bijection search runs.
+    Between single patterns the bijection is forced and K_out(p) is ovl(p, p),
+    so check_theorem13 is equality of the patterns' singleton labels, and the
+    bucket key is read off the label.  A class is the orbits that share one
+    orbit label set, the set of their members' labels, in order of first
+    appearance.  Reverse and complement carry equal labels to equal labels,
+    so two orbits' label sets are equal or disjoint, and an orbit shares a
+    class exactly when one of its members passes check_theorem13 against the
+    representative of another.  No bijection search runs.
     """
-    orbits = {}
-    for p in all_permutations(5):
-        orb = symmetry_orbit(p)
-        rep = min(orb)
-        orbits[rep] = sorted(orb)
+    orbits = {min(orb): sorted(orb) for orb in map(symmetry_orbit, all_permutations(5))}
     reps = sorted(orbits)
 
-    buckets: dict[str, list[Perm]] = {}
-    for rep in reps:
-        prof = _self_overlap_profile(rep)
-        key = ",".join(map(str, prof)) if prof else "none"
-        buckets.setdefault(key, []).append(rep)
-
     label = {m: _labels(_ovl_matrix((m,)), _THEOREM13)[m] for m in all_permutations(5)}
-    orbit_labels = {rep: {label[m] for m in orbits[rep]} for rep in reps}
+    buckets: dict[str, list[Perm]] = {}
+    classes: dict[str, dict[frozenset, list[Perm]]] = {}
+    for rep in reps:
+        # the label's finals are (k, final k-set) for k in K_out
+        key = ",".join(str(k) for k, _ in label[rep][1] if k >= 2) or "none"
+        buckets.setdefault(key, []).append(rep)
+        orbit_labels = frozenset(label[m] for m in orbits[rep])
+        classes.setdefault(key, {}).setdefault(orbit_labels, []).append(rep)
+
     cells = [(n, q) for q in range(1, q_max + 1) for n in range(1, n_max + 1)]
     vectors = {}
     for rep in reps:
         totals = cluster_counts_single_pattern(rep, n_max, q_max).totals
         vectors[rep] = [totals.get(cell, 0) for cell in cells]
 
-    def separating(r1: Perm, r2: Perm):
-        for (n, q), a, b in zip(cells, vectors[r1], vectors[r2]):
-            if a != b:
-                return (n, q, a, b)
-        return None
-
-    classes: dict[str, list[list[Perm]]] = {}
     separations = []
     undecided = []
-    for key, members in buckets.items():
-        groups: list[list[Perm]] = []
-        for rep in members:
-            placed = False
-            for grp in groups:
-                if label[grp[0]] in orbit_labels[rep]:
-                    grp.append(rep)
-                    placed = True
-                    break
-            if not placed:
-                groups.append([rep])
-        classes[key] = groups
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                for r1 in groups[i]:
-                    for r2 in groups[j]:
-                        sep = separating(r1, r2)
-                        if sep is None:
-                            undecided.append((r1, r2))
-                        else:
-                            n, q, a, b = sep
-                            separations.append(
-                                {
-                                    "a": _format_perm(r1),
-                                    "b": _format_perm(r2),
-                                    "n": n,
-                                    "q": q,
-                                    "a_count": str(a),
-                                    "b_count": str(b),
-                                }
-                            )
+    for groups in classes.values():
+        for g1, g2 in combinations(groups.values(), 2):
+            for r1, r2 in product(g1, g2):
+                sep = next(((n, q, a, b) for (n, q), a, b
+                            in zip(cells, vectors[r1], vectors[r2]) if a != b), None)
+                if sep is None:
+                    undecided.append((r1, r2))
+                else:
+                    n, q, a, b = sep
+                    separations.append(
+                        {
+                            "a": _format_perm(r1),
+                            "b": _format_perm(r2),
+                            "n": n,
+                            "q": q,
+                            "a_count": str(a),
+                            "b_count": str(b),
+                        }
+                    )
     return {
         "orbit_count": len(reps),
         "orbits": [
@@ -413,7 +393,7 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
             for key, members in sorted(buckets.items())
         },
         "classes": {
-            key: [[_format_perm(r) for r in grp] for grp in groups]
+            key: [[_format_perm(r) for r in grp] for grp in groups.values()]
             for key, groups in sorted(classes.items())
         },
         "separations": separations,

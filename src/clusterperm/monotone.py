@@ -15,7 +15,9 @@ satisfy a linear ODE system with monomial coefficients:
                                                    d^(k_j)/dx^(k_j) y_{v_j} ),
 
 where m_j is the maximal entry of the final k_j-subword of the edge pattern
-and m is the per-vertex maximum of the m_j.
+and m is the per-vertex maximum of the m_j.  A single pattern's ODE
+(``emit_single_pattern_ode``) is this system's equation for (1): every vertex
+series other than y_(1) is y_(1) - x, and every term reads it at order >= 2.
 
 ``verify_ode`` checks the system on packed rows.  On the normalised x^n
 slices Y[n][q] = n! [x^n t^q] y, the term d^a(x^b/b! d^c y) has coefficient
@@ -38,7 +40,7 @@ pack the rows they are given once, times the lcm of their denominators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from operator import add, mul
@@ -54,13 +56,7 @@ from .clusters import (
     slot_width,
     unpack_row,
 )
-from .graph import (
-    OverlapGraph,
-    PatternCollection,
-    build_graph,
-    is_monotone,
-    overlap_lengths,
-)
+from .graph import OverlapGraph, PatternCollection, build_graph, is_monotone
 from .perms import DomainError, Perm, format_perm, parse_perm
 from .series import BiSeries
 
@@ -167,24 +163,20 @@ def _ode_system(graph: OverlapGraph, order: int = 0):
 
 
 def emit_single_pattern_ode(pattern) -> OdeSystem:
-    """One-equation specialization for a monotone single pattern."""
+    """The equation and boundary for (1) of the graph system of a monotone
+    single pattern of length >= 2, with every term's target set to (1).
+
+    Every cluster starts with an occurrence of the pattern, so y_v = y_(1) - x
+    for every vertex v != (1), and a term reads y_v only at d^c with
+    c = |v| >= 2, where d^c y_v = d^c y_(1)."""
     collection = PatternCollection((tuple(pattern),))
-    _require_monotone(collection)
-    pat = collection.patterns[0]
-    l = len(pat)
-    ks = overlap_lengths(pat, pat)
-    if not ks:
+    system, _ = _ode_system(build_graph(collection))
+    eq = system.equations[0]  # the vertices are sorted by length: (1) is first
+    if not eq.terms:
+        pat = collection.patterns[0]
         raise DomainError(f"pattern {pat} has no self-overlap (length-1 expected)")
-    ms = [max(pat[l - k :]) for k in ks]
-    m = max(ms)
-    terms = tuple(
-        sorted(OdeTerm(m - mj, l - mj, kj, (1,)) for kj, mj in zip(ks, ms))
-    )
-    eq = OdeEquation((1,), m, terms)
-    rows = [{} for _ in range(m)]
-    if m >= 2:
-        rows[1] = {0: Fraction(1)}  # y'(0,t) = 1
-    return OdeSystem((eq,), {(1,): tuple(rows)})
+    terms = tuple(sorted(replace(t, target=(1,)) for t in eq.terms))
+    return OdeSystem((replace(eq, terms=terms),), {(1,): system.boundary[(1,)]})
 
 
 # ---------------------------------------------------------------------------

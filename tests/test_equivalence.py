@@ -492,7 +492,7 @@ def search_classify_s5(n_max=13, q_max=3):
 
     buckets = {}
     for rep in sorted(orbits):
-        prof = equivalence._self_overlap_profile(rep)
+        prof = [k for k in graph.overlap_lengths(rep, rep) if k >= 2]
         buckets.setdefault(",".join(map(str, prof)) or "none", []).append(rep)
     fmt = perms._format_perm
     classes, separations, undecided = {}, [], []
@@ -518,6 +518,16 @@ def search_classify_s5(n_max=13, q_max=3):
                              "a_count": str(a), "b_count": str(b)}
                         )
     return dict(sorted(classes.items())), separations, undecided
+
+
+def test_orbit_label_sets_are_equal_or_disjoint():
+    # reverse and complement carry equal singleton labels to equal labels, so
+    # distinct label sets of orbits never meet
+    for n in range(1, 8):
+        orbits = {perms.symmetry_orbit(p) for p in perms.all_permutations(n)}
+        label_sets = {frozenset(map(single_label, orbit)) for orbit in orbits}
+        assert sum(map(len, label_sets)) == len(frozenset().union(*label_sets)), n
+    assert len(orbits) == 1272
 
 
 def assert_matches_search(report, reference):

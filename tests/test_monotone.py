@@ -314,6 +314,33 @@ def _monotone_self_overlapping(max_len):
                 yield p
 
 
+def ref_single_pattern_ode(pattern):
+    """The one-equation ODE of a monotone single pattern, derived from its
+    self-overlaps: a term per overlap length k, with m_k the maximum of the
+    final k entries and m the largest m_k; y(0) = 0 and y'(0) = 1."""
+    l = len(pattern)
+    ks = overlap_lengths(pattern, pattern)
+    ms = [max(pattern[l - k :]) for k in ks]
+    m = max(ms)
+    terms = tuple(sorted(OdeTerm(m - mj, l - mj, kj, ONE) for kj, mj in zip(ks, ms)))
+    rows = [{} for _ in range(m)]
+    if m >= 2:
+        rows[1] = {0: Fraction(1)}
+    return OdeSystem((OdeEquation(ONE, m, terms),), {ONE: tuple(rows)})
+
+
+def test_single_pattern_ode_is_the_graph_system_at_one():
+    patterns = list(_monotone_self_overlapping(7))
+    assert len(patterns) == 407
+    for p in patterns:
+        system = emit_single_pattern_ode(p)
+        want = ref_single_pattern_ode(p)
+        assert system == want, p
+        assert system_to_json(system) == system_to_json(want), p
+    with pytest.raises(DomainError, match=r"^pattern \(1,\) has no self-overlap \(length-1 expected\)$"):
+        emit_single_pattern_ode((1,))
+
+
 def test_verify_ode_matches_the_operator_chain_on_single_patterns():
     patterns = list(_monotone_self_overlapping(6))
     assert len(patterns) == 80
