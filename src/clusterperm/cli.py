@@ -155,10 +155,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 _emit(f"cluster mismatch at n={n} q={q}: {oracle} != {fast}\n")
     dist = series.count_distribution_oracle(coll, args.n)
     alpha = series.alpha_counts(series.avoidance_gf(coll, args.n, table=table))
-    for q, count in dist.items():
-        if alpha.get((args.n, q), 0) != count:
+    # a q that only one side has must be zero on the other
+    for q in sorted(dist.keys() | {q for n, q in alpha if n == args.n}):
+        oracle, fast = dist.get(q, 0), alpha.get((args.n, q), 0)
+        if oracle != fast:
             ok = False
-            _emit(f"distribution mismatch at n={args.n} q={q}\n")
+            _emit(f"distribution mismatch at n={args.n} q={q}: {oracle} != {fast}\n")
     _emit("oracle agreement: " + ("pass" if ok else "fail") + "\n")
     return 0 if ok else 1
 

@@ -25,16 +25,17 @@ C(n+a, b) Y[n+a-b+c][q], which is zero when n+a < b; with a = m - m_j,
 b = l_j - m_j and c = k_j the equation at x^n t^q is the recurrence above at
 length n + m.  Each row Y[n] is kept as one integer, the t-polynomial at
 t = 2^s (``clusters.PackedRows``), so the equation at x^n is one integer
-comparison: the row Y[n+m] against (sum C(n+a, b) Y[n+a-b+c]) << s.  The
-slot width s is chosen from the system's own terms: every residual
-coefficient is at most sum C(n+a, b) |Y[n+a-b+c]| + |Y[n+m]| in size, and s
-keeps that below 2^(s-1).  So no slot can carry into the next, the two
-integers are equal only if every coefficient is, and a wrong system or a
-wrong row can never alias to a right one.  Only the first x^n that fails is
-unpacked, into signed base-2^s digits, to report (n, q, lhs, rhs).
-``_verify_rows`` checks the vertex tables that ``verify-ode`` filled, which
-leave room for the emitted system; ``verify_ode`` and ``verify_poly_ode``
-pack the rows they are given once, times the lcm of their denominators.
+comparison: the row Y[n+m] against (sum C(n+a, b) Y[n+a-b+c]) << s.  Every
+residual coefficient is at most sum C(n+a, b) |Y[n+a-b+c]| + |Y[n+m]| in
+size, a bound taken from the system's own terms; the rows are repacked
+wider (``PackedRows.widened``) only where s does not keep it below 2^(s-1).
+So no slot can carry into the next, the two integers are equal only if
+every coefficient is, and a wrong system or a wrong row can never alias to
+a right one.  Only the first x^n that fails is unpacked, into signed
+base-2^s digits, to report (n, q, lhs, rhs).  ``verify-ode`` checks the
+vertex tables it filled; ``verify_ode`` and ``verify_poly_ode`` first pack
+the series' rows once (``_pack_series``), times the lcm of their
+denominators and by the fill's width rule, then run the same check.
 """
 
 from __future__ import annotations
@@ -262,23 +263,18 @@ def _first_residual(plan, top: int, tables: PackedRows):
     return None
 
 
-def _cleared(series: dict[Perm, BiSeries]):
+def _pack_series(series: dict[Perm, BiSeries]) -> tuple[PackedRows, int]:
     """The series' rows times the lcm of their denominators, which scales
-    every residual alike; the size bound of each row; and that lcm."""
+    every residual alike, packed by the rule of ``_vertex_tables``: at the
+    width holding twice the largest row bound; and that lcm."""
     scale = lcm(*(c.denominator for y in series.values() for row in y.rows
                   for c in row if type(c) is not int))
     lists = {v: [[int(c * scale) for c in row] for row in y.rows] if scale > 1 else y.rows
              for v, y in series.items()}
     bounds = {v: [max(map(abs, row), default=0) for row in rows] for v, rows in lists.items()}
-    return lists, bounds, scale
-
-
-def _packed(lists, bounds, size: int) -> PackedRows:
-    """The rows packed once, at the least width holding them and a residual
-    digit of ``size``."""
-    width = slot_width(max([size, *map(max, bounds.values())]))
+    width = slot_width(2 * max(map(max, bounds.values()), default=0))
     rows = {v: [pack_row(row, width) for row in rows] for v, rows in lists.items()}
-    return PackedRows(width, rows, bounds)
+    return PackedRows(width, rows, bounds), scale
 
 
 def verify_ode(
@@ -286,21 +282,39 @@ def verify_ode(
 ) -> VerifyReport:
     """Check every equation (and the boundary data) against the series: their
     rows are packed once, and each x^n is checked by one integer comparison."""
-    orders = {v: y.order for v, y in series.items()}
-    lists, bounds, scale = _cleared(series)
-    plans = _equation_plans(system, orders, order, bounds)
-    tables = _packed(lists, bounds, max((size for *_, size in plans), default=0))
-    return _check(system, plans, tables, orders, scale)
+    tables, scale = _pack_series(series)
+    return _verify_rows(system, tables, {v: y.order for v, y in series.items()}, order, scale)
 
 
-def _verify_rows(system: OdeSystem, tables: PackedRows, orders, order: int) -> VerifyReport:
+def _verify_rows(
+    system: OdeSystem, tables: PackedRows, orders, order: int, scale: int = 1
+) -> VerifyReport:
     """``verify_ode`` on packed rows tables.rows[v][n], trusted through
-    x^orders[v], where row n packs n! [x^n t^q] y_v: the vertex tables the
-    system's boundary was read from are such rows.  They are repacked only
-    if a residual of the system could carry at their width."""
+    x^orders[v], where row n packs ``scale`` n! [x^n t^q] y_v: the vertex
+    tables the system's boundary was read from are such rows, at scale 1.
+    They are repacked only if a residual of the system could carry at their
+    width, and only a failing x^n is unpacked."""
     plans = _equation_plans(system, orders, order, tables.bounds)
     tables = tables.widened(slot_width(max((size for *_, size in plans), default=0)))
-    return _check(system, plans, tables, orders)
+    checks = []
+    for eq, (top, plan, _) in zip(system.equations, plans):
+        bad = _first_residual(plan, top, tables)
+        if bad:
+            n, q, r = bad
+            row = unpack_row(tables.rows[eq.vertex][n + eq.order], tables.width)
+            y_m = row[q] if q < len(row) else 0
+            d = scale * factorial(n)
+            bad = (n, q, Fraction(y_m, d), Fraction(y_m - r, d))
+        checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
+    boundary_ok = all(
+        {q: c for q, c in enumerate(
+            unpack_row(tables.rows[v][i], tables.width) if i <= orders[v] else []) if c}
+        == {q: c * scale for q, c in row.items() if c}
+        for v, rows in system.boundary.items()
+        for i, row in enumerate(rows)
+    )
+    ok = boundary_ok and all(c.ok for c in checks)
+    return VerifyReport(ok, tuple(checks), boundary_ok)
 
 
 def _equation_plans(system: OdeSystem, orders, order: int, bounds):
@@ -323,30 +337,6 @@ def _equation_plans(system: OdeSystem, orders, order: int, bounds):
         rhs = [(-1, 1, 0, t.a, t.b, t.c, t.target) for t in eq.terms]
         plans.append(_plan([lhs, *rhs], orders, min(order, order - eq.order), bounds))
     return plans
-
-
-def _check(system: OdeSystem, plans, tables: PackedRows, orders, scale: int = 1):
-    """The report on the plans and the boundary, for rows scaled by ``scale``;
-    only a failing x^n is unpacked."""
-    checks = []
-    for eq, (top, plan, _) in zip(system.equations, plans):
-        bad = _first_residual(plan, top, tables)
-        if bad:
-            n, q, r = bad
-            row = unpack_row(tables.rows[eq.vertex][n + eq.order], tables.width)
-            y_m = row[q] if q < len(row) else 0
-            d = scale * factorial(n)
-            bad = (n, q, Fraction(y_m, d), Fraction(y_m - r, d))
-        checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
-    boundary_ok = all(
-        {q: c for q, c in enumerate(
-            unpack_row(tables.rows[v][i], tables.width) if i <= orders[v] else []) if c}
-        == {q: c * scale for q, c in row.items() if c}
-        for v, rows in system.boundary.items()
-        for i, row in enumerate(rows)
-    )
-    ok = boundary_ok and all(c.ok for c in checks)
-    return VerifyReport(ok, tuple(checks), boundary_ok)
 
 
 @dataclass(frozen=True)
@@ -375,9 +365,9 @@ def verify_poly_ode(
     weight = lcm(*(c.denominator for c in coeffs))
     terms = [(int(c * weight), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
              for c, t in zip(coeffs, terms)]
-    lists, bounds, scale = _cleared(series)
-    top, plan, size = _plan(terms, {v: y.order for v, y in series.items()}, order, bounds)
-    bad = _first_residual(plan, top, _packed(lists, bounds, size))
+    tables, scale = _pack_series(series)
+    top, plan, size = _plan(terms, {v: y.order for v, y in series.items()}, order, tables.bounds)
+    bad = _first_residual(plan, top, tables.widened(slot_width(size)))
     if bad:
         bad = (*bad[:2], Fraction(bad[2], weight * scale * factorial(bad[0])))
     return bad is None, bad, top

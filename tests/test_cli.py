@@ -199,7 +199,23 @@ def test_oracle_reports_each_mismatch(tmp_path, capsys, monkeypatch):
     assert main(["oracle", f, "--n", "6", "--q", "3"]) == 1
     assert capsys.readouterr().out == (
         "cluster mismatch at n=5 q=2: 4 != 3\n"
-        "distribution mismatch at n=6 q=1\n"
+        "distribution mismatch at n=6 q=1: 369 != 368\n"
+        "oracle agreement: fail\n"
+    )
+
+
+def test_oracle_compares_the_table_q_keys_too(tmp_path, capsys, monkeypatch):
+    # a count at a q that the occurrence DP never reaches at n = 6
+    f = write(tmp_path, "p.txt", "132\n")
+    real = series.alpha_counts
+
+    def alpha_counts(gf):
+        return {**real(gf), (6, 5): 7}
+
+    monkeypatch.setattr(series, "alpha_counts", alpha_counts)
+    assert main(["oracle", f, "--n", "6", "--q", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "distribution mismatch at n=6 q=5: 0 != 7\n"
         "oracle agreement: fail\n"
     )
 
@@ -391,6 +407,27 @@ def test_verify_ode_fills_the_vertex_rows_once(tmp_path, capsys, monkeypatch, te
     monkeypatch.setattr(series.BiSeries, "_of_rows", classmethod(of_rows))
     assert main(["verify-ode", f, "--n", "30"]) == 0
     assert calls == {"_vertex_tables": 1}
+    assert "fail" not in capsys.readouterr().out
+
+
+def test_verify_ode_runs_the_check_that_the_cli_runs(tmp_path, capsys, monkeypatch):
+    # verify_ode packs the series and hands them to _verify_rows, which
+    # verify-ode runs on the rows of its fill
+    coll = graph_module.PatternCollection(((1, 2, 3, 4, 5),))
+    calls = Counter()
+    real = monotone._verify_rows
+
+    def counting(*args):
+        calls["_verify_rows"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(monotone, "_verify_rows", counting)
+    ys = monotone.monotone_vertex_series(coll, 20)
+    assert monotone.verify_ode(monotone.emit_ode_system(coll), ys, 20).ok
+    assert calls == {"_verify_rows": 1}
+    f = write(tmp_path, "p.txt", "12345\n")
+    assert main(["verify-ode", f, "--n", "20"]) == 0
+    assert calls == {"_verify_rows": 2}
     assert "fail" not in capsys.readouterr().out
 
 

@@ -78,6 +78,12 @@ def test_enumerate_clusters_identity_pattern():
     assert c.offsets == (1, 3)
     assert count_clusters_oracle(coll, 4, 2) == 1
     assert count_clusters_oracle(coll, 6, 2) == 0
+    # 123 then 321 two entries apart, and 321 then 123, order the two shared
+    # entries both ways: both oracles skip those shapes
+    up_down = PatternCollection(((1, 2, 3), (3, 2, 1)))
+    clusters = enumerate_clusters_oracle(up_down, 4, 2)
+    assert [c.sigma for c in clusters] == [(1, 2, 3, 4), (4, 3, 2, 1)]
+    assert count_clusters_oracle(up_down, 4, 2) == 2
 
 
 def test_one_cluster_counts_are_trivial():

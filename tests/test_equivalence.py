@@ -56,6 +56,8 @@ def test_bijection_validation():
         PatternBijection((((1, 2), (1, 2)), ((2, 1), (1, 2))))
     phi = PatternBijection((((1, 2, 3), (1, 3, 2)),))
     assert phi.apply((1, 2, 3)) == (1, 3, 2)
+    with pytest.raises(DomainError, match="does not match"):
+        phi.check_domains([(1, 2, 3), (2, 1, 3)], [(1, 3, 2), (2, 1, 3)])
     with pytest.raises(DomainError):
         phi.apply((2, 1, 3))
 
@@ -72,7 +74,7 @@ def test_condition_negative_on_different_overlaps():
     c2 = PatternCollection(((1, 3, 2),))
     phi = PatternBijection((((1, 2, 3), (1, 3, 2)),))
     report = check_theorem13(c1, c2, phi)
-    assert not report.ok
+    assert not report.ok and not report
     assert not report.linkages_ok
 
 
@@ -423,6 +425,8 @@ def test_separated_set():
     fam = separated_set((1,), (1,), 2)
     assert fam == [(1, 3, 4, 2), (1, 4, 3, 2)]
     assert len(separated_set((1, 2), (1,), 3)) == 6
+    with pytest.raises(DomainError, match="need l >= 1"):
+        separated_set((1,), (1,), 0)
     for a, b in combinations(fam, 2):
         assert any_theorem13_bijection([a], [b]) is not None
         assert verify_strong_equivalence(

@@ -82,6 +82,9 @@ def test_monotone_matches_general_engine():
         mono = monotone_cluster_counts(coll, 12, 4)
         gen = _refined_cluster_counts(coll, 12, 4)
         assert mono.totals == table_totals(gen)
+        for n_max, q_max in ((0, 3), (3, 0)):
+            with pytest.raises(DomainError, match="need n_max >= 1 and q_max >= 1"):
+                monotone_cluster_counts(coll, n_max, q_max)
         for n in range(1, 9):
             for q in range(1, 5):
                 assert mono.total(n, q) == count_clusters_oracle(coll, n, q), (
@@ -193,7 +196,7 @@ def test_verify_ode_reports_mismatch():
     wrong = dict(ys)
     wrong[(1,)] = ys[(1,)].scale(Fraction(2))
     report = verify_ode(system, wrong, 12)
-    assert not report.ok
+    assert not report.ok and not report
 
 
 def test_system_json_round_trip():

@@ -178,6 +178,8 @@ def test_table_capped_below_the_order_in_q_is_rejected():
     short = cluster_counts(coll, 8, 2)
     with pytest.raises(DomainError, match="capped at q=2, need q=8"):
         cluster_gf(short, 8)
+    with pytest.raises(DomainError, match="table filled to n=8, need n=9"):
+        cluster_gf(short, 9)
     with pytest.raises(DomainError, match="capped at q=2"):
         avoidance_gf(coll, 8, table=short)
     row = {q: a for (n, q), a in alpha_counts(avoidance_gf(coll, 8)).items() if n == 8}
