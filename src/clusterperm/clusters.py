@@ -32,9 +32,10 @@ whenever ``is_monotone`` holds and the refined one otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
 from itertools import accumulate, combinations, product
 from math import comb
+from struct import calcsize
 from typing import NamedTuple
 
 from . import kernels
@@ -43,6 +44,7 @@ from .graph import (
     OverlapGraph,
     PatternCollection,
     _extensions_to_perms,
+    _Record,
     _window_order_preds,
     build_graph,
     is_monotone,
@@ -62,13 +64,11 @@ def binom(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cluster:
-    sigma: Perm
-    patterns: tuple[Perm, ...]
-    offsets: tuple[int, ...]
+class Cluster(_Record):
+    __slots__ = ("sigma", "patterns", "offsets")
 
-    def __post_init__(self):
+    def __init__(self, sigma: Perm, patterns: tuple[Perm, ...], offsets: tuple[int, ...]):
+        self._set(sigma, patterns, offsets)
         check_permutation(self.sigma)
         n = len(self.sigma)
         q = len(self.patterns)
@@ -149,8 +149,7 @@ def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkageProfile:
+class LinkageProfile(NamedTuple):
     """Per-edge data driving one step of the refined recurrence.
 
     The boundary of an edge is the whole pattern when l <= k + k', and its
@@ -396,13 +395,13 @@ class PackedRows(NamedTuple):
 
     def lists(self, v: Perm) -> list[list[int]]:
         """The rows of v, unpacked."""
-        return [unpack_row(x, self.width) for x in self.rows[v]]
+        return unpack_rows(self.rows[v], self.width)
 
     def widened(self, width: int) -> "PackedRows":
         """The same rows at ``width``, if that is wider."""
         if width <= self.width:
             return self
-        rows = {v: [pack_row(unpack_row(x, self.width), width) for x in xs]
+        rows = {v: [pack_row(row, width) for row in unpack_rows(xs, self.width)]
                 for v, xs in self.rows.items()}
         return PackedRows(width, rows, self.bounds)
 
@@ -427,19 +426,31 @@ def pack_row(row, width: int) -> int:
 
 def unpack_row(x: int, width: int) -> list[int]:
     """The signed base-2^width digits of x, lowest first and with no
-    trailing zeros; every digit must be below 2^(width - 1) in size.
+    trailing zeros; every digit must be below 2^(width - 1) in size."""
+    return unpack_rows([x], width)[0]
 
-    If the top nonzero digit has index j, the lower digits sum to less than
-    2^(j width - 1) in size, so 2^(j width - 1) < |x| < 2^(j width + width - 1).
-    Then bit_length() // width + 1 is exactly j + 1 slots, and the top digit
-    read is not zero."""
-    if not x:
-        return []
-    size, half = width // 8, 1 << (width - 1)
-    slots = abs(x).bit_length() // width + 1
-    data = (x + _bias(slots, width)).to_bytes(slots * size, "little")
-    return [int.from_bytes(data[i : i + size], "little") - half
-            for i in range(0, len(data), size)]
+
+# memoryview formats of the signed machine integers by width, if little-endian
+_SIGNED = {8 * calcsize(c): c for c in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def unpack_rows(xs: list[int], width: int) -> list[list[int]]:
+    """``unpack_row`` of each x in xs, read from one bytes object.  If the top
+    digit of x has index j, 2^(j width - 1) < |x| < 2^(j width + width - 1),
+    so x needs bit_length() // width + 1 = j + 1 slots.  With B the bias of
+    the most slots any x needs, (x + B) ^ B holds each digit of x in two's
+    complement in its own slot, and zeros above j."""
+    size = width // 8
+    slots = [x.bit_length() // width + 1 if x else 0 for x in xs]
+    bias = _bias(max(slots, default=0), width)
+    data = b"".join([((x + bias) ^ bias).to_bytes(k * size, "little")
+                     for x, k in zip(xs, slots)])
+    if width in _SIGNED:
+        digits = memoryview(data).cast(_SIGNED[width]).tolist()
+    else:
+        digits = [int.from_bytes(data[i : i + size], "little", signed=True)
+                  for i in range(0, len(data), size)]
+    return [digits[end - k : end] for k, end in zip(slots, accumulate(slots))]
 
 
 def _vertex_tables(graph: OverlapGraph, n_max: int, q_max: int) -> PackedRows:
@@ -469,8 +480,9 @@ def _vertex_tables(graph: OverlapGraph, n_max: int, q_max: int) -> PackedRows:
             # binom(n - m, l - m) vanishes for n < l, and m <= l
             terms = [(comb(n - m, l - m), r, b, n - l + k)
                      for l, k, m, r, b in edges if n >= l]
-            bound[n] = sum(c * b[j] for c, _, b, j in terms)
-            steps.append((row, n, terms))
+            if terms:  # else the row and its bound stay 0
+                bound[n] = sum([c * b[j] for c, _, b, j in terms])
+                steps.append((row, n, terms))
     width = slot_width(2 * max(map(max, bounds.values()), default=0))
     if n_max >= 1:
         rows[(1,)][1] = pack_row(first, width)
@@ -503,20 +515,21 @@ def _monotone_cluster_counts(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClusterTable:
+class ClusterTable(_Record):
     """Totals cl_{n,q}, plus the overlap graph when the table was computed.
 
     ``refined`` and ``vertex_total`` need the graph.  The refined engine is
-    built on first use when the totals came from the collapsed recurrence.
+    built on first use when the totals came from the collapsed recurrence,
+    so a table may change, and has no hash.
     """
 
-    collection: PatternCollection
-    n_max: int
-    q_max: int
-    totals: dict[tuple[int, int], int]
-    graph: OverlapGraph | None = None
-    _engine: _Engine | None = field(default=None, repr=False)
+    __slots__ = ("collection", "n_max", "q_max", "totals", "graph", "_engine")
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, collection: PatternCollection, n_max: int, q_max: int, totals: dict,
+                 graph: OverlapGraph | None = None, _engine: _Engine | None = None):
+        self._set(collection, n_max, q_max, totals, graph, _engine)
 
     def total(self, n: int, q: int) -> int:
         return self.totals.get((n, q), 0)

@@ -24,14 +24,15 @@ orbits under reverse and complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from itertools import permutations as _it_permutations
+from typing import NamedTuple
 
 from .clusters import cluster_counts, cluster_counts_single_pattern
 from .graph import (
     OverlapGraph,
     PatternCollection,
+    _Record,
     _overlaps,
     build_graph,
     canonical_form,
@@ -63,11 +64,11 @@ def _patterns_of(collection) -> tuple[Perm, ...]:
     return pats
 
 
-@dataclass(frozen=True)
-class PatternBijection:
-    pairs: tuple[tuple[Perm, Perm], ...]
+class PatternBijection(_Record):
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[Perm, Perm], ...]):
+        self._set(pairs)
         firsts = [a for a, _ in self.pairs]
         seconds = [b for _, b in self.pairs]
         if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
@@ -86,8 +87,7 @@ class PatternBijection:
         raise DomainError(f"{pattern} not in bijection domain")
 
 
-@dataclass(frozen=True)
-class Theorem13Report:
+class Theorem13Report(NamedTuple):
     """Outcome of a bijection check.  ``linkages_ok`` compares ovl on every
     ordered pair, ``overlap_sets_ok`` the labels of ``_labels``.  Where
     ``linkages_ok`` is False the two sides' labels may take their sets at

@@ -12,7 +12,6 @@ unordered entry sets of those subwords together with l.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -36,13 +35,45 @@ class LeafBudgetError(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class PatternCollection:
+class _Record:
+    """Fields in ``__slots__``, set once by ``_set``: == compares them in one
+    class, the hash is their tuple's, the repr names the public ones."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for f, v in zip(self.__slots__, values):
+            object.__setattr__(self, f, v)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+
+class PatternCollection(_Record):
     """A reduced, duplicate-free collection of patterns."""
 
-    patterns: tuple[Perm, ...]
+    __slots__ = ("patterns",)
 
-    def __post_init__(self):
+    def __init__(self, patterns: tuple[Perm, ...]):
+        self._set(patterns)
         if not self.patterns:
             raise DomainError("empty pattern collection")
         seen = set()
@@ -230,8 +261,7 @@ def _extensions_to_perms(n: int, less: list[int]) -> list[Perm]:
     return result
 
 
-@dataclass(frozen=True, order=True)
-class EdgeLabel:
+class EdgeLabel(NamedTuple):
     """Unordered entry sets of the boundary subwords plus the pattern length."""
 
     mu_i: tuple[int, ...]  # sorted
@@ -243,8 +273,7 @@ class EdgeLabel:
         return f"({fmt(self.mu_i)},{fmt(self.mu_f)};{self.length})"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: Perm
     target: Perm
     label: EdgeLabel
@@ -253,8 +282,7 @@ class Edge:
     k_prime: int  # length of the final subword (= len(target))
 
 
-@dataclass(frozen=True)
-class OverlapGraph:
+class OverlapGraph(NamedTuple):
     collection: PatternCollection
     vertices: tuple[Perm, ...]  # sorted by (length, lex); contains (1,)
     edges: tuple[Edge, ...]
@@ -287,7 +315,7 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
                     length=l,
                 )
                 edges.append(Edge(src, tgt, label, pat, k, kp))
-    edges.sort(key=lambda e: (e.source, e.target, e.label, e.pattern))
+    edges.sort()  # by source, target, label, pattern: the label fixes k, k_prime
     return OverlapGraph(coll, vertices, tuple(edges))
 
 

@@ -41,7 +41,6 @@ denominators and by the fill's width rule, then run the same check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from operator import add, mul
@@ -92,8 +91,8 @@ def monotone_vertex_series(
     """The generating functions y_v(x,t), truncated at x^order."""
     _require_monotone(collection)
     tables = _vertex_tables(build_graph(collection), order, order)
-    # the counts are n! c_{v,n,q}
-    return {v: BiSeries._of_rows(order, tables.lists(v)) for v in tables.rows}
+    # the counts are n! c_{v,n,q}, ints
+    return {v: BiSeries._of_rows(order, tables.lists(v), True) for v in tables.rows}
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +100,7 @@ def monotone_vertex_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class OdeTerm:
+class OdeTerm(NamedTuple):
     """The operator y -> d^a/dx^a ( x^b/b! * d^c/dx^c y ) applied to y_target."""
 
     a: int
@@ -111,15 +109,13 @@ class OdeTerm:
     target: Perm
 
 
-@dataclass(frozen=True)
-class OdeEquation:
+class OdeEquation(NamedTuple):
     vertex: Perm
     order: int  # LHS derivative order m_v
     terms: tuple[OdeTerm, ...]  # RHS, each carrying an overall factor t
 
 
-@dataclass(frozen=True)
-class OdeSystem:
+class OdeSystem(NamedTuple):
     equations: tuple[OdeEquation, ...]
     # boundary[v][i] is the t-polynomial y_v^(i)(0,t) for i < m_v,
     # as a map q -> coefficient
@@ -176,8 +172,8 @@ def emit_single_pattern_ode(pattern) -> OdeSystem:
     if not eq.terms:
         pat = collection.patterns[0]
         raise DomainError(f"pattern {pat} has no self-overlap (length-1 expected)")
-    terms = tuple(sorted(replace(t, target=(1,)) for t in eq.terms))
-    return OdeSystem((replace(eq, terms=terms),), {(1,): system.boundary[(1,)]})
+    terms = tuple(sorted(t._replace(target=(1,)) for t in eq.terms))
+    return OdeSystem((eq._replace(terms=terms),), {(1,): system.boundary[(1,)]})
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +335,7 @@ def _equation_plans(system: OdeSystem, orders, order: int, bounds):
     return plans
 
 
-@dataclass(frozen=True)
-class OdePolyTerm:
+class OdePolyTerm(NamedTuple):
     """coeff * t^t_power * x^pre_degree * d^a/dx^a ( x^b/b! d^c/dx^c y_target );
     general enough for hand-assembled single equations with polynomial
     coefficients."""

@@ -62,7 +62,7 @@ class BiSeries:
     The constructor takes ordinary coefficients {(n, q): c}; ``coeff`` and
     ``subs_t`` return ordinary ones."""
 
-    __slots__ = ("order", "rows")
+    __slots__ = ("order", "rows", "_ints")
 
     def __init__(self, order: int, coeffs=None):
         cells = {}
@@ -71,21 +71,25 @@ class BiSeries:
                 raise DomainError(f"{'x' if n < 0 else 't'} exponents must be nonnegative")
             if n <= order:
                 cells[n, q] = Fraction(c) * factorial(n)
-        self.order, self.rows = order, BiSeries._of_rows(order, _fill_rows(order, cells)).rows
+        s = BiSeries._of_rows(order, _fill_rows(order, cells))
+        self.order, self.rows, self._ints = order, s.rows, s._ints
 
     @classmethod
-    def _of_rows(cls, order: int, rows: list[list]) -> "BiSeries":
+    def _of_rows(cls, order: int, rows: list[list], ints: bool = False) -> "BiSeries":
         """The series on the normalised rows[n][q], n = 0..order.  It owns
-        the lists: trailing zeros are trimmed, integral values made ints."""
+        the lists: trailing zeros are trimmed, integral values made ints
+        unless ``ints`` vouches that all are; ``_ints`` says if all are."""
         if order < 0:
             raise DomainError("truncation order must be nonnegative")
+        fractions = False
         for row in rows:
             while row and not row[-1]:
                 row.pop()
-            if set(map(type, row)) - {int}:
+            if not ints and set(map(type, row)) - {int}:
                 row[:] = [c if type(c) is int or c.denominator != 1 else c.numerator for c in row]
+                fractions = fractions or set(map(type, row)) - {int}
         s = cls.__new__(cls)
-        s.order, s.rows = order, rows
+        s.order, s.rows, s._ints = order, rows, not fractions
         return s
 
     # -- constructors ------------------------------------------------------
@@ -126,13 +130,13 @@ class BiSeries:
             for q, c in enumerate(v):
                 acc[q] += sign * c
             rows.append(acc)
-        return BiSeries._of_rows(min(self.order, other.order), rows)
+        return BiSeries._of_rows(min(self.order, other.order), rows, self._ints and other._ints)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self.__add__(other, -1)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries._of_rows(self.order, [[-c for c in row] for row in self.rows])
+        return BiSeries._of_rows(self.order, [[-c for c in row] for row in self.rows], self._ints)
 
     def scale(self, factor) -> "BiSeries":
         f = Fraction(factor)
@@ -148,25 +152,25 @@ class BiSeries:
             for n1 in range(n + 1):
                 _mac(acc, a[n1], b[n - n1], comb(n, n1))
             rows.append(acc)
-        return BiSeries._of_rows(order, rows)
+        return BiSeries._of_rows(order, rows, self._ints and other._ints)
 
     def truncated(self, order: int) -> "BiSeries":
         order = min(order, self.order)
-        return BiSeries._of_rows(order, [row[:] for row in self.rows[: order + 1]])
+        return BiSeries._of_rows(order, [row[:] for row in self.rows[: order + 1]], self._ints)
 
     # -- calculus and substitutions -----------------------------------------
 
     def dx(self, times: int = 1) -> "BiSeries":
         """d^times/dx^times: an index shift of the normalised coefficients."""
         rows = [[] for _ in range(-times)] + [row[:] for row in self.rows[max(times, 0):]]
-        return BiSeries._of_rows(self.order - times, rows)
+        return BiSeries._of_rows(self.order - times, rows, self._ints)
 
     def _lift(self, k: int, weight) -> "BiSeries":
         """Row n moved to n + k and multiplied by weight(n + k, k)."""
         if k < 0:
             raise DomainError("monomial degree must be nonnegative")
         rows = [[weight(n, k) * c for c in row] for n, row in enumerate(self.rows, k)]
-        return BiSeries._of_rows(self.order + k, [[] for _ in range(k)] + rows)
+        return BiSeries._of_rows(self.order + k, [[] for _ in range(k)] + rows, self._ints)
 
     def mul_xpow(self, b: int) -> "BiSeries":
         """Multiply by x^b / b!."""
@@ -180,7 +184,7 @@ class BiSeries:
         if p < 0:
             raise DomainError("t power must be nonnegative")
         rows = [[0] * p + row if row else [] for row in self.rows]
-        return BiSeries._of_rows(self.order, rows)
+        return BiSeries._of_rows(self.order, rows, self._ints)
 
     def shift_t(self, delta: int) -> "BiSeries":
         """Substitute t -> t + delta, re-expanding each row exactly by the
@@ -192,7 +196,7 @@ class BiSeries:
             for i in range(top):
                 for j in range(top - 1, i - 1, -1):
                     row[j] += delta * row[j + 1]
-        return BiSeries._of_rows(self.order, rows)
+        return BiSeries._of_rows(self.order, rows, self._ints and type(delta) is int)
 
     def subs_t(self, value) -> dict[int, Fraction]:
         """Evaluate at a numeric t; returns the univariate slice map n -> c."""
@@ -216,7 +220,7 @@ class BiSeries:
             while acc and not acc[-1]:
                 acc.pop()
             r.append(acc)
-        return BiSeries._of_rows(self.order, r)
+        return BiSeries._of_rows(self.order, r, self._ints)
 
 
 # ---------------------------------------------------------------------------

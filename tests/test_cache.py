@@ -4,7 +4,6 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from itertools import chain, combinations, permutations, product
 
 import pytest
@@ -95,7 +94,7 @@ def reversed_names(g):
         g.collection,
         tuple(sorted(name.values(), key=lambda v: (len(v), v))),
         tuple(
-            replace(e, source=name[e.source], target=name[e.target])
+            e._replace(source=name[e.source], target=name[e.target])
             for e in g.edges
         ),
     )
@@ -128,7 +127,7 @@ def renamed(g, rng):
     for length in {len(v) for v in g.vertices}:
         same = [v for v in g.vertices if len(v) == length]
         name.update(zip(same, rng.sample(same, len(same))))
-    edges = (replace(e, source=name[e.source], target=name[e.target]) for e in g.edges)
+    edges = (e._replace(source=name[e.source], target=name[e.target]) for e in g.edges)
     return OverlapGraph(
         g.collection,
         g.vertices,

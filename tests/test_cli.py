@@ -3,7 +3,6 @@
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 import os
 import subprocess
@@ -166,8 +165,8 @@ def test_verify_ode_reports_the_first_mismatch(tmp_path, capsys, monkeypatch):
         system, tables = real(graph, order)
         eq, *rest = system.equations
         term, *terms = eq.terms
-        eq = replace(eq, terms=(replace(term, b=term.b + 1), *terms))
-        return replace(system, equations=(eq, *rest)), tables
+        eq = eq._replace(terms=(term._replace(b=term.b + 1), *terms))
+        return system._replace(equations=(eq, *rest)), tables
 
     monkeypatch.setattr(monotone, "_ode_system", altered)
     assert main(["verify-ode", f, "--n", "12"]) == 1
@@ -312,6 +311,17 @@ def test_module_entry_point_exits_with_the_status_of_main(p123, tmp_path):
         )
         assert done.returncode == code, (argv, done.stderr)
         assert getattr(done, stream).startswith(start), argv
+
+
+def test_the_cli_import_does_not_load_dataclasses():
+    # each dataclass compiles its generated methods at import, and the module
+    # itself pulls in inspect: together more than most queries take
+    src = Path(clusterperm.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import clusterperm.cli; "
+            "print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_successive_calls_share_one_parser(p123, capsys):

@@ -1,7 +1,6 @@
 """Monotone collections: recurrence, ODE emission, and verification."""
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -430,9 +429,9 @@ def test_verifiers_build_no_series(monkeypatch):
     calls = Counter()
     real = BiSeries._of_rows.__func__
 
-    def counting(cls, order, rows):
+    def counting(cls, order, rows, *ints):
         calls["_of_rows"] += 1
-        return real(cls, order, rows)
+        return real(cls, order, rows, *ints)
 
     monkeypatch.setattr(BiSeries, "_of_rows", classmethod(counting))
     assert verify_ode(system, ys, 20).ok
@@ -544,11 +543,11 @@ def test_packed_check_reports_altered_systems(coll):
     for i, eq in enumerate(system.equations):
         for j, term in enumerate(eq.terms):
             other = next(v for v in tables.rows if v != term.target)
-            for changed in (replace(term, target=other), replace(term, b=term.b + 1),
-                            replace(term, b=term.b + 6, c=term.c + 6)):
+            for changed in (term._replace(target=other), term._replace(b=term.b + 1),
+                            term._replace(b=term.b + 6, c=term.c + 6)):
                 terms = (*eq.terms[:j], changed, *eq.terms[j + 1:])
                 equations = list(system.equations)
-                equations[i] = replace(eq, terms=terms)
+                equations[i] = eq._replace(terms=terms)
                 altered = OdeSystem(tuple(equations), system.boundary)
                 want = _checked(altered, ys, order)
                 assert _verify_rows(altered, tables, orders, order) == want
@@ -570,8 +569,8 @@ def test_packed_poly_check_clears_fractions():
     for coll, order, data in cases:
         y = monotone_vertex_series(coll, order)[ONE]
         terms = _poly_terms(data)
-        thirds = [replace(t, coeff=t.coeff / 3) for t in terms]
-        moved = [replace(terms[0], coeff=terms[0].coeff + Fraction(1, 5)), *terms[1:]]
+        thirds = [t._replace(coeff=t.coeff / 3) for t in terms]
+        moved = [terms[0]._replace(coeff=terms[0].coeff + Fraction(1, 5)), *terms[1:]]
         for series in ({ONE: y}, {ONE: y.scale(Fraction(2, 7))}):
             for ts in (terms, thirds, moved):
                 got = verify_poly_ode(ts, series, order)

@@ -128,6 +128,8 @@ def test_frozen_records_refuse_assignment(cls, names, values, changed, text, fro
     for name in names:
         with pytest.raises(AttributeError):
             setattr(x, name, changed)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
         assert getattr(x, name) == values[names.index(name)]
 
 

@@ -427,3 +427,14 @@ def test_counts_stay_integers_through_the_pipeline():
     for s in (pcl, pcl.shift_t(-1), unshifted, gf, gf.dx(2).mul_xpow(3)):
         assert all(type(c) is int for c in s.coeffs.values())
     assert alpha_counts(gf) == gf.coeffs
+
+
+def test_fraction_halves_add_to_an_int():
+    half = BiSeries(1, {(1, 0): Fraction(1, 2)})
+    total = half + half
+    assert total.rows[1] == [1]
+    assert type(total.rows[1][0]) is int
+    assert alpha_counts(total) == {(1, 0): 1}
+    twice = total + total  # int operands: no scan, still ints
+    assert twice.rows == [[], [2]] and type(twice.rows[1][0]) is int
+    assert (half.shift_t(1) + half.shift_t(1)).rows[1] == [1]
