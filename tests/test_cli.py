@@ -352,8 +352,10 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(p123, tmp_path, capsy
     assert "invalid choice: 'avoider'" in capsys.readouterr().err
 
 
-# sha256 of the exact stdout, recorded with the Fraction-coefficient series
-# layer; the EGF-normalised integer layer must reproduce every byte
+# sha256 of the exact stdout.  The gf and count rows were recorded with the
+# Fraction-coefficient series layer, and the EGF-normalised integer layer must
+# reproduce every byte; the clusters and monotone rows pin the writers
+# ``totals_to_tsv`` and ``system_to_json``, which the package never reads back
 PINNED_OUTPUTS = [
     (["gf", "--n", "14"], "1576243\n13254\n",
      "374ffd5dedda2f79277f6d5eb2a428e28eeae4c6780e582a8ecd230fe5b39000"),
@@ -361,6 +363,10 @@ PINNED_OUTPUTS = [
      "c0e82fb5208364b703bf7bb8e2338a65e2ab21ad9d948a369b53668bcc54a557"),
     (["count", "--n", "20"], "12345\n",
      "3381653ee9bee15f6ba97669f0d53ee6cb3cfc9d72390102529b84ec4dc04b4b"),
+    (["clusters", "--n", "12", "--q", "4"], "1324\n",
+     "87b80c3a1c8093a179cbc07cba2df58908b8049007d04e70ea35ea2037580e3b"),
+    (["monotone", "--format", "json"], "1576243\n13254\n",
+     "324f9067d7590e1f173ab9dbd32a94d150ec3aa1b2f9469a79d912c520244f2f"),
 ]
 
 
