@@ -13,7 +13,6 @@ from .clusters import (
     cluster_counts_single_pattern,
     count_clusters_oracle,
     enumerate_clusters_oracle,
-    table_totals,
 )
 from .equivalence import (
     PatternBijection,
@@ -35,7 +34,6 @@ from .graph import (
     OverlapGraph,
     PatternCollection,
     build_graph,
-    collection,
     enumerate_linkages,
     graph_to_dot,
     k_overlaps,

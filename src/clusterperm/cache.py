@@ -9,9 +9,10 @@ edges, and individualise-and-refine breaks the ties it leaves; a graph past
 that search's leaf budget has no key, and its table is computed uncached.  Tables
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
-atomic rename.  A file that cannot be read back as a table, or whose schema,
-key or fill bounds differ from the request, counts as a miss and is
-rewritten.
+atomic rename.  A file that cannot be read back as a table, that holds a
+cell outside the fill bounds or a count that is not a positive integer, or
+whose schema, key or fill bounds differ from the request, counts as a miss
+and is rewritten.
 """
 
 from __future__ import annotations
@@ -83,6 +84,16 @@ def save_table(
     return path
 
 
+def _valid_cell(n, q, c, n_max: int, q_max: int) -> bool:
+    """A cell as ``save_table`` writes it: int n in 1..n_max, int q in
+    0..q_max (bool excluded) and the decimal text of a positive count."""
+    return (
+        type(n) is int and 1 <= n <= n_max
+        and type(q) is int and 0 <= q <= q_max
+        and type(c) is str and c.isascii() and c.isdigit() and c[0] != "0"
+    )
+
+
 def load_table(
     collection: PatternCollection,
     n_max: int,
@@ -99,15 +110,19 @@ def load_table(
     path = _table_path(key, n_max, q_max, directory)
     if not path.exists():
         return None
-    # a truncated, stale or foreign file is a miss; the caller recomputes
-    # and overwrites it
+    # a truncated, stale or foreign file, or one with a malformed cell, is a
+    # miss; the caller recomputes and overwrites it
     try:
         doc = json.loads(path.read_text())
         if (doc["schema"], doc["key"], doc["n_max"], doc["q_max"]) != (
             SCHEMA, key, n_max, q_max
         ):
             return None
-        totals = {(n, q): int(c) for n, q, c in doc["totals"]}
+        totals = {}
+        for n, q, c in doc["totals"]:
+            if not _valid_cell(n, q, c, n_max, q_max):
+                return None
+            totals[n, q] = int(c)
         return ClusterTable(collection, n_max, q_max, totals)
     except (ValueError, KeyError, TypeError):
         return None

@@ -52,13 +52,6 @@ from .graph import (
 from .perms import DomainError, Perm, check_permutation, standardize
 
 
-def binom(n: int, m: int) -> int:
-    """Binomial coefficient with the vanishing convention for n < 0, m > n."""
-    if m < 0 or n < 0 or m > n:
-        return 0
-    return comb(n, m)
-
-
 # ---------------------------------------------------------------------------
 # Oracle
 # ---------------------------------------------------------------------------
@@ -112,36 +105,36 @@ def _cluster_shapes(collection: PatternCollection, n: int, q: int):
     return out
 
 
+def _consistent_shapes(collection: PatternCollection, n: int, q: int):
+    """(patterns, offsets, predecessor masks) for each shape of
+    ``_cluster_shapes`` whose windows admit some permutation."""
+    if n < 1 or q < 1:
+        raise DomainError("need n >= 1 and q >= 1")
+    for seq, offs in _cluster_shapes(collection, n, q):
+        preds = _window_order_preds(n, [(d - 1, p) for p, d in zip(seq, offs)])
+        if preds is not None:
+            yield seq, offs, preds
+
+
 def enumerate_clusters_oracle(
     collection: PatternCollection, n: int, q: int
 ) -> list[Cluster]:
     """Every q-cluster of length n, by exhaustive search.  Oracle use only."""
-    if n < 1 or q < 1:
-        raise DomainError("need n >= 1 and q >= 1")
-    found = []
-    for seq, offs in _cluster_shapes(collection, n, q):
-        windows = [(d - 1, p) for p, d in zip(seq, offs)]
-        preds = _window_order_preds(n, windows)
-        if preds is None:
-            continue
-        for sigma in _extensions_to_perms(n, preds):
-            found.append(Cluster(sigma, seq, offs))
+    found = [
+        Cluster(sigma, seq, offs)
+        for seq, offs, preds in _consistent_shapes(collection, n, q)
+        for sigma in _extensions_to_perms(n, preds)
+    ]
     found.sort(key=lambda c: (c.sigma, c.patterns, c.offsets))
     return found
 
 
 def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
     """|enumerate_clusters_oracle| computed by linear-extension counting."""
-    if n < 1 or q < 1:
-        raise DomainError("need n >= 1 and q >= 1")
-    total = 0
-    for seq, offs in _cluster_shapes(collection, n, q):
-        windows = [(d - 1, p) for p, d in zip(seq, offs)]
-        preds = _window_order_preds(n, windows)
-        if preds is None:
-            continue
-        total += kernels.count_linear_extensions(n, preds)
-    return total
+    return sum(
+        kernels.count_linear_extensions(n, preds)
+        for _, _, preds in _consistent_shapes(collection, n, q)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +553,6 @@ def cluster_counts(
     return _refined_cluster_counts(collection, n_max, q_max)
 
 
-def table_totals(table: ClusterTable) -> dict[tuple[int, int], int]:
-    return dict(table.totals)
-
-
 def cluster_counts_single_pattern(
     pattern, n_max: int, q_max: int
 ) -> ClusterTable:
@@ -581,14 +570,3 @@ def cluster_counts_single_pattern(
 def totals_to_tsv(totals: dict[tuple[int, int], int]) -> str:
     lines = [f"{n}\t{q}\t{totals[(n, q)]}" for n, q in sorted(totals)]
     return "\n".join(lines) + "\n"
-
-
-def totals_from_tsv(text: str) -> dict[tuple[int, int], int]:
-    totals = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        n, q, c = line.split("\t")
-        totals[(int(n), int(q))] = int(c)
-    return totals

@@ -102,11 +102,6 @@ class PatternCollection(_Record):
         )
 
 
-def collection(patterns) -> PatternCollection:
-    """Build a PatternCollection from an iterable of permutation-like values."""
-    return PatternCollection(tuple(tuple(p) for p in patterns))
-
-
 def reduce_collection(patterns) -> PatternCollection:
     """Drop duplicates and every pattern divisible by another pattern."""
     pats = [check_permutation(p) for p in patterns]

@@ -57,7 +57,7 @@ from .clusters import (
     unpack_row,
 )
 from .graph import OverlapGraph, PatternCollection, build_graph, is_monotone
-from .perms import DomainError, Perm, format_perm, parse_perm
+from .perms import DomainError, Perm, format_perm
 from .series import BiSeries
 
 
@@ -395,24 +395,6 @@ def system_to_json(system: OdeSystem) -> str:
         ]
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def system_from_json(text: str) -> OdeSystem:
-    doc = json.loads(text)
-    equations = []
-    boundary = {}
-    for item in doc["equations"]:
-        v = parse_perm(item["vertex"])
-        terms = tuple(
-            OdeTerm(t["a"], t["b"], t["c"], parse_perm(t["target"]))
-            for t in item["terms"]
-        )
-        equations.append(OdeEquation(v, item["order"], terms))
-        boundary[v] = tuple(
-            {int(q): Fraction(c) for q, c in row.items()}
-            for row in item.get("boundary", [])
-        )
-    return OdeSystem(tuple(equations), boundary)
 
 
 def _term_text(t: OdeTerm) -> str:

@@ -308,21 +308,3 @@ def gf_to_tsv(series: BiSeries) -> str:
     cells = ((n, q, Fraction(c, fact[n])) for (n, q), c in series.coeffs.items())
     lines = [f"{n}\t{q}\t{c.numerator}/{c.denominator}" for n, q, c in cells]
     return "\n".join(lines) + "\n"
-
-
-def gf_from_tsv(text: str, order: int) -> BiSeries:
-    """Inverse of ``gf_to_tsv``.  A GF has q <= n (a length-n permutation has
-    at most n occurrences), and a row is as long as its largest q, so a line
-    with q > n is refused before any row is built; negative exponents are
-    left to the constructor, which reports them first."""
-    cells = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        n, q, frac = line.split("\t")
-        cells[int(n), int(q)] = Fraction(frac), line
-    above = [line for (n, q), (_, line) in cells.items() if 0 <= n < q]
-    if above and min(map(min, cells)) >= 0:
-        raise DomainError(f"t exponent above the x exponent in GF line {above[0]!r}")
-    return BiSeries(order, {nq: c for nq, (c, _) in cells.items()})

@@ -566,6 +566,40 @@ def test_file_of_another_schema_is_a_miss_and_is_rewritten(tmp_path, schema):
     assert path.read_text() == whole
 
 
+def _n_as_text(cells):
+    return [[str(n), q, c] for n, q, c in cells]
+
+
+def _q_as_bool(cells):
+    return [[n, True if q == 1 else q, c] for n, q, c in cells]
+
+
+# each fault was served as a hit by a loader that checked only the schema,
+# key and bounds of the file: with n as text, total(6, 2) read 0
+@pytest.mark.parametrize("fault", [
+    _n_as_text,
+    _q_as_bool,
+    lambda cells: cells + [[99, 1, "5"]],
+    lambda cells: cells + [[4, 5, "5"]],
+    lambda cells: cells[:-1] + [[*cells[-1][:2], "-7"]],
+    lambda cells: cells[:-1] + [[*cells[-1][:2], "0"]],
+    lambda cells: cells[:-1] + [[*cells[-1][:2], int(cells[-1][2])]],
+], ids=["n-text", "q-bool", "n-past-n_max", "q-past-q_max", "negative", "zero", "int-count"])
+def test_file_with_a_malformed_cell_is_a_miss_and_is_rewritten(tmp_path, fault):
+    coll = PatternCollection(((1, 3, 2, 4),))
+    path = save_table(cluster_counts(coll, 8, 4), tmp_path)
+    whole = path.read_text()
+    doc = json.loads(whole)
+    assert [6, 2, "2"] in doc["totals"]
+    doc["totals"] = fault(doc["totals"])
+    path.write_text(json.dumps(doc))
+    assert load_table(coll, 8, 4, tmp_path) is None
+    assert cached_cluster_counts(coll, 8, 4, tmp_path).totals == (
+        cluster_counts(coll, 8, 4).totals
+    )
+    assert path.read_text() == whole
+
+
 def test_atomic_write(tmp_path):
     target = tmp_path / "sub" / "out.json"
     atomic_write_text(target, "hello\n")

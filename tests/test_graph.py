@@ -19,7 +19,6 @@ from clusterperm.graph import (
     NotReducedError,
     PatternCollection,
     build_graph,
-    collection,
     enumerate_linkages,
     graph_to_dot,
     is_monotone,
@@ -94,7 +93,6 @@ def test_pattern_collection_requires_reduced():
 def test_reduce_collection_drops_multiples():
     red = reduce_collection([(1, 4, 5, 6, 2, 3), (1, 3, 4, 5, 2)])
     assert red.patterns == ((1, 3, 4, 5, 2),)
-    assert collection([(1, 2, 3)]).patterns == ((1, 2, 3),)
 
 
 def test_collection_symmetries():
@@ -242,7 +240,7 @@ def test_build_graph_matches_reference_builder():
             for l in (rng.randint(2, 7) for _ in range(rng.randint(1, 4)))
         ]
         try:
-            coll = collection(pats)
+            coll = PatternCollection(tuple(map(tuple, pats)))
         except DomainError:  # duplicate or not reduced
             continue
         g = build_graph(coll)

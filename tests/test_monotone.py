@@ -10,7 +10,7 @@ import pytest
 import clusterperm.clusters as clusters_module
 import clusterperm.graph as graph_module
 import clusterperm.monotone as monotone_module
-from conftest import MONO_A, MONO_B, MONO_C, MONO_D, MONO_ALL
+from conftest import MONO_A, MONO_C, MONO_D, MONO_ALL
 from test_acceptance import (
     CORRECT_C,
     CORRECT_D,
@@ -27,7 +27,6 @@ from clusterperm.clusters import (
     count_clusters_oracle,
     pack_row,
     slot_width,
-    table_totals,
 )
 from clusterperm.graph import PatternCollection, build_graph, overlap_lengths
 from clusterperm.monotone import (
@@ -46,7 +45,6 @@ from clusterperm.monotone import (
     is_monotone,
     monotone_cluster_counts,
     monotone_vertex_series,
-    system_from_json,
     system_to_json,
     system_to_text,
     verify_ode,
@@ -80,7 +78,7 @@ def test_monotone_matches_general_engine():
     for coll in MONO_ALL:
         mono = monotone_cluster_counts(coll, 12, 4)
         gen = _refined_cluster_counts(coll, 12, 4)
-        assert mono.totals == table_totals(gen)
+        assert mono.totals == dict(gen.totals)
         for n_max, q_max in ((0, 3), (3, 0)):
             with pytest.raises(DomainError, match="need n_max >= 1 and q_max >= 1"):
                 monotone_cluster_counts(coll, n_max, q_max)
@@ -196,13 +194,6 @@ def test_verify_ode_reports_mismatch():
     wrong[(1,)] = ys[(1,)].scale(Fraction(2))
     report = verify_ode(system, wrong, 12)
     assert not report.ok and not report
-
-
-def test_system_json_round_trip():
-    for coll in (MONO_B, MONO_C):
-        system = emit_ode_system(coll)
-        back = system_from_json(system_to_json(system))
-        assert back == system
 
 
 def test_system_rendering():
