@@ -10,9 +10,8 @@ that search's leaf budget has no key, and its table is computed uncached.  Table
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
 atomic rename.  A file that cannot be read back as a table, that holds a
-cell outside the fill bounds or a count that is not a positive integer, or
-whose schema, key or fill bounds differ from the request, counts as a miss
-and is rewritten.
+malformed cell, or whose schema, key or fill bounds differ from the request,
+counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -84,16 +83,6 @@ def save_table(
     return path
 
 
-def _valid_cell(n, q, c, n_max: int, q_max: int) -> bool:
-    """A cell as ``save_table`` writes it: int n in 1..n_max, int q in
-    0..q_max (bool excluded) and the decimal text of a positive count."""
-    return (
-        type(n) is int and 1 <= n <= n_max
-        and type(q) is int and 0 <= q <= q_max
-        and type(c) is str and c.isascii() and c.isdigit() and c[0] != "0"
-    )
-
-
 def load_table(
     collection: PatternCollection,
     n_max: int,
@@ -120,7 +109,9 @@ def load_table(
             return None
         totals = {}
         for n, q, c in doc["totals"]:
-            if not _valid_cell(n, q, c, n_max, q_max):
+            # only cells as save_table writes them (a bool is no int here)
+            if not (type(n) is int and 1 <= n <= n_max and type(q) is int and 0 <= q <= q_max
+                    and type(c) is str and c.isascii() and c.isdigit() and c[0] != "0"):
                 return None
             totals[n, q] = int(c)
         return ClusterTable(collection, n_max, q_max, totals)

@@ -106,8 +106,7 @@ def _cluster_shapes(collection: PatternCollection, n: int, q: int):
 
 
 def _consistent_shapes(collection: PatternCollection, n: int, q: int):
-    """(patterns, offsets, predecessor masks) for each shape of
-    ``_cluster_shapes`` whose windows admit some permutation."""
+    """(patterns, offsets, predecessor masks) of each consistent cluster shape."""
     if n < 1 or q < 1:
         raise DomainError("need n >= 1 and q >= 1")
     for seq, offs in _cluster_shapes(collection, n, q):
