@@ -10,8 +10,8 @@ that search's leaf budget has no key, and its table is computed uncached.  Table
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
 atomic rename.  A file that cannot be read back as a table, that holds a
-malformed cell, or whose schema, key or fill bounds differ from the request,
-counts as a miss and is rewritten.
+malformed or repeated cell, or whose schema, key or fill bounds differ from
+the request, counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def load_table(
     path = _table_path(key, n_max, q_max, directory)
     if not path.exists():
         return None
-    # a truncated, stale or foreign file, or one with a malformed cell, is a
-    # miss; the caller recomputes and overwrites it
+    # a truncated, stale or foreign file, or one with a malformed or repeated
+    # cell, is a miss; the caller recomputes and overwrites it
     try:
         doc = json.loads(path.read_text())
         if (doc["schema"], doc["key"], doc["n_max"], doc["q_max"]) != (
@@ -109,9 +109,9 @@ def load_table(
             return None
         totals = {}
         for n, q, c in doc["totals"]:
-            # only cells as save_table writes them (a bool is no int here)
-            if not (type(n) is int and 1 <= n <= n_max and type(q) is int and 0 <= q <= q_max
-                    and type(c) is str and c.isascii() and c.isdigit() and c[0] != "0"):
+            if not (type(n) is type(q) is int and 1 <= n <= n_max and 0 <= q <= q_max
+                    and (n, q) not in totals and type(c) is str and c.isascii()
+                    and c.isdigit() and c[0] != "0"):
                 return None
             totals[n, q] = int(c)
         return ClusterTable(collection, n_max, q_max, totals)

@@ -584,7 +584,9 @@ def _q_as_bool(cells):
     lambda cells: cells[:-1] + [[*cells[-1][:2], "-7"]],
     lambda cells: cells[:-1] + [[*cells[-1][:2], "0"]],
     lambda cells: cells[:-1] + [[*cells[-1][:2], int(cells[-1][2])]],
-], ids=["n-text", "q-bool", "n-past-n_max", "q-past-q_max", "negative", "zero", "int-count"])
+    lambda cells: cells + [[6, 2, "9"]],
+], ids=["n-text", "q-bool", "n-past-n_max", "q-past-q_max", "negative", "zero", "int-count",
+        "repeated"])
 def test_file_with_a_malformed_cell_is_a_miss_and_is_rewritten(tmp_path, fault):
     coll = PatternCollection(((1, 3, 2, 4),))
     path = save_table(cluster_counts(coll, 8, 4), tmp_path)
