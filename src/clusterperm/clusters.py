@@ -130,10 +130,10 @@ def enumerate_clusters_oracle(
 
 def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
     """|enumerate_clusters_oracle| computed by linear-extension counting."""
-    return sum(
-        kernels.count_linear_extensions(n, preds)
-        for _, _, preds in _consistent_shapes(collection, n, q)
-    )
+    total = 0
+    for _, _, preds in _consistent_shapes(collection, n, q):
+        total += kernels.count_linear_extensions(n, preds)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -566,19 +566,11 @@ def test_file_of_another_schema_is_a_miss_and_is_rewritten(tmp_path, schema):
     assert path.read_text() == whole
 
 
-def _n_as_text(cells):
-    return [[str(n), q, c] for n, q, c in cells]
-
-
-def _q_as_bool(cells):
-    return [[n, True if q == 1 else q, c] for n, q, c in cells]
-
-
 # each fault was served as a hit by a loader that checked only the schema,
 # key and bounds of the file: with n as text, total(6, 2) read 0
 @pytest.mark.parametrize("fault", [
-    _n_as_text,
-    _q_as_bool,
+    lambda cells: [[str(n), q, c] for n, q, c in cells],
+    lambda cells: [[n, True if q == 1 else q, c] for n, q, c in cells],
     lambda cells: cells + [[99, 1, "5"]],
     lambda cells: cells + [[4, 5, "5"]],
     lambda cells: cells[:-1] + [[*cells[-1][:2], "-7"]],

@@ -521,21 +521,18 @@ def test_sixteen_vertex_collection_against_its_complement(tmp_path, capsys):
     assert "equivalent to order N=8" in capsys.readouterr().out
 
 
-def readme_commands():
-    """The ``clusterperm`` lines of the fenced block under "## Command line"."""
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    """Every ``clusterperm`` line of the fenced block under "## Command line"
+    exits 0 with output, on small pattern files (1342 is monotone)."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
     block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
-            if line.startswith("clusterperm ")]
-
-
-def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("clusterperm ")]
+    assert len(commands) == 10
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("CLUSTERPERM_CACHE_DIR", str(tmp_path / "cache"))
-    for name, text in [("patterns.txt", "1342\n"), ("a.txt", "1342\n"), ("b.txt", "1432\n")]:
-        write(tmp_path, name, text)
-    commands = readme_commands()
-    assert len(commands) == 10  # one per line of the block
+    for name, pats in [("patterns.txt", "1342\n"), ("a.txt", "1342\n"), ("b.txt", "1432\n")]:
+        write(tmp_path, name, pats)
     for argv in commands:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out, argv
