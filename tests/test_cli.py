@@ -355,7 +355,9 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(p123, tmp_path, capsy
 # sha256 of the exact stdout.  The gf and count rows were recorded with the
 # Fraction-coefficient series layer, and the EGF-normalised integer layer must
 # reproduce every byte; the clusters and monotone rows pin the writers
-# ``totals_to_tsv`` and ``system_to_json``, which the package never reads back
+# ``totals_to_tsv`` and ``system_to_json``, which the package never reads back.
+# The count rows at orders 45 and 50 run the packed reciprocal kernel; their
+# digests were recorded with the list kernel alone
 PINNED_OUTPUTS = [
     (["gf", "--n", "14"], "1576243\n13254\n",
      "374ffd5dedda2f79277f6d5eb2a428e28eeae4c6780e582a8ecd230fe5b39000"),
@@ -363,6 +365,10 @@ PINNED_OUTPUTS = [
      "c0e82fb5208364b703bf7bb8e2338a65e2ab21ad9d948a369b53668bcc54a557"),
     (["count", "--n", "20"], "12345\n",
      "3381653ee9bee15f6ba97669f0d53ee6cb3cfc9d72390102529b84ec4dc04b4b"),
+    (["count", "--n", "45"], "12345\n",
+     "a1ebef09880d23546632464f51886b45eef13b499aa0b3235bd89a2ce4ab831b"),
+    (["count", "--n", "50"], "12354\n132465\n",
+     "9dc14adf9a4d26a2fd71da183c5f6f011d2b1533028e2a4b9ae29e8070a2b28e"),
     (["clusters", "--n", "12", "--q", "4"], "1324\n",
      "87b80c3a1c8093a179cbc07cba2df58908b8049007d04e70ea35ea2037580e3b"),
     (["monotone", "--format", "json"], "1576243\n13254\n",
