@@ -10,8 +10,9 @@ that search's leaf budget has no key, and its table is computed uncached.  Table
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
 atomic rename.  A file that cannot be read back as a table, that holds a
-malformed or repeated cell, or whose schema, key or fill bounds differ from
-the request, counts as a miss and is rewritten.
+malformed or repeated cell, whose cell list is not as long as the cell count
+it records, or whose schema, key or fill bounds differ from the request,
+counts as a miss and is rewritten.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graph import LeafBudgetError, PatternCollection, build_graph, canonical_fo
 
 ENV_CACHE_DIR = "CLUSTERPERM_CACHE_DIR"
 # Bumped whenever the key or the file layout changes.
-SCHEMA = 2
+SCHEMA = 3
 
 
 def cache_key(collection: PatternCollection) -> str:
@@ -74,6 +75,7 @@ def save_table(
         "key": key,
         "n_max": table.n_max,
         "q_max": table.q_max,
+        "cells": len(table.totals),
         "totals": [
             [n, q, str(c)] for (n, q), c in sorted(table.totals.items())
         ],
@@ -99,12 +101,12 @@ def load_table(
     path = _table_path(key, n_max, q_max, directory)
     if not path.exists():
         return None
-    # a truncated, stale or foreign file, or one with a malformed or repeated
-    # cell, is a miss; the caller recomputes and overwrites it
+    # a truncated, stale or foreign file, or one with a malformed, repeated or
+    # missing cell, is a miss; the caller recomputes and overwrites it
     try:
         doc = json.loads(path.read_text())
-        if (doc["schema"], doc["key"], doc["n_max"], doc["q_max"]) != (
-            SCHEMA, key, n_max, q_max
+        if (doc["schema"], doc["key"], doc["n_max"], doc["q_max"], doc["cells"]) != (
+            SCHEMA, key, n_max, q_max, len(doc["totals"])
         ):
             return None
         totals = {}

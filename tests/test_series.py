@@ -7,7 +7,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MONO_ALL
+from conftest import MONO_ALL, MONO_C, MONO_D
+from clusterperm import series
 from clusterperm.clusters import cluster_counts
 from clusterperm.graph import PatternCollection
 from clusterperm.perms import DomainError
@@ -187,6 +188,67 @@ def test_table_capped_below_the_order_in_q_is_rejected():
 def ref_avoidance_gf(table, order):
     """The inverse GF shifted before inverting: 1/(1 - Pi_cl(x, t-1))."""
     return (BiSeries.one(order) - cluster_gf(table, order).shift_t(-1)).reciprocal()
+
+
+# ---------------------------------------------------------------------------
+# The two reciprocal kernels: the list kernel is the reference of the packed
+# one, which ``reciprocal`` picks on deep, dense integral rows.
+# ---------------------------------------------------------------------------
+
+big_cells = st.integers(-(2**64), 2**64)
+integral_rows = st.integers(1, 12).flatmap(lambda order: st.lists(
+    st.one_of(st.just([]), st.lists(big_cells, min_size=1, max_size=1),
+              st.lists(st.one_of(st.just(0), big_cells), max_size=7)),
+    min_size=order, max_size=order,
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integral_rows)
+def test_packed_kernel_matches_the_list_kernel(rows):
+    s = BiSeries._of_rows(len(rows), [[1]] + rows)
+    width = series._majorant_width(s.rows, s.order)
+    packed = series._packed_reciprocal(s.rows, s.order, width)
+    assert packed == series._list_reciprocal(s.rows, s.order)
+
+
+def _coll(*patterns):
+    return PatternCollection(tuple(tuple(map(int, p)) for p in patterns))
+
+
+def test_avoidance_gf_through_the_packed_kernel_matches_the_list_kernel():
+    for coll in (_coll("12345"), MONO_C, MONO_D, _coll("1324")):
+        for order in (40, 45, 50):
+            table = cluster_counts(coll, order, order)
+            a = (BiSeries.one(order) - cluster_gf(table, order)).rows
+            want = BiSeries._of_rows(order, series._list_reciprocal(a, order)).shift_t(-1)
+            assert avoidance_gf(coll, order, table=table).rows == want.rows, (coll, order)
+
+
+def test_reciprocal_picks_the_packed_kernel_on_deep_dense_integral_rows(monkeypatch):
+    ran = []
+    for name in ("_list_reciprocal", "_packed_reciprocal"):
+        def stub(a, order, *width, name=name):
+            ran.append(name)
+            return [[1]] + [[] for _ in range(order)]
+        monkeypatch.setattr(series, name, stub)
+
+    def picked(s):
+        ran.clear()
+        s.reciprocal()
+        (kernel,) = ran
+        return kernel
+
+    def cluster_rows(coll, order):
+        return BiSeries.one(order) - cluster_gf(cluster_counts(coll, order, order), order)
+
+    for coll, order in ((_coll("12345"), 45), (MONO_C, 50), (MONO_D, 50)):
+        assert picked(cluster_rows(coll, order)) == "_packed_reciprocal", (coll, order)
+    # too shallow; 30 cells in 60 rows; a slot of 528 bits, past the bound
+    for coll, order in ((_coll("12345"), 13), (_coll("132"), 60), (_coll("12345"), 100)):
+        assert picked(cluster_rows(coll, order)) == "_list_reciprocal", (coll, order)
+    dense = [[1]] + [[Fraction(1, 2), 1, Fraction(1, 3)] for _ in range(45)]
+    assert picked(BiSeries._of_rows(45, dense)) == "_list_reciprocal"
 
 
 def test_avoidance_gf_matches_the_shift_first_order(reference_tables):
