@@ -21,6 +21,19 @@ collection.  It is computed as Pi(x,t) = P(x, t-1) with
 P(x,s) = 1/(1 - Pi_cl(x,s)): t -> t-1 is a ring homomorphism on each x^n
 slice, so it commutes with inversion, and P is inverted on the unshifted
 cluster rows, which are sparse in s where the shifted ones are dense.
+
+``reciprocal`` has two kernels and picks one from its input alone.  The list
+kernel multiplies cell by cell.  The packed kernel holds each inverse row r_n
+as the one integer r_n(2^w), forms it with one C-level sum of products per
+t-degree of the input, and unpacks all rows at the end.  Its slot width w
+comes from the scalar majorant rbar_n = sum_m C(n, m) |a_m|_1 rbar_{n-m},
+which bounds every cell of r_n, signed cells included.  The packed kernel
+runs on integral rows at order >= 40 that hold more nonzero cells than rows,
+with w <= 512 bits, where it is the faster one.  The list kernel stays for
+the rest: it is faster at orders <= 24, on sparse
+rows (one cell per cluster length, as for 132) and past 512 bits, where
+padding each cell to the widest one costs more than the packing saves; and
+it is the only kernel for Fraction rows.  BENCH_pr24.json has the crossover.
 """
 
 from __future__ import annotations
@@ -223,11 +236,12 @@ class BiSeries:
 
 
 # Where the list kernel is the faster one (median list/packed time over
-# interleaved in-process pairs, rows of 1 - Pi_cl): below order 40, where
-# the packed kernel reads 0.43-0.97x at orders <= 24; and past a slot width of
-# 512 bits, where padding every cell of r_n to the widest one costs more than
-# the packing saves.  The width crossover is lowest on 1576243 13254: 1.04x
-# at width 464 (order 90), 0.96x at 528 (order 100), 0.73x at 808 (order 140).
+# interleaved in-process pairs on the rows of 1 - Pi_cl, as
+# tools/reciprocal_crossover.py measures it): below order 40, where the packed
+# kernel reads 0.43-0.97x at orders <= 24; and past a slot width of 512 bits,
+# where padding every cell of r_n to the widest one costs more than the
+# packing saves.  The width crossover is lowest on 1576243 13254: 1.04x at
+# width 464 (order 90), 0.96x at 528 (order 100), 0.73x at 808 (order 140).
 _PACKED_ORDER_MIN = 40
 _PACKED_WIDTH_MAX = 512
 
