@@ -238,10 +238,11 @@ class BiSeries:
 # Where the list kernel is the faster one (median list/packed time over
 # interleaved in-process pairs on the rows of 1 - Pi_cl, as
 # tools/reciprocal_crossover.py measures it): below order 40, where the packed
-# kernel reads 0.43-0.97x at orders <= 24; and past a slot width of 512 bits,
+# kernel reads 0.70-1.00x at order 24; and past a slot width of 512 bits,
 # where padding every cell of r_n to the widest one costs more than the
 # packing saves.  The width crossover is lowest on 1576243 13254: 1.04x at
-# width 464 (order 90), 0.96x at 528 (order 100), 0.73x at 808 (order 140).
+# width 464 (order 90), 0.96-1.00x at 528 (order 100), 0.74x at 808 (order
+# 140); 12345 reads 0.84x at 808.
 _PACKED_ORDER_MIN = 40
 _PACKED_WIDTH_MAX = 512
 
