@@ -365,14 +365,14 @@ PINNED_OUTPUTS = [
      "c0e82fb5208364b703bf7bb8e2338a65e2ab21ad9d948a369b53668bcc54a557"),
     (["count", "--n", "20"], "12345\n",
      "3381653ee9bee15f6ba97669f0d53ee6cb3cfc9d72390102529b84ec4dc04b4b"),
-    (["count", "--n", "45"], "12345\n",
-     "a1ebef09880d23546632464f51886b45eef13b499aa0b3235bd89a2ce4ab831b"),
-    (["count", "--n", "50"], "12354\n132465\n",
-     "9dc14adf9a4d26a2fd71da183c5f6f011d2b1533028e2a4b9ae29e8070a2b28e"),
     (["clusters", "--n", "12", "--q", "4"], "1324\n",
      "87b80c3a1c8093a179cbc07cba2df58908b8049007d04e70ea35ea2037580e3b"),
     (["monotone", "--format", "json"], "1576243\n13254\n",
      "324f9067d7590e1f173ab9dbd32a94d150ec3aa1b2f9469a79d912c520244f2f"),
+    (["count", "--n", "45"], "12345\n",
+     "a1ebef09880d23546632464f51886b45eef13b499aa0b3235bd89a2ce4ab831b"),
+    (["count", "--n", "50"], "12354\n132465\n",
+     "9dc14adf9a4d26a2fd71da183c5f6f011d2b1533028e2a4b9ae29e8070a2b28e"),
 ]
 
 
