@@ -34,8 +34,7 @@ every coefficient is, and a wrong system or a wrong row can never alias to
 a right one.  Only the first x^n that fails is unpacked, into signed
 base-2^s digits, to report (n, q, lhs, rhs).  ``verify-ode`` checks the
 vertex tables it filled; ``verify_ode`` and ``verify_poly_ode`` first pack
-the series' rows once (``_pack_series``), times the lcm of their
-denominators and by the fill's width rule, then run the same check.
+the series' rows once by the fill's width rule (``_pack_series``).
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ def monotone_vertex_series(
     """The generating functions y_v(x,t), truncated at x^order."""
     _require_monotone(collection)
     tables = _vertex_tables(build_graph(collection), order, order)
-    # the counts are n! c_{v,n,q}, ints
-    return {v: BiSeries._of_rows(order, tables.lists(v), True) for v in tables.rows}
+    return {v: BiSeries._of_rows(order, tables.lists(v)) for v in tables.rows}
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +117,7 @@ class OdeSystem(NamedTuple):
     equations: tuple[OdeEquation, ...]
     # boundary[v][i] is the t-polynomial y_v^(i)(0,t) for i < m_v,
     # as a map q -> coefficient
-    boundary: dict[Perm, tuple[dict[int, Fraction], ...]]
+    boundary: dict[Perm, tuple[dict[int, int], ...]]
 
 
 def emit_ode_system(collection: PatternCollection) -> OdeSystem:
@@ -259,18 +257,13 @@ def _first_residual(plan, top: int, tables: PackedRows):
     return None
 
 
-def _pack_series(series: dict[Perm, BiSeries]) -> tuple[PackedRows, int]:
-    """The series' rows times the lcm of their denominators, which scales
-    every residual alike, packed by the rule of ``_vertex_tables``: at the
-    width holding twice the largest row bound; and that lcm."""
-    scale = lcm(*(c.denominator for y in series.values() for row in y.rows
-                  for c in row if type(c) is not int))
-    lists = {v: [[int(c * scale) for c in row] for row in y.rows] if scale > 1 else y.rows
-             for v, y in series.items()}
-    bounds = {v: [max(map(abs, row), default=0) for row in rows] for v, rows in lists.items()}
+def _pack_series(series: dict[Perm, BiSeries]) -> PackedRows:
+    """The series' rows packed by the rule of ``_vertex_tables``: at the
+    width holding twice the largest row bound."""
+    bounds = {v: [max(map(abs, row), default=0) for row in y.rows] for v, y in series.items()}
     width = slot_width(2 * max(map(max, bounds.values()), default=0))
-    rows = {v: [pack_row(row, width) for row in rows] for v, rows in lists.items()}
-    return PackedRows(width, rows, bounds), scale
+    rows = {v: [pack_row(row, width) for row in y.rows] for v, y in series.items()}
+    return PackedRows(width, rows, bounds)
 
 
 def verify_ode(
@@ -278,18 +271,16 @@ def verify_ode(
 ) -> VerifyReport:
     """Check every equation (and the boundary data) against the series: their
     rows are packed once, and each x^n is checked by one integer comparison."""
-    tables, scale = _pack_series(series)
-    return _verify_rows(system, tables, {v: y.order for v, y in series.items()}, order, scale)
+    orders = {v: y.order for v, y in series.items()}
+    return _verify_rows(system, _pack_series(series), orders, order)
 
 
-def _verify_rows(
-    system: OdeSystem, tables: PackedRows, orders, order: int, scale: int = 1
-) -> VerifyReport:
+def _verify_rows(system: OdeSystem, tables: PackedRows, orders, order: int) -> VerifyReport:
     """``verify_ode`` on packed rows tables.rows[v][n], trusted through
-    x^orders[v], where row n packs ``scale`` n! [x^n t^q] y_v: the vertex
-    tables the system's boundary was read from are such rows, at scale 1.
-    They are repacked only if a residual of the system could carry at their
-    width, and only a failing x^n is unpacked."""
+    x^orders[v], where row n packs n! [x^n t^q] y_v: the vertex tables the
+    system's boundary was read from are such rows.  They are repacked only
+    if a residual of the system could carry at their width, and only a
+    failing x^n is unpacked."""
     plans = _equation_plans(system, orders, order, tables.bounds)
     tables = tables.widened(slot_width(max((size for *_, size in plans), default=0)))
     checks = []
@@ -299,13 +290,12 @@ def _verify_rows(
             n, q, r = bad
             row = unpack_row(tables.rows[eq.vertex][n + eq.order], tables.width)
             y_m = row[q] if q < len(row) else 0
-            d = scale * factorial(n)
-            bad = (n, q, Fraction(y_m, d), Fraction(y_m - r, d))
+            bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
     boundary_ok = all(
         {q: c for q, c in enumerate(
             unpack_row(tables.rows[v][i], tables.width) if i <= orders[v] else []) if c}
-        == {q: c * scale for q, c in row.items() if c}
+        == {q: c for q, c in row.items() if c}
         for v, rows in system.boundary.items()
         for i, row in enumerate(rows)
     )
@@ -360,11 +350,11 @@ def verify_poly_ode(
     weight = lcm(*(c.denominator for c in coeffs))
     terms = [(int(c * weight), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
              for c, t in zip(coeffs, terms)]
-    tables, scale = _pack_series(series)
+    tables = _pack_series(series)
     top, plan, size = _plan(terms, {v: y.order for v, y in series.items()}, order, tables.bounds)
     bad = _first_residual(plan, top, tables.widened(slot_width(size)))
     if bad:
-        bad = (*bad[:2], Fraction(bad[2], weight * scale * factorial(bad[0])))
+        bad = (*bad[:2], Fraction(bad[2], weight * factorial(bad[0])))
     return bad is None, bad, top
 
 
@@ -373,7 +363,7 @@ def verify_poly_ode(
 # ---------------------------------------------------------------------------
 
 
-def _poly_to_json(poly: dict[int, Fraction]):
+def _poly_to_json(poly: dict[int, int]):
     return {str(q): f"{c.numerator}/{c.denominator}" for q, c in sorted(poly.items())}
 
 

@@ -1,16 +1,16 @@
 """Truncated bivariate exponential generating functions, exact arithmetic.
 
-A BiSeries represents sum c_{n,q} x^n t^q with rational coefficients and an
-explicit truncation order: coefficients of x^n are trusted only for
-n <= order.  Binary operations take the minimum of the operand orders, so
-precision loss is always visible in the result's order.
+A BiSeries represents sum c_{n,q} x^n t^q with an explicit truncation
+order: coefficients of x^n are trusted only for n <= order.  Binary
+operations take the minimum of the operand orders, so precision loss is
+always visible in the result's order.
 
 Coefficients are stored EGF-normalised, in rows: ``rows[n][q]`` holds
 n! c_{n,q} for n = 0..order.  A labelled product is then a binomial
 convolution, d/dx an index shift and multiplication by x^b/b! a binomial
-weight, so integral coefficients stay integral (no n! denominators, no gcds)
-under every operation but ``scale`` by a non-integer.  Values are ``int``
-wherever integral, else ``Fraction``.
+weight, and every stored value is an ``int``: no n! denominators, no gcds.
+The constructor rejects a c_{n,q} whose n! c_{n,q} is not an integer, and
+``scale`` and ``shift_t`` take only integers.
 
 The cluster-method identities live here: Pi_cl(x,t) assembled from a cluster
 table, the substitution t -> t + delta, series reciprocal, and the avoidance
@@ -28,12 +28,11 @@ as the one integer r_n(2^w), forms it with one C-level sum of products per
 t-degree of the input, and unpacks all rows at the end.  Its slot width w
 comes from the scalar majorant rbar_n = sum_m C(n, m) |a_m|_1 rbar_{n-m},
 which bounds every cell of r_n, signed cells included.  The packed kernel
-runs on integral rows at order >= 40 that hold more nonzero cells than rows,
-with w <= 512 bits, where it is the faster one.  The list kernel stays for
-the rest: it is faster at orders <= 24, on sparse
-rows (one cell per cluster length, as for 132) and past 512 bits, where
-padding each cell to the widest one costs more than the packing saves; and
-it is the only kernel for Fraction rows.  BENCH_pr24.json has the crossover.
+runs at order >= 40 on rows that hold more nonzero cells than rows, with
+w <= 512 bits, where it is the faster one.  The list kernel stays for the
+rest: it is faster at orders <= 24, on sparse rows (one cell per cluster
+length, as for 132) and past 512 bits, where padding each cell to the widest
+one costs more than the packing saves.  BENCH_pr24.json has the crossover.
 """
 
 from __future__ import annotations
@@ -59,6 +58,13 @@ def _fill_rows(order: int, cells) -> list[list]:
     return rows
 
 
+def _integer(value, what: str) -> int:
+    """value as an int: an int, or a rational whose denominator is 1."""
+    if getattr(value, "denominator", None) != 1:
+        raise DomainError(f"{what} must be an integer, not {value}")
+    return int(value)
+
+
 def _mac(acc: list, u: list, v: list, w) -> None:
     """acc += w u v, the three rows read as polynomials in t."""
     acc.extend([0] * (len(u) + len(v) - 1 - len(acc)))
@@ -73,10 +79,10 @@ class BiSeries:
     """A truncated series whose ``rows[n][q]`` (n = 0..order) is n! times the
     coefficient of x^n t^q; each row ends in a nonzero entry.  Every operation
     returns fresh rows through ``_of_rows``; ``coeffs`` is a read-only view.
-    The constructor takes ordinary coefficients {(n, q): c}; ``coeff`` and
-    ``subs_t`` return ordinary ones."""
+    The constructor takes ordinary coefficients {(n, q): c}, each with n! c
+    an integer; ``coeff`` and ``subs_t`` return ordinary ones."""
 
-    __slots__ = ("order", "rows", "_ints")
+    __slots__ = ("order", "rows")
 
     def __init__(self, order: int, coeffs=None):
         cells = {}
@@ -84,26 +90,20 @@ class BiSeries:
             if n < 0 or q < 0:
                 raise DomainError(f"{'x' if n < 0 else 't'} exponents must be nonnegative")
             if n <= order:
-                cells[n, q] = Fraction(c) * factorial(n)
-        s = BiSeries._of_rows(order, _fill_rows(order, cells))
-        self.order, self.rows, self._ints = order, s.rows, s._ints
+                cells[n, q] = _integer(Fraction(c) * factorial(n), f"n! c at (n={n}, q={q})")
+        self.order, self.rows = order, BiSeries._of_rows(order, _fill_rows(order, cells)).rows
 
     @classmethod
-    def _of_rows(cls, order: int, rows: list[list], ints: bool = False) -> "BiSeries":
-        """The series on the normalised rows[n][q], n = 0..order.  It owns
-        the lists: trailing zeros are trimmed, integral values made ints
-        unless ``ints`` vouches that all are; ``_ints`` says if all are."""
+    def _of_rows(cls, order: int, rows: list[list[int]]) -> "BiSeries":
+        """The series on the normalised int rows[n][q], n = 0..order.  It
+        owns the lists, and trims their trailing zeros."""
         if order < 0:
             raise DomainError("truncation order must be nonnegative")
-        fractions = False
         for row in rows:
             while row and not row[-1]:
                 row.pop()
-            if not ints and set(map(type, row)) - {int}:
-                row[:] = [c if type(c) is int or c.denominator != 1 else c.numerator for c in row]
-                fractions = fractions or set(map(type, row)) - {int}
         s = cls.__new__(cls)
-        s.order, s.rows, s._ints = order, rows, not fractions
+        s.order, s.rows = order, rows
         return s
 
     # -- constructors ------------------------------------------------------
@@ -115,7 +115,7 @@ class BiSeries:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def coeffs(self) -> dict[tuple[int, int], int | Fraction]:
+    def coeffs(self) -> dict[tuple[int, int], int]:
         """{(n, q): n! c_{n,q}} for the nonzero coefficients, in (n, q) order."""
         return {(n, q): c for n, row in enumerate(self.rows) for q, c in enumerate(row) if c}
 
@@ -144,16 +144,16 @@ class BiSeries:
             for q, c in enumerate(v):
                 acc[q] += sign * c
             rows.append(acc)
-        return BiSeries._of_rows(min(self.order, other.order), rows, self._ints and other._ints)
+        return BiSeries._of_rows(min(self.order, other.order), rows)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self.__add__(other, -1)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries._of_rows(self.order, [[-c for c in row] for row in self.rows], self._ints)
+        return BiSeries._of_rows(self.order, [[-c for c in row] for row in self.rows])
 
-    def scale(self, factor) -> "BiSeries":
-        f = Fraction(factor)
+    def scale(self, factor: int) -> "BiSeries":
+        f = _integer(factor, "scale factor")
         return BiSeries._of_rows(self.order, [[c * f for c in row] for row in self.rows])
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
@@ -166,25 +166,25 @@ class BiSeries:
             for n1 in range(n + 1):
                 _mac(acc, a[n1], b[n - n1], comb(n, n1))
             rows.append(acc)
-        return BiSeries._of_rows(order, rows, self._ints and other._ints)
+        return BiSeries._of_rows(order, rows)
 
     def truncated(self, order: int) -> "BiSeries":
         order = min(order, self.order)
-        return BiSeries._of_rows(order, [row[:] for row in self.rows[: order + 1]], self._ints)
+        return BiSeries._of_rows(order, [row[:] for row in self.rows[: order + 1]])
 
     # -- calculus and substitutions -----------------------------------------
 
     def dx(self, times: int = 1) -> "BiSeries":
         """d^times/dx^times: an index shift of the normalised coefficients."""
         rows = [[] for _ in range(-times)] + [row[:] for row in self.rows[max(times, 0):]]
-        return BiSeries._of_rows(self.order - times, rows, self._ints)
+        return BiSeries._of_rows(self.order - times, rows)
 
     def _lift(self, k: int, weight) -> "BiSeries":
         """Row n moved to n + k and multiplied by weight(n + k, k)."""
         if k < 0:
             raise DomainError("monomial degree must be nonnegative")
         rows = [[weight(n, k) * c for c in row] for n, row in enumerate(self.rows, k)]
-        return BiSeries._of_rows(self.order + k, [[] for _ in range(k)] + rows, self._ints)
+        return BiSeries._of_rows(self.order + k, [[] for _ in range(k)] + rows)
 
     def mul_xpow(self, b: int) -> "BiSeries":
         """Multiply by x^b / b!."""
@@ -198,19 +198,20 @@ class BiSeries:
         if p < 0:
             raise DomainError("t power must be nonnegative")
         rows = [[0] * p + row if row else [] for row in self.rows]
-        return BiSeries._of_rows(self.order, rows, self._ints)
+        return BiSeries._of_rows(self.order, rows)
 
     def shift_t(self, delta: int) -> "BiSeries":
         """Substitute t -> t + delta, re-expanding each row exactly by the
         Taylor shift: pass i divides by (t - delta) once more and leaves the
         i-th coefficient of the result in row[i]."""
+        delta = _integer(delta, "t shift")
         rows = [row[:] for row in self.rows]
         for row in rows:
             top = len(row) - 1
             for i in range(top):
                 for j in range(top - 1, i - 1, -1):
                     row[j] += delta * row[j + 1]
-        return BiSeries._of_rows(self.order, rows, self._ints and type(delta) is int)
+        return BiSeries._of_rows(self.order, rows)
 
     def subs_t(self, value) -> dict[int, Fraction]:
         """Evaluate at a numeric t; returns the univariate slice map n -> c."""
@@ -222,17 +223,16 @@ class BiSeries:
         """Inverse series in x; requires constant coefficient exactly 1.
 
         On the rows a_n(t), the inverse r has r_0 = 1 and
-        r_n = -sum_{m=1..n} C(n, m) a_m r_{n-m}.  Deep, dense integral rows
-        go through the packed kernel, all others through the list kernel."""
+        r_n = -sum_{m=1..n} C(n, m) a_m r_{n-m}.  Deep, dense rows go
+        through the packed kernel, all others through the list kernel."""
         a, order = self.rows, self.order
         if a[0] != [1]:
             raise DomainError("reciprocal requires constant term 1")
-        if (self._ints and order >= _PACKED_ORDER_MIN
-                and sum(len(row) - row.count(0) for row in a[1:]) > order):
+        if order >= _PACKED_ORDER_MIN and sum(len(row) - row.count(0) for row in a[1:]) > order:
             width = _majorant_width(a, order)
             if width <= _PACKED_WIDTH_MAX:
-                return BiSeries._of_rows(order, _packed_reciprocal(a, order, width), True)
-        return BiSeries._of_rows(order, _list_reciprocal(a, order), self._ints)
+                return BiSeries._of_rows(order, _packed_reciprocal(a, order, width))
+        return BiSeries._of_rows(order, _list_reciprocal(a, order))
 
 
 # Where the list kernel is the faster one (median list/packed time over

@@ -14,7 +14,7 @@ import pytest
 
 import clusterperm
 import clusterperm.graph as graph_module
-from clusterperm import clusters, equivalence, monotone, series
+from clusterperm import cli, clusters, equivalence, monotone, series
 from clusterperm.cli import build_parser, main
 
 
@@ -245,6 +245,23 @@ def test_oracle_cap(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_oracle_past_the_cap_names_the_cap_and_the_override(tmp_path, capsys):
+    f = write(tmp_path, "p.txt", "1324\n")
+    assert cli.ORACLE_CAP == 10
+    assert main(["oracle", f, "--n", "11"]) == 1
+    captured = capsys.readouterr()
+    assert "oracle capped at n=10; pass --force to override" in captured.err
+    assert captured.out == ""
+
+
+def test_oracle_force_runs_past_the_cap(tmp_path, capsys):
+    # with q = 1 every cluster is one occurrence of 1324, so the cluster
+    # oracle and the occurrence DP at n = 11 stay small
+    f = write(tmp_path, "p.txt", "1324\n")
+    assert main(["oracle", f, "--n", "11", "--q", "1", "--force"]) == 0
+    assert capsys.readouterr().out == "oracle agreement: pass\n"
+
+
 @pytest.mark.parametrize("n, q", [(6, 3), (4, 6)])
 def test_oracle_builds_one_cluster_table(tmp_path, capsys, monkeypatch, n, q):
     f = write(tmp_path, "p.txt", "1324\n2143\n")
@@ -420,9 +437,9 @@ def test_verify_ode_fills_the_vertex_rows_once(tmp_path, capsys, monkeypatch, te
         calls["_vertex_tables"] += 1
         return real_tables(*args)
 
-    def of_rows(cls, *args):  # every BiSeries, the constructor's too, is built here
+    def of_rows(cls, order, rows):  # every BiSeries, the constructor's too, is built here
         calls["BiSeries"] += 1
-        return real_rows(cls, *args)
+        return real_rows(cls, order, rows)
 
     for module in (clusters, monotone):
         monkeypatch.setattr(module, "_vertex_tables", tables)

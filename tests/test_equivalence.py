@@ -318,6 +318,34 @@ def test_family_search_answers_exactly(monkeypatch):
         assert any_theorem13_bijection(a, b) is None, m
 
 
+def test_bijection_search_checks_ovl_in_both_directions(monkeypatch):
+    # one label for every pattern, so only the ovl comparisons of the pairs
+    # decide; x1 < x2 and y1 < y2 are the sorted patterns of each side
+    x1, x2, y1, y2 = (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1)
+    one, none = frozenset({1}), frozenset()
+
+    def matrix(p, q, pq, qp):
+        return {(p, p): none, (q, q): none, (p, q): pq, (q, p): qp}
+
+    def search(ovl_a, ovl_b):
+        by_side = {(x1, x2): ovl_a, (y1, y2): ovl_b}
+        monkeypatch.setattr(equivalence, "_ovl_matrix", lambda pats: by_side[tuple(pats)])
+        return equivalence._first_bijection([x1, x2], [y1, y2], equivalence._THEOREM13)
+
+    monkeypatch.setattr(equivalence, "_labels", lambda ovl, kind: {x: 0 for x, _ in ovl})
+    both = matrix(y1, y2, one, one)
+    # ovl(x1, x2) = {1} and ovl(x2, x1) empty, against {1} both ways: only
+    # ovl_a[x, y] == ovl_b[fx, fy] tells them apart, at x = x2, y = x1
+    assert search(matrix(x1, x2, one, none), both) is None
+    # the mirror: only ovl_a[y, x] == ovl_b[fy, fx] tells them apart
+    assert search(matrix(x1, x2, none, one), both) is None
+    # matching pairs, in order and crossed
+    phi = search(matrix(x1, x2, one, none), matrix(y1, y2, one, none))
+    assert phi.pairs == ((x1, y1), (x2, y2))
+    phi = search(matrix(x1, x2, one, none), matrix(y1, y2, none, one))
+    assert phi.pairs == ((x1, y2), (x2, y1))
+
+
 def test_family_search_matches_the_exhaustive_scan():
     for m in range(1, 8):
         for a, b in family_pairs(m):
