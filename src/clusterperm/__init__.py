@@ -23,8 +23,6 @@ from .equivalence import (
     check_theorem13,
     classify_s5,
     graphs_isomorphic,
-    separated_set,
-    separation_property,
     verify_strong_equivalence,
 )
 from .graph import (
@@ -34,11 +32,7 @@ from .graph import (
     OverlapGraph,
     PatternCollection,
     build_graph,
-    enumerate_linkages,
     graph_to_dot,
-    k_overlaps,
-    linkage_lengths,
-    reduce_collection,
 )
 from .monotone import (
     OdeSystem,
@@ -52,13 +46,9 @@ from .monotone import (
 )
 from .perms import (
     DomainError,
-    complement,
     divides,
-    left_divides,
     occurrences,
     parse_perm,
-    reverse,
-    right_divides,
     standardize,
     symmetry_orbit,
 )

@@ -25,7 +25,7 @@ ORACLE_CAP = 10
 
 def _load_collection(path) -> PatternCollection:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no entry
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return PatternCollection(tuple(parse_collection_text(text)))

@@ -17,15 +17,12 @@ graphs_isomorphic (label-preserving isomorphism of overlap graphs) is also
 sufficient, but ``equiv`` no longer calls it: on the reduced collections of up
 to two patterns of length <= 6 it never decided a pair the search had not.
 
-The module also provides the separated pattern families (whose members are
-pairwise equivalent by construction) and the full classification of S_5
-orbits under reverse and complement.
+The module also classifies the orbits of S_5 under reverse and complement.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from itertools import permutations as _it_permutations
 from typing import NamedTuple
 
 from .clusters import cluster_counts, cluster_counts_single_pattern
@@ -44,7 +41,6 @@ from .perms import (
     _format_perm,
     all_permutations,
     check_permutation,
-    occurrences,
     symmetry_orbit,
 )
 
@@ -79,12 +75,6 @@ class PatternBijection(_Record):
             b for _, b in self.pairs
         ) != set(_patterns_of(pi2)):
             raise DomainError("bijection does not match the two collections")
-
-    def apply(self, pattern: Perm) -> Perm:
-        for a, b in self.pairs:
-            if a == pattern:
-                return b
-        raise DomainError(f"{pattern} not in bijection domain")
 
 
 class Theorem13Report(NamedTuple):
@@ -288,35 +278,6 @@ def verify_strong_equivalence(
     t1 = cluster_counts(pi1, order, order).totals
     t2 = cluster_counts(pi2, order, order).totals
     return t1 == t2
-
-
-# ---------------------------------------------------------------------------
-# Separated families
-# ---------------------------------------------------------------------------
-
-
-def separation_property(alpha, beta) -> bool:
-    a = check_permutation(alpha)
-    b = check_permutation(beta)
-    k, kp = len(a), len(b)
-    ext_a = a + (k + 1,)
-    ext_b = (kp + 1,) + b
-    return not occurrences(ext_a, b) and not occurrences(ext_b, a)
-
-
-def separated_set(alpha, beta, l: int) -> list[Perm]:
-    """All permutations of length k+l+k' with prefix alpha on the smallest
-    values, suffix beta on the middle values, and the top l values free."""
-    a = check_permutation(alpha)
-    b = check_permutation(beta)
-    if l < 1:
-        raise DomainError("need l >= 1")
-    k, kp = len(a), len(b)
-    suffix = tuple(x + k for x in b)
-    top = range(k + kp + 1, k + kp + l + 1)
-    out = [a + mid + suffix for mid in _it_permutations(top)]
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -102,23 +102,6 @@ class PatternCollection(_Record):
         )
 
 
-def reduce_collection(patterns) -> PatternCollection:
-    """Drop duplicates and every pattern divisible by another pattern."""
-    pats = [check_permutation(p) for p in patterns]
-    if not pats:
-        raise DomainError("empty pattern list")
-    uniq: list[Perm] = []
-    for p in pats:
-        if p not in uniq:
-            uniq.append(p)
-    kept = [
-        p
-        for p in uniq
-        if not any(q != p and divides(q, p) for q in uniq)
-    ]
-    return PatternCollection(tuple(kept))
-
-
 # Patterns whose border tables are kept; a fixed bound, so a long-running
 # process cannot grow the table without limit.
 _BORDER_PATTERNS = 4096
@@ -138,18 +121,6 @@ def _borders(p: Perm) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
     heads = tuple(standardize(p[:k]) for k in range(1, l))
     tails = tuple(standardize(p[l - k :]) for k in range(1, l))
     return heads, tails
-
-
-def k_overlaps(pi: Perm, pi_prime: Perm, k: int) -> bool:
-    """Does the length-k suffix of pi standardize like the prefix of pi_prime?"""
-    pi, pi_prime = check_permutation(pi), check_permutation(pi_prime)
-    tails, heads = _borders(pi)[1], _borders(pi_prime)[0]
-    if not 1 <= k <= min(len(pi), len(pi_prime)):
-        raise DomainError(f"overlap length {k} out of range")
-    # a whole pattern is its own standardization
-    tail = tails[k - 1] if k < len(pi) else pi
-    head = heads[k - 1] if k < len(pi_prime) else pi_prime
-    return tail == head
 
 
 def overlap_lengths(pi: Perm, pi_prime: Perm) -> list[int]:
@@ -181,35 +152,10 @@ def is_monotone(collection: PatternCollection) -> MonotoneResult:
     pats = [check_permutation(p) for p in collection]  # also plain sequences
     for pi in pats:
         for pi_prime in pats:
-            for k in _overlaps(pi, pi_prime):
+            for k in overlap_lengths(pi, pi_prime):
                 if max(pi_prime[:k]) > k:
                     return MonotoneResult(False, (pi, pi_prime, k))
     return MonotoneResult(True, None)
-
-
-def linkage_lengths(pi: Perm, pi_prime: Perm) -> set[int]:
-    """Lengths n of linkages of the ordered pair (pi, pi_prime).
-
-    Each n satisfies max(l, l') < n < l + l'.  The degenerate case
-    k = min(l, l') would force one pattern to divide the other and is
-    excluded.
-    """
-    l, lp = len(pi), len(pi_prime)
-    return {l + lp - k for k in overlap_lengths(pi, pi_prime)}
-
-
-def enumerate_linkages(pi: Perm, pi_prime: Perm, n: int) -> list[Perm]:
-    """All sigma in S_n whose first l entries standardize to pi and last l'
-    to pi_prime, by exhaustive construction (oracle use only)."""
-    pi = check_permutation(pi)
-    pi_prime = check_permutation(pi_prime)
-    l, lp = len(pi), len(pi_prime)
-    if not max(l, lp) <= n < l + lp:
-        raise DomainError(f"linkage length {n} out of range for lengths {l},{lp}")
-    preds = _window_order_preds(n, [(0, pi), (n - lp, pi_prime)])
-    if preds is None:
-        return []
-    return sorted(_extensions_to_perms(n, preds))
 
 
 def _window_order_preds(n: int, windows: list[tuple[int, Perm]]):
@@ -281,10 +227,6 @@ class OverlapGraph(NamedTuple):
     collection: PatternCollection
     vertices: tuple[Perm, ...]  # sorted by (length, lex); contains (1,)
     edges: tuple[Edge, ...]
-
-    @property
-    def distinguished(self) -> Perm:
-        return (1,)
 
 
 def build_graph(coll: PatternCollection) -> OverlapGraph:

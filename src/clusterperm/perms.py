@@ -85,32 +85,6 @@ def divides(pattern: Sequence[int], host: Sequence[int]) -> bool:
     return bool(occurrences(pattern, host))
 
 
-def left_divides(pattern: Sequence[int], host: Sequence[int]) -> bool:
-    pat = check_permutation(pattern)
-    h = check_permutation(host)
-    if len(pat) > len(h):
-        return False
-    return standardize(h[: len(pat)]) == pat
-
-
-def right_divides(pattern: Sequence[int], host: Sequence[int]) -> bool:
-    pat = check_permutation(pattern)
-    h = check_permutation(host)
-    if len(pat) > len(h):
-        return False
-    return standardize(h[len(h) - len(pat) :]) == pat
-
-
-def reverse(perm: Sequence[int]) -> Perm:
-    return tuple(reversed(check_permutation(perm)))
-
-
-def complement(perm: Sequence[int]) -> Perm:
-    p = check_permutation(perm)
-    n = len(p)
-    return tuple(n + 1 - x for x in p)
-
-
 def symmetry_orbit(perm: Sequence[int]) -> frozenset[Perm]:
     """Orbit under the group generated by reverse and complement."""
     p = check_permutation(perm)

@@ -306,6 +306,18 @@ def test_non_utf8_pattern_file_is_a_domain_error(p123, tmp_path, capsys):
         assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    # some editors start a UTF-8 file with the mark EF BB BF
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"1324\n2143\n")
+    marked.write_bytes(b"\xef\xbb\xbf1324\n2143\n")
+    outs = []
+    for path in (plain, marked):
+        assert main(["count", str(path), "--n", "8"]) == 0
+        outs.append(capsys.readouterr().out.encode())
+    assert outs[0] == outs[1] and outs[0].startswith(b"0\t0\t1\n")
+
+
 def test_usage_error_exit_code():
     for argv in (["no-such-command"], [], ["classify-s5", "--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:

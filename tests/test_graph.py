@@ -19,13 +19,9 @@ from clusterperm.graph import (
     NotReducedError,
     PatternCollection,
     build_graph,
-    enumerate_linkages,
     graph_to_dot,
     is_monotone,
-    k_overlaps,
-    linkage_lengths,
     overlap_lengths,
-    reduce_collection,
 )
 from conftest import reference_collections
 from clusterperm.perms import (
@@ -42,43 +38,31 @@ small_perm = st.integers(2, 5).flatmap(
 )
 
 
-def test_k_overlaps_examples():
-    assert k_overlaps((1, 2, 3), (1, 2, 3), 1)
-    assert k_overlaps((1, 2, 3), (1, 2, 3), 2)
-    assert not k_overlaps((1, 3, 2), (1, 3, 2), 2)
-    # suffix (2,5,4) and prefix (1,3,2) standardize equally
-    assert k_overlaps((1, 3, 2, 5, 4), (1, 3, 2, 5, 4), 3)
-    assert k_overlaps((2, 1, 3, 5, 4), (2, 1, 3, 5, 4), 2)
-
-
 def test_overlap_lengths_excludes_full_overlap():
     assert overlap_lengths((1, 2, 3), (1, 2, 3)) == [1, 2]
     assert overlap_lengths((1, 2), (1, 2, 3)) == [1]
     assert overlap_lengths((1, 3, 2, 5, 4), (1, 3, 2, 5, 4)) == [1, 3]
 
 
-def test_linkage_lengths():
-    assert linkage_lengths((1, 2, 3), (1, 2, 3)) == {4, 5}
-    assert linkage_lengths((1, 3, 2), (1, 3, 2)) == {5}
-
-
-def test_enumerate_linkages_identity_pattern():
-    assert enumerate_linkages((1, 2, 3), (1, 2, 3), 4) == [(1, 2, 3, 4)]
-    out = enumerate_linkages((1, 2, 3), (1, 2, 3), 5)
-    assert out == [(1, 2, 3, 4, 5)]
-
-
 @given(small_perm, small_perm)
 def test_enumerate_linkages_are_genuine(pi, pip):
+    # the cluster oracle's path: the permutations of length n whose first l
+    # and last l' entries standardize to pi and pip, for each overlap k
     l, lp = len(pi), len(pip)
-    for n in sorted(linkage_lengths(pi, pip)):
-        words = enumerate_linkages(pi, pip, n)
-        assert words, f"no linkage of length {n} for ({pi},{pip})"
+    ref = _reference_overlaps(pi, pip)
+    for n in range(max(l, lp), l + lp):
+        preds = graph_module._window_order_preds(n, [(0, pi), (n - lp, pip)])
+        words = [] if preds is None else graph_module._extensions_to_perms(n, preds)
+        assert bool(words) == (l + lp - n in ref), (pi, pip, n)
+        assert len(set(words)) == len(words)
         for w in words:
-            assert standardize(w[:l]) == pi
-            assert standardize(w[n - lp :]) == pip
-            # the two windows genuinely share a position
-            assert l + lp > n
+            assert sorted(w) == list(range(1, n + 1))
+            assert standardize(w[:l]) == pi and standardize(w[n - lp :]) == pip
+        if n <= 6:
+            assert set(words) == {
+                s for s in all_permutations(n)
+                if standardize(s[:l]) == pi and standardize(s[n - lp :]) == pip
+            }
 
 
 def test_pattern_collection_requires_reduced():
@@ -90,11 +74,6 @@ def test_pattern_collection_requires_reduced():
         PatternCollection(((1, 2, 3), (1, 2, 3)))
 
 
-def test_reduce_collection_drops_multiples():
-    red = reduce_collection([(1, 4, 5, 6, 2, 3), (1, 3, 4, 5, 2)])
-    assert red.patterns == ((1, 3, 4, 5, 2),)
-
-
 def test_collection_symmetries():
     c = PatternCollection(((1, 2, 3), (2, 1, 3)))
     assert set(c.reversed().patterns) == {(3, 2, 1), (3, 1, 2)}
@@ -104,7 +83,8 @@ def test_collection_symmetries():
 def test_build_graph_vertices():
     g = build_graph(PatternCollection(((1, 2, 3),)))
     assert set(g.vertices) == {(1,), (1, 2)}
-    assert g.distinguished == (1,)
+    # canonical_form and emit_single_pattern_ode read (1) at index 0
+    assert g.vertices[0] == (1,)
 
 
 def test_build_graph_two_vertex_example():
@@ -155,7 +135,6 @@ def _check_overlap_queries(pi, pip):
     ref = _reference_overlaps(pi, pip)
     top = min(len(pi), len(pip))
     assert overlap_lengths(pi, pip) == [k for k in ref if k < top]
-    assert [k for k in range(1, top + 1) if k_overlaps(pi, pip, k)] == ref
 
 
 def test_overlap_queries_match_per_k_standardization():
@@ -180,10 +159,6 @@ def test_overlap_queries_reject_invalid_input(pi, pip):
     # must be validated before any comparison
     with pytest.raises(InvalidPermutationError):
         overlap_lengths(pi, pip)
-    with pytest.raises(InvalidPermutationError):
-        linkage_lengths(pi, pip)
-    with pytest.raises(InvalidPermutationError):
-        k_overlaps(pi, pip, 1)
 
 
 def test_float_entries_are_rejected_with_the_table_cold_or_warm():
@@ -197,8 +172,6 @@ def test_float_entries_are_rejected_with_the_table_cold_or_warm():
         for query in (
             lambda: overlap_lengths(floats, ints),
             lambda: overlap_lengths(ints, floats),
-            lambda: linkage_lengths(floats, ints),
-            lambda: k_overlaps(ints, floats, 1),
             lambda: is_monotone([floats]),
         ):
             with pytest.raises(InvalidPermutationError):
