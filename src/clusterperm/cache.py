@@ -9,10 +9,11 @@ edges, and individualise-and-refine breaks the ties it leaves; a graph past
 that search's leaf budget has no key, and its table is computed uncached.  Tables
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
-atomic rename.  A file that cannot be read back as a table, that holds a
-malformed or repeated cell, whose cell list is not as long as the cell count
-it records, or whose schema, key or fill bounds differ from the request,
-counts as a miss and is rewritten.
+atomic rename.  A file that cannot be read back as a table (one nested too
+deeply for the JSON decoder among them), that holds a malformed or repeated
+cell, whose cell list is not as long as the cell count it records, or whose
+schema, key or fill bounds differ from the request, counts as a miss and is
+rewritten.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ def load_table(
     path = _table_path(key, n_max, q_max, directory)
     if not path.exists():
         return None
-    # a truncated, stale or foreign file, or one with a malformed, repeated or
-    # missing cell, is a miss; the caller recomputes and overwrites it
+    # a truncated, too deeply nested, stale or foreign file, or one with a
+    # malformed, repeated or missing cell, is a miss; the caller recomputes
+    # and overwrites it
     try:
         doc = json.loads(path.read_text())
         if (doc["schema"], doc["key"], doc["n_max"], doc["q_max"], doc["cells"]) != (
@@ -117,7 +119,7 @@ def load_table(
                 return None
             totals[n, q] = int(c)
         return ClusterTable(collection, n_max, q_max, totals)
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         return None
 
 

@@ -200,91 +200,40 @@ Terms = tuple[tuple[int, int], ...]  # the nonzero (q, count) of a t-polynomial
 
 
 class _Engine:
-    """The refined recurrence on one overlap graph, truncated at q_max marks
-    and filled forward from the base state ((1), 1, (1)).
+    """The refined recurrence on one overlap graph, filled forward once
+    through n_max and truncated at q_max marks.
 
     ``memo[v, n, word]`` is the t-polynomial of cl[v, n, q, word], as the
     tuple of its nonzero (q, count) terms; only nonzero states are stored.
-    Every edge shortens the cluster, so the states at n are complete once
-    every shorter state has been pushed.  Pushing a state along an edge into
-    its vertex adds its terms, shifted up by one mark and weighted, to each
-    source state the step can come from.  A state whose lowest q is q_max
-    pushes nothing, so no state beyond 1 + q_max (l_max - 1) is built.
-
-    The memo starts with the base state, and every fill resumes from it:
-    the pushes of memo states that land beyond the filled length are made
-    from their terms, then the fill goes on upwards.  ``refined`` and
-    ``vertex_total`` check their input, fill through the length asked, and
-    read the memo.
+    The fill starts from the base state ((1), 1, (1)).  Every edge shortens
+    the cluster, so the states at n are complete once every shorter state
+    has been pushed.  Pushing a state along an edge into its vertex adds its
+    terms, shifted up by one mark and weighted, to each source state the
+    step can come from.  A state whose lowest q is q_max pushes nothing, so
+    no state beyond 1 + q_max (l_max - 1) is built.
     """
 
-    def __init__(self, graph: OverlapGraph, q_max: int):
-        self.graph = graph
+    def __init__(self, graph: OverlapGraph, n_max: int, q_max: int):
         self.q_max = q_max
-        self.n_filled = 1  # the base state
-        self.memo: dict[tuple[Perm, int, Perm], Terms] = {
-            ((1,), 1, (1,)): tuple(enumerate(_first_row(graph.collection)[: q_max + 1]))
-        }
         self.into: dict[Perm, list[LinkageProfile]] = {
             v: [] for v in graph.vertices
         }
         for e in graph.edges:
             self.into[e.target].append(_edge_profile(e))
         self.options: dict[tuple[tuple[int, ...], int], list] = {}
-
-    def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
-        self._check_q(q)
-        if (
-            v not in self.into
-            or len(word) != len(v)
-            or any(not 1 <= x <= n for x in word)
-            or len(set(word)) != len(word)
-            or standardize(word) != v
-        ):
-            return 0
-        self._fill(n)
-        return dict(self.memo.get((v, n, word), ())).get(q, 0)
-
-    def vertex_total(self, v: Perm, n: int, q: int) -> int:
-        self._check_q(q)
-        if v not in self.into:
-            return 0
-        self._fill(n)
-        return sum(
-            dict(terms).get(q, 0)
-            for (u, m, _), terms in self.memo.items()
-            if u == v and m == n
-        )
-
-    def _check_q(self, q: int):
-        if q > self.q_max:
-            raise DomainError(
-                f"refined counts capped at q_max={self.q_max}, asked for q={q}"
-            )
-
-    def _fill(self, n_max: int):
-        start = self.n_filled
-        if n_max <= start:
-            return
+        self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
         layers: list[dict] = [{} for _ in range(n_max + 1)]
-        for (v, n, word), terms in self.memo.items():
-            self._push_state(v, n, word, terms, layers, start)
-        for n in range(start + 1, n_max + 1):
-            for (v, word), acc in layers[n].items():
+        layers[1][(1,), (1,)] = _first_row(graph.collection)[: q_max + 1]
+        for n, layer in enumerate(layers):
+            for (v, word), acc in layer.items():
                 terms = tuple((q, c) for q, c in enumerate(acc) if c)
                 self.memo[v, n, word] = terms
-                self._push_state(v, n, word, terms, layers, start)
+                pushed = [(q + 1, c) for q, c in terms if q < q_max]
+                for prof in self.into[v] if pushed else ():
+                    m = n + prof.drop
+                    if m <= n_max:
+                        self._push(prof, m, word, pushed, layers[m])
             layers[n] = {}
-        self.n_filled = n_max
-
-    def _push_state(self, v: Perm, n: int, word: Perm, terms, layers, start: int):
-        """Push a complete state along every edge into v, to the lengths
-        above ``start`` that ``layers`` holds."""
-        pushed = [(q + 1, c) for q, c in terms if q < self.q_max]
-        for prof in self.into[v] if pushed else ():
-            m = n + prof.drop
-            if start < m < len(layers):
-                self._push(prof, m, word, pushed, layers[m])
 
     def _push(
         self, prof: LinkageProfile, n: int, y: Perm, pushed: list, layer: dict
@@ -333,16 +282,14 @@ def _refined_cluster_counts(
     collection: PatternCollection, n_max: int, q_max: int
 ) -> ClusterTable:
     """cl_{n,q} by the refined recurrence, summed over first letters."""
-    graph = build_graph(collection)
-    engine = _Engine(graph, q_max)
-    engine._fill(n_max)
+    engine = _Engine(build_graph(collection), n_max, q_max)
     totals = {(1, 0): 1}
     for (v, n, _), terms in engine.memo.items():
         for q, c in terms if v == (1,) else ():
             if q:
                 totals[n, q] = totals.get((n, q), 0) + c
     totals = dict(sorted(totals.items()))
-    return ClusterTable(collection, n_max, q_max, totals, graph, engine)
+    return ClusterTable(collection, n_max, q_max, totals, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +441,11 @@ def _monotone_cluster_counts(
     collection: PatternCollection, n_max: int, q_max: int
 ) -> ClusterTable:
     """cl_{n,q} by the collapsed recurrence; the collection must be monotone."""
-    graph = build_graph(collection)
-    rows = _vertex_tables(graph, n_max, q_max).lists((1,))
+    rows = _vertex_tables(build_graph(collection), n_max, q_max).lists((1,))
     totals = {
         (n, q): c for n, row in enumerate(rows) for q, c in enumerate(row) if c
     }
-    return ClusterTable(collection, n_max, q_max, totals, graph)
+    return ClusterTable(collection, n_max, q_max, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -508,36 +454,21 @@ def _monotone_cluster_counts(
 
 
 class ClusterTable(_Record):
-    """Totals cl_{n,q}, plus the overlap graph when the table was computed.
+    """Totals cl_{n,q} for n <= n_max and q <= q_max, keyed (n, q), with
+    only the nonzero cells stored.
 
-    ``refined`` and ``vertex_total`` need the graph.  The refined engine is
-    built on first use when the totals came from the collapsed recurrence,
-    so a table may change, and has no hash.
+    ``_engine`` is the filled refined engine when the totals came from it,
+    and None when they came from the collapsed recurrence or the cache.
     """
 
-    __slots__ = ("collection", "n_max", "q_max", "totals", "graph", "_engine")
-    __hash__ = None
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __slots__ = ("collection", "n_max", "q_max", "totals", "_engine")
 
     def __init__(self, collection: PatternCollection, n_max: int, q_max: int, totals: dict,
-                 graph: OverlapGraph | None = None, _engine: _Engine | None = None):
-        self._set(collection, n_max, q_max, totals, graph, _engine)
+                 _engine: _Engine | None = None):
+        self._set(collection, n_max, q_max, totals, _engine)
 
     def total(self, n: int, q: int) -> int:
         return self.totals.get((n, q), 0)
-
-    def refined(self, v: Perm, n: int, q: int, word: Perm) -> int:
-        return self._refined_engine().refined(v, n, q, word)
-
-    def vertex_total(self, v: Perm, n: int, q: int) -> int:
-        return self._refined_engine().vertex_total(v, n, q)
-
-    def _refined_engine(self) -> _Engine:
-        if self._engine is None:
-            if self.graph is None:
-                raise DomainError("table carries totals only")
-            self._engine = _Engine(self.graph, self.q_max)
-        return self._engine
 
 
 def cluster_counts(

@@ -123,13 +123,9 @@ def _borders(p: Perm) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
     return heads, tails
 
 
-def overlap_lengths(pi: Perm, pi_prime: Perm) -> list[int]:
-    """All proper overlap lengths k < min(l, l') of the ordered pair."""
-    return _overlaps(check_permutation(pi), check_permutation(pi_prime))
-
-
 def _overlaps(pi: Perm, pi_prime: Perm) -> list[int]:
-    """``overlap_lengths`` of two permutations the caller has validated.
+    """All proper overlap lengths k < min(l, l') of the ordered pair of
+    permutations, which the caller has validated.
 
     The border table is keyed by equality, so an unvalidated tuple such
     as ``(1.0, 3.0, 2.0)`` would be served the entry of ``(1, 3, 2)``.
@@ -152,7 +148,7 @@ def is_monotone(collection: PatternCollection) -> MonotoneResult:
     pats = [check_permutation(p) for p in collection]  # also plain sequences
     for pi in pats:
         for pi_prime in pats:
-            for k in overlap_lengths(pi, pi_prime):
+            for k in _overlaps(pi, pi_prime):
                 if max(pi_prime[:k]) > k:
                     return MonotoneResult(False, (pi, pi_prime, k))
     return MonotoneResult(True, None)

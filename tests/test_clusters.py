@@ -1,7 +1,6 @@
 """Cluster enumeration oracle and the recurrence engines."""
 
 import random
-from collections import Counter
 from itertools import accumulate, combinations, product
 from math import comb
 
@@ -16,8 +15,8 @@ from conftest import (
 )
 from clusterperm.clusters import (
     Cluster,
-    _Engine,
     _first_row,
+    _refined_cluster_counts,
     _vertex_tables,
     cluster_counts,
     cluster_counts_single_pattern,
@@ -110,12 +109,7 @@ def test_single_pattern_engine_matches_general():
         gen = cluster_counts(coll, 10, 4)
         single = cluster_counts_single_pattern(pat, 10, 4)
         assert dict(gen.totals) == single.totals, pat
-        for n in range(1, 11):
-            for q in range(1, 5):
-                by_first = sum(
-                    single.refined((1,), n, q, (p1,)) for p1 in range(1, n + 1)
-                )
-                assert by_first == single.total(n, q), (pat, n, q)
+        assert _refined_cluster_counts(coll, 10, 4).totals == single.totals, pat
     for n_max, q_max in [(0, 3), (3, 0)]:
         with pytest.raises(DomainError):
             cluster_counts_single_pattern((1, 3, 2), n_max, q_max)
@@ -146,60 +140,29 @@ def test_recurrence_matches_oracle_random_pair(coll):
 
 
 def test_monotone_table_answers_refined_queries():
-    # routed to the collapsed recurrence: the refined engine is built lazily
+    # routed to the collapsed recurrence, which builds no refined engine; the
+    # refined engine's per-vertex sums equal the collapsed vertex rows
     table = cluster_counts(MONO_D, 10, 4)
     assert table._engine is None
-    tables = _vertex_tables(table.graph, 10, 4)
-    rows = {v: tables.lists(v) for v in tables.rows}
-    for n in range(1, 11):
-        for q in range(1, 5):
-            by_first = sum(
-                table.refined((1,), n, q, (p1,)) for p1 in range(1, n + 1)
-            )
-            assert by_first == table.total(n, q), (n, q)
-            for v in table.graph.vertices:
-                # a monotone cluster's initial subword is the vertex itself
-                row = rows[v][n]
-                expected = row[q] if q < len(row) else 0
-                assert table.vertex_total(v, n, q) == expected, (v, n, q)
-                assert table.refined(v, n, q, v) == expected, (v, n, q)
-    assert table._engine is not None
-
-
-@pytest.mark.parametrize("coll, word", [
-    (PatternCollection(((1, 4, 2, 5, 3),)), (1, 4, 2)),  # refined recurrence
-    (PatternCollection(((1, 3, 2, 5, 4),)), (1, 3, 2)),  # collapsed recurrence
-])
-def test_refined_rejects_inadmissible_words(coll, word):
-    table = cluster_counts(coll, 9, 3)
-    v, n, q = (1, 3, 2), 9, 2
-    assert v in table.graph.vertices
-    assert table.refined(v, n, q, word) > 0
-    states = len(table._engine.memo)
-    for bad in [
-        (1, 4),  # wrong length
-        (1, 4, 2, 3),  # wrong length
-        (1, 10, 2),  # entry above n
-        (0, 4, 2),  # entry below 1
-        (1, 4, 4),  # repeated entry
-        (2, 1, 3),  # standardizes to 213
-        (1, 2, 3),  # standardizes to 123
-    ]:
-        assert table.refined(v, n, q, bad) == 0, bad
-    assert table.refined((2, 1), n, q, (2, 1)) == 0  # not a vertex
-    assert table.vertex_total((2, 1), n, q) == 0
-    assert len(table._engine.memo) == states
+    refined = _refined_cluster_counts(MONO_D, 10, 4)
+    assert refined.totals == table.totals
+    tables = _vertex_tables(build_graph(MONO_D), 10, 4)
+    by_vertex = {(v, n): [0] * 5 for v in tables.rows for n in range(11)}
+    for (v, n, word), terms in refined._engine.memo.items():
+        # a monotone cluster's initial subword is the vertex itself
+        assert word == v, (v, n, word)
+        for q, c in terms:
+            by_vertex[v, n][q] += c
+    for v in tables.rows:
+        for n, row in enumerate(tables.lists(v)):
+            assert by_vertex[v, n] == (row + [0] * 5)[:5], (v, n)
 
 
 def test_refined_counts_sum_to_totals():
     coll = PatternCollection(((1, 3, 2, 5, 4),))
     table = cluster_counts(coll, 9, 3)
-    for n in range(1, 10):
-        for q in range(1, 4):
-            by_first = sum(
-                table.refined((1,), n, q, (p1,)) for p1 in range(1, n + 1)
-            )
-            assert by_first == table.total(n, q)
+    assert table._engine is None
+    assert _refined_cluster_counts(coll, 9, 3).totals == table.totals
 
 
 def test_engine_memo_holds_one_vector_per_word():
@@ -249,20 +212,6 @@ def test_q_cap_prunes_long_words():
         assert table.totals == _below(full, q_cap), q_cap
         # beyond length 1 + 3 q_cap the recursion stops at once
         assert all(n <= 1 + 3 * q_cap for _, n, _ in table._engine.memo)
-
-
-@pytest.mark.parametrize("coll", [
-    PatternCollection(((1, 4, 2, 5, 3),)),  # refined recurrence
-    PatternCollection(((1, 3, 2, 5, 4),)),  # collapsed recurrence
-])
-def test_refined_queries_above_q_max_are_domain_errors(coll):
-    table = cluster_counts(coll, 9, 3)
-    v = (1, 3, 2)
-    assert table.vertex_total(v, 9, 3) > 0
-    with pytest.raises(DomainError, match="q_max=3"):
-        table.refined(v, 9, 4, v)
-    with pytest.raises(DomainError, match="q_max=3"):
-        table.vertex_total(v, 9, 4)
 
 
 class RefEngine:
@@ -369,55 +318,28 @@ def _admissible_words(v, n):
 
 
 def test_refined_queries_match_the_top_down_reference():
-    # the monotone collections answer through the lazily built engine; the
-    # short table answers above its n_max by refilling
+    # the monotone collections too, through the refined engine; the sums by
+    # vertex and length show that the memo holds no inadmissible word
     for coll in reference_collections() + list(MONO_ALL):
-        table = cluster_counts(coll, 10, 10)
-        short = cluster_counts(coll, 6, 10)
-        ref = RefEngine(table.graph, 10)
-        for v in table.graph.vertices:
+        memo = _refined_cluster_counts(coll, 10, 10)._engine.memo
+        assert all(memo.values())
+        in_memo = {}
+        for (v, n, _), terms in memo.items():
+            row = in_memo.setdefault((v, n), [0] * 11)
+            for q, c in terms:
+                row[q] += c
+        graph = build_graph(coll)
+        ref = RefEngine(graph, 10)
+        for v in graph.vertices:
             for n in range(1, 11):
                 by_vertex = [0] * 11
                 for word in _admissible_words(v, n):
                     expected = dict(ref.vec(v, n, word))
-                    for q in range(11):
-                        got = table.refined(v, n, q, word)
-                        assert got == expected.get(q, 0), (coll, v, n, q, word)
-                        if n > 6:
-                            assert short.refined(v, n, q, word) == got
-                        by_vertex[q] += got
-                for q in range(11):
-                    assert table.vertex_total(v, n, q) == by_vertex[q]
-                    assert short.vertex_total(v, n, q) == by_vertex[q]
-        assert all(table._engine.memo.values())
-        assert all(short._engine.memo.values())
-
-
-@pytest.mark.parametrize("coll", [*MONO_ALL, PatternCollection(((1, 3, 2, 4),))])
-def test_sequential_queries_resume_the_fill(coll, monkeypatch):
-    # walking n = 1..10 upwards pushes each (state, edge) pair once, as one
-    # fill to 10 does, and keeps every value of the top-down reference
-    pushes = Counter()
-    real = _Engine._push
-
-    def counting(engine, *args):
-        pushes[engine] += 1
-        return real(engine, *args)
-
-    monkeypatch.setattr(_Engine, "_push", counting)
-    graph = build_graph(coll)
-    once, walked, ref = _Engine(graph, 10), _Engine(graph, 10), RefEngine(graph, 10)
-    once._fill(10)
-    for n in range(1, 11):
-        for v in graph.vertices:
-            for word in _admissible_words(v, n):
-                expected = dict(ref.vec(v, n, word))
-                for q in range(11):
-                    assert walked.refined(v, n, q, word) == expected.get(q, 0), (
-                        v, n, q, word)
-        assert walked.n_filled == n
-    assert pushes[walked] == pushes[once] > 0
-    assert walked.memo == once.memo
+                    got = dict(memo.get((v, n, word), ()))
+                    assert got == expected, (coll, v, n, word)
+                    for q, c in got.items():
+                        by_vertex[q] += c
+                assert in_memo.get((v, n), [0] * 11) == by_vertex, (coll, v, n)
 
 
 def ref_vertex_tables(graph, n_max, q_max):

@@ -181,7 +181,7 @@ def _ref_check(pi1, pi2, phi, overlap_test):
 
 @functools.cache
 def _ref_overlaps(x, y):
-    return graph.overlap_lengths(x, y)
+    return graph._overlaps(x, y)
 
 
 def _overlap_sets_differ(pi, pip, k, fp, fpp):
@@ -519,7 +519,7 @@ def search_classify_s5(n_max=13, q_max=3):
 
     buckets = {}
     for rep in sorted(orbits):
-        prof = [k for k in graph.overlap_lengths(rep, rep) if k >= 2]
+        prof = [k for k in graph._overlaps(rep, rep) if k >= 2]
         buckets.setdefault(",".join(map(str, prof)) or "none", []).append(rep)
     fmt = perms._format_perm
     classes, separations, undecided = {}, [], []

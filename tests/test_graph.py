@@ -21,7 +21,6 @@ from clusterperm.graph import (
     build_graph,
     graph_to_dot,
     is_monotone,
-    overlap_lengths,
 )
 from conftest import reference_collections
 from clusterperm.perms import (
@@ -39,9 +38,9 @@ small_perm = st.integers(2, 5).flatmap(
 
 
 def test_overlap_lengths_excludes_full_overlap():
-    assert overlap_lengths((1, 2, 3), (1, 2, 3)) == [1, 2]
-    assert overlap_lengths((1, 2), (1, 2, 3)) == [1]
-    assert overlap_lengths((1, 3, 2, 5, 4), (1, 3, 2, 5, 4)) == [1, 3]
+    assert graph_module._overlaps((1, 2, 3), (1, 2, 3)) == [1, 2]
+    assert graph_module._overlaps((1, 2), (1, 2, 3)) == [1]
+    assert graph_module._overlaps((1, 3, 2, 5, 4), (1, 3, 2, 5, 4)) == [1, 3]
 
 
 @given(small_perm, small_perm)
@@ -134,7 +133,7 @@ def _reference_overlaps(pi, pip):
 def _check_overlap_queries(pi, pip):
     ref = _reference_overlaps(pi, pip)
     top = min(len(pi), len(pip))
-    assert overlap_lengths(pi, pip) == [k for k in ref if k < top]
+    assert graph_module._overlaps(pi, pip) == [k for k in ref if k < top]
 
 
 def test_overlap_queries_match_per_k_standardization():
@@ -158,7 +157,7 @@ def test_overlap_queries_reject_invalid_input(pi, pip):
     # one side of length 1 leaves no proper overlap to test, so both sides
     # must be validated before any comparison
     with pytest.raises(InvalidPermutationError):
-        overlap_lengths(pi, pip)
+        is_monotone([pi, pip])
 
 
 def test_float_entries_are_rejected_with_the_table_cold_or_warm():
@@ -169,14 +168,10 @@ def test_float_entries_are_rejected_with_the_table_cold_or_warm():
         check_permutation(floats)
     graph_module._borders.cache_clear()
     for _ in ("cold", "warm"):
-        for query in (
-            lambda: overlap_lengths(floats, ints),
-            lambda: overlap_lengths(ints, floats),
-            lambda: is_monotone([floats]),
-        ):
+        for patterns in ([floats], [floats, ints], [ints, floats]):
             with pytest.raises(InvalidPermutationError):
-                query()
-        assert overlap_lengths(ints, ints) == [1]
+                is_monotone(patterns)
+        assert is_monotone([ints])
         assert graph_module._borders.cache_info().currsize > 0
 
 
