@@ -386,7 +386,9 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(p123, tmp_path, capsy
 # reproduce every byte; the clusters and monotone rows pin the writers
 # ``totals_to_tsv`` and ``system_to_json``, which the package never reads back.
 # The count rows at orders 45 and 50 run the packed reciprocal kernel; their
-# digests were recorded with the list kernel alone
+# digests were recorded with the list kernel alone.  The last two rows, 132 at
+# order 60 (one cell per cluster length) and 1576243 13254 at order 100 (a
+# slot past 512 bits), were recorded where the list kernel inverts them
 PINNED_OUTPUTS = [
     (["gf", "--n", "14"], "1576243\n13254\n",
      "374ffd5dedda2f79277f6d5eb2a428e28eeae4c6780e582a8ecd230fe5b39000"),
@@ -402,6 +404,10 @@ PINNED_OUTPUTS = [
      "a1ebef09880d23546632464f51886b45eef13b499aa0b3235bd89a2ce4ab831b"),
     (["count", "--n", "50"], "12354\n132465\n",
      "9dc14adf9a4d26a2fd71da183c5f6f011d2b1533028e2a4b9ae29e8070a2b28e"),
+    (["count", "--n", "60"], "132\n",
+     "9061e2f8c63b5be3b4384a21845663f3879e65b825507d4cad2d5c42f2dbcf9d"),
+    (["count", "--n", "100"], "1576243\n13254\n",
+     "e68ffcd1f60215ea6d3ee52792752b4c65a7591f2b505e362ee959667cab89a6"),
 ]
 
 
