@@ -36,8 +36,9 @@ class LeafBudgetError(DomainError):
 
 
 class _Record:
-    """Fields in ``__slots__``, set once by ``_set``: == compares them in one
-    class, the hash is their tuple's, the repr names the public ones."""
+    """Fields in ``__slots__``, set once by ``_set``.  The public ones, those
+    not starting with ``_``, are the value: == compares them in one class,
+    the hash is their tuple's, the repr names them."""
 
     __slots__ = ()
 
@@ -45,14 +46,14 @@ class _Record:
         for f, v in zip(self.__slots__, values):
             object.__setattr__(self, f, v)
 
-    def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+    def _public(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
 
     def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+        return self._public() == other._public() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._public())
 
     def __repr__(self):
         shown = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
@@ -64,7 +65,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._fields()
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
 
 class PatternCollection(_Record):

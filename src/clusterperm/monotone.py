@@ -227,31 +227,22 @@ def _plan(terms, orders, top: int, bounds):
 
 def _first_residual(plan, top: int, tables: PackedRows):
     """The least (n, q, normalised coefficient) of the residual that is not
-    zero, or None.  At each x^n, the rows of the terms with a positive
-    factor and of those with a negative one are summed apart, shifted up p
-    slots, and the two sums compared: one integer comparison.  No residual
-    digit reaches 2^(width - 1) in size, so no digit can carry into the
-    next, and the sums are equal only if every digit is."""
+    zero, or None.  At each x^n, the terms' rows are shifted up p slots and
+    added or subtracted by the sign of their factor: one signed sum.  No
+    residual digit reaches 2^(width - 1) in size, so no digit can carry into
+    the next, and the sum is zero only if every digit is."""
     s, rows = tables.width, tables.rows
     for n in range(top + 1):
-        sides = {}
+        total = 0
         for n0, fs, p, t, d in plan:
             if n < n0:
                 continue
-            f, x = fs[n - n0], rows[t][n + d]
+            f, x = fs[n - n0], rows[t][n + d] << p * s
             if f not in (1, -1):
                 x *= abs(f)
-            key = f > 0, p
-            sides[key] = sides[key] + x if key in sides else x
-        lhs = rhs = 0
-        for (up, p), x in sides.items():
-            x <<= p * s
-            if up:
-                lhs = lhs + x if lhs else x
-            else:
-                rhs = rhs + x if rhs else x
-        if lhs != rhs:
-            digits = unpack_row(lhs - rhs, s)
+            total = total + x if f > 0 else total - x
+        if total:
+            digits = unpack_row(total, s)
             q = next(q for q, r in enumerate(digits) if r)
             return n, q, digits[q]
     return None

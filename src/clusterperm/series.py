@@ -17,22 +17,18 @@ table, the substitution t -> t + delta, series reciprocal, and the avoidance
 generating function Pi(x,t) = 1/(1 - Pi_cl(x, t-1)) whose normalised
 coefficients are alpha_{n,q} = n! c_{n,q}, the number of permutations of
 length n with exactly q consecutive occurrences of patterns from the
-collection.  It is computed as Pi(x,t) = P(x, t-1) with
-P(x,s) = 1/(1 - Pi_cl(x,s)): t -> t-1 is a ring homomorphism on each x^n
-slice, so it commutes with inversion, and P is inverted on the unshifted
-cluster rows, which are sparse in s where the shifted ones are dense.
+collection.  Both of its paths read the unshifted cluster rows, which are
+sparse in s where the shifted ones are dense, and use
+Pi(x,t) = P(x, t-1) with P(x,s) = 1/(1 - Pi_cl(x,s)).
 
-``reciprocal`` has two kernels and picks one from its input alone.  The list
-kernel multiplies cell by cell.  The packed kernel holds each inverse row r_n
-as the one integer r_n(2^w), forms it with one C-level sum of products per
-t-degree of the input, and unpacks all rows at the end.  Its slot width w
-comes from the scalar majorant rbar_n = sum_m C(n, m) |a_m|_1 rbar_{n-m},
-which bounds every cell of r_n, signed cells included.  The packed kernel
-runs at order >= 40 on rows that hold more nonzero cells than rows, with
-w <= 512 bits, where it is the faster one.  The list kernel stays for the
-rest: it is faster at orders <= 24, on sparse rows (one cell per cluster
-length, as for 132) and past 512 bits, where padding each cell to the widest
-one costs more than the packing saves.  BENCH_pr24.json has the crossover.
+Below order 40 ``avoidance_gf`` inverts 1 - Pi_cl(x,s) cell by cell with
+``reciprocal`` and substitutes s -> t-1 with ``shift_t``: t -> t-1 is a ring
+homomorphism on each x^n slice, so it commutes with inversion.  From order 40
+on, ``_avoidance_rows`` evaluates P at s = 2^w - 1 instead (Kronecker
+substitution): P_n(2^w - 1) = Pi_n(2^w), one integer per row whose base-2^w
+digits are the alpha_{n,q} themselves, since each lies in 0..n! and w is
+chosen with n! < 2^(w-1).  The pass needs no bound pass and no shift, and
+checks that each row sums to n!.  BENCH_pr28.json has the crossover.
 """
 
 from __future__ import annotations
@@ -223,80 +219,69 @@ class BiSeries:
         """Inverse series in x; requires constant coefficient exactly 1.
 
         On the rows a_n(t), the inverse r has r_0 = 1 and
-        r_n = -sum_{m=1..n} C(n, m) a_m r_{n-m}.  Deep, dense rows go
-        through the packed kernel, all others through the list kernel."""
+        r_n = -sum_{m=1..n} C(n, m) a_m r_{n-m}, one multiply-add per pair
+        of cells."""
         a, order = self.rows, self.order
         if a[0] != [1]:
             raise DomainError("reciprocal requires constant term 1")
-        if order >= _PACKED_ORDER_MIN and sum(len(row) - row.count(0) for row in a[1:]) > order:
-            width = _majorant_width(a, order)
-            if width <= _PACKED_WIDTH_MAX:
-                return BiSeries._of_rows(order, _packed_reciprocal(a, order, width))
-        return BiSeries._of_rows(order, _list_reciprocal(a, order))
+        r = [[1]]
+        for n in range(1, order + 1):
+            acc = []
+            for m in range(1, n + 1):
+                _mac(acc, a[m], r[n - m], -comb(n, m))
+            while acc and not acc[-1]:
+                acc.pop()
+            r.append(acc)
+        return BiSeries._of_rows(order, r)
 
 
-# Where the list kernel is the faster one (median list/packed time over
-# interleaved in-process pairs on the rows of 1 - Pi_cl, as
-# tools/reciprocal_crossover.py measures it): below order 40, where the packed
-# kernel reads 0.70-1.00x at order 24; and past a slot width of 512 bits,
-# where padding every cell of r_n to the widest one costs more than the
-# packing saves.  The width crossover is lowest on 1576243 13254: 1.04x at
-# width 464 (order 90), 0.96-1.00x at 528 (order 100), 0.74x at 808 (order
-# 140); 12345 reads 0.84x at 808.
+# The order from which ``avoidance_gf`` takes the packed pass.  The median
+# time of list reciprocal + shift over the packed pass on the seven inputs of
+# tools/reciprocal_crossover.py (BENCH_pr28.json) reads 0.90-1.14x at order 8,
+# 1.12-1.26x at 12, 1.14-1.64x at 24, 1.41-2.24x at 40, 1.50-2.30x at 60,
+# 1.22-1.62x at 100 and 0.81-1.22x at 140.  The bound stays at 40 although
+# the pass is ahead from order 12: below it the small requests keep the list
+# path that perfbench's series.reciprocal_s span times, and a lower bound is a
+# separate change, to be measured on its own.
 _PACKED_ORDER_MIN = 40
-_PACKED_WIDTH_MAX = 512
 
 
-def _list_reciprocal(a: list[list], order: int) -> list[list]:
-    """The rows r_0..r_order of 1/a, one multiply-add per pair of cells."""
-    r = [[1]]
-    for n in range(1, order + 1):
-        acc = []
-        for m in range(1, n + 1):
-            _mac(acc, a[m], r[n - m], -comb(n, m))
-        while acc and not acc[-1]:
-            acc.pop()
-        r.append(acc)
-    return r
+def _avoidance_rows(pcl_rows: list[list[int]], order: int) -> list[list[int]]:
+    """The rows of Pi(x, t) = 1/(1 - Pi_cl(x, t-1)) through x^order, from the
+    unshifted rows of Pi_cl, in one packed pass with no shift.
 
-
-def _majorant_width(a: list[list], order: int) -> int:
-    """The slot width that holds every cell of 1/a: the scalar majorant
-    rbar_0 = 1, rbar_n = sum_m C(n, m) |a_m|_1 rbar_{n-m} bounds |r_{n,q}|
-    for every q, signed cells included."""
-    norms = [sum(map(abs, row)) for row in a]
-    bound, binom = [1], [1]
-    for _ in range(order):
-        binom = [1, *map(add, binom, binom[1:]), 1]  # C(n, m) for m = 0..n
-        weights = map(mul, binom[1:], norms[1:])
-        bound.append(sum(map(mul, weights, reversed(bound))))
-    return slot_width(max(bound))
-
-
-def _packed_reciprocal(a: list[list[int]], order: int, width: int) -> list[list[int]]:
-    """``_list_reciprocal`` with each r_n held as the one integer
-    R_n = r_n(2^width), every cell below 2^(width - 1) in size
-    (``_majorant_width``).  Reading a by t-degree i,
-    R_n = sum_i (sum_m C(n, m) (-a_{m,i}) R_{n-m}) << i width: one C-level
-    sum of products per (n, i), and one unpack of all rows at the end."""
-    cols = []  # (i width, the m with a_{m,i} != 0 from first to last, -a_{m,i} by m)
-    for i in range(max(map(len, a))):
-        col = [-row[i] if i < len(row) else 0 for row in a]
-        ms = [m for m in range(1, order + 1) if col[m]]
-        if ms:
-            cols.append((i * width, ms[0], ms[-1], col))
+    With B = 2^width and P(x, s) = 1/(1 - Pi_cl(x, s)), Pi_n(B) =
+    P_n(B - 1) = R_n, where R_0 = 1 and R_n = sum_m C(n, m) Pi_cl,m(B - 1)
+    R_{n-m}, every term nonnegative.  Reading Pi_cl by t-degree from the top
+    down, R_n is Horner's rule in B - 1 over one C-level sum of products per
+    degree.  The base-B digits of R_n are the alpha_{n,q}, counts in 0..n!,
+    and n! < 2^(width - 1), so the signed ``unpack_rows`` reads them
+    unchanged.  That holds only if the rows count clusters, where
+    Pi(x, 1) = 1/(1 - x); so a row that does not sum to n! raises."""
+    width = slot_width(factorial(order))
+    cols = []  # (first and last m with Pi_cl[m][i] != 0, Pi_cl[m][i] by m), i from the top
+    for i in reversed(range(max(map(len, pcl_rows)))):
+        col = [row[i] if i < len(row) else 0 for row in pcl_rows]
+        ms = [m for m in range(1, order + 1) if col[m]] or [order + 1]  # empty: Horner steps only
+        cols.append((ms[0], ms[-1], col))
     packed, binom = [1], [1]
     for n in range(1, order + 1):
         binom = [1, *map(add, binom, binom[1:]), 1]
         back = packed[::-1]  # R_{n-m} at index m - 1
         total = 0
-        for shift, lo, hi, col in cols:
+        for lo, hi, col in cols:
+            total = (total << width) - total
             if lo <= n:
                 hi = min(hi, n)
                 weights = map(mul, binom[lo : hi + 1], col[lo : hi + 1])
-                total += sum(map(mul, weights, back[lo - 1 : hi])) << shift
+                total += sum(map(mul, weights, back[lo - 1 : hi]))
         packed.append(total)
-    return unpack_rows(packed, width)
+    rows = unpack_rows(packed, width)
+    for n, row in enumerate(rows):
+        if sum(row) != factorial(n):
+            raise DomainError(f"row n={n} of the inverse sums to {sum(row)}, not n!: "
+                              f"the table does not count clusters")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +307,9 @@ def avoidance_gf(
     collection: PatternCollection, order: int, table: ClusterTable | None = None
 ) -> BiSeries:
     """Pi(x,t) = 1/(1 - Pi_cl(x, t-1)), truncated at x^order, computed as
-    P(x, t-1) where P(x,s) = 1/(1 - Pi_cl(x,s)) is inverted on the
-    unshifted cluster series.  A given table must count this collection."""
+    P(x, t-1) where P(x,s) = 1/(1 - Pi_cl(x,s)): by ``reciprocal`` and
+    ``shift_t`` below order _PACKED_ORDER_MIN, by ``_avoidance_rows`` from
+    it.  A given table must count this collection."""
     if table is None:
         table = cluster_counts(collection, order, order)
     elif set(table.collection) != set(collection):
@@ -332,6 +318,8 @@ def avoidance_gf(
             f"not of {collection.patterns}"
         )
     pcl = cluster_gf(table, order)
+    if order >= _PACKED_ORDER_MIN:
+        return BiSeries._of_rows(order, _avoidance_rows(pcl.rows, order))
     return (BiSeries.one(order) - pcl).reciprocal().shift_t(-1)
 
 

@@ -385,10 +385,11 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(p123, tmp_path, capsy
 # Fraction-coefficient series layer, and the EGF-normalised integer layer must
 # reproduce every byte; the clusters and monotone rows pin the writers
 # ``totals_to_tsv`` and ``system_to_json``, which the package never reads back.
-# The count rows at orders 45 and 50 run the packed reciprocal kernel; their
-# digests were recorded with the list kernel alone.  The last two rows, 132 at
-# order 60 (one cell per cluster length) and 1576243 13254 at order 100 (a
-# slot past 512 bits), were recorded where the list kernel inverts them
+# The count rows at orders 45 and up run the packed pass of ``avoidance_gf``;
+# the digests of the rows at 45 and 50 were recorded with the list reciprocal
+# alone, and those of 132 at order 60 (one cell per cluster length) and
+# 1576243 13254 at order 100 (a slot past 512 bits) where a list reciprocal
+# inverted them
 PINNED_OUTPUTS = [
     (["gf", "--n", "14"], "1576243\n13254\n",
      "374ffd5dedda2f79277f6d5eb2a428e28eeae4c6780e582a8ecd230fe5b39000"),

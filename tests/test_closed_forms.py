@@ -10,7 +10,7 @@ The pipeline's rows are compared with it far past the depth the enumeration
 oracles reach: on the collapsed monotone recurrence (the families
 themselves) and on the refined engine (their reverse and complement images,
 which have the same clusters).  The avoidance series times omega is 1 at
-order 60, on both reciprocal kernels.  Each recurrence (one per chain
+order 60, through the packed pass.  Each recurrence (one per chain
 length, one per length and last entry of the non-overlapping patterns) is
 checked in turn against the occurrence DP for n <= 10.
 """
@@ -117,8 +117,8 @@ def test_images_through_order_40_on_the_refined_engine():
     "pattern, b", [((1, 2, 3, 4, 5), None), ((1, 3, 2), 2)], ids=["12345", "132"]
 )
 def test_avoidance_gf_times_the_closed_form_is_one(pattern, b):
-    # Pi omega = 1 at order 60, where 12345's reciprocal takes the packed
-    # kernel and 132's sparse rows the list kernel
+    # Pi omega = 1 at order 60, where the packed pass reads 12345's dense
+    # cluster rows and 132's sparse ones
     pi = avoidance_gf(PatternCollection((pattern,)), 60)
     omega = BiSeries._of_rows(60, omega_rows(len(pattern), b, 60))
     assert (pi * omega).rows == BiSeries.one(60).rows

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from clusterperm.clusters import Cluster, ClusterTable, LinkageProfile
+from clusterperm.cache import cached_cluster_counts
+from clusterperm.clusters import Cluster, ClusterTable, LinkageProfile, cluster_counts
 from clusterperm.equivalence import PatternBijection, Theorem13Report
 from clusterperm.graph import (
     Edge,
@@ -123,6 +124,20 @@ def test_frozen_records_refuse_assignment(cls, names, values, changed, text):
         with pytest.raises(AttributeError):
             delattr(x, name)
         assert getattr(x, name) == values[names.index(name)]
+
+
+def test_tables_of_one_request_are_equal_whatever_engine_filled_them(tmp_path):
+    # 14253 takes the refined engine, which each table keeps in ``_engine``;
+    # only the public fields, the ones the repr shows, are the table's value
+    coll = PatternCollection(((1, 4, 2, 5, 3),))
+    first, second = cluster_counts(coll, 8, 3), cluster_counts(coll, 8, 3)
+    assert first._engine is not None and first._engine is not second._engine
+    assert first == second and not first != second
+    cold = cached_cluster_counts(coll, 8, 3, tmp_path)
+    hit = cached_cluster_counts(coll, 8, 3, tmp_path)
+    assert hit._engine is None and cold._engine is not None
+    assert hit == cold == first
+    assert hit != ClusterTable(coll, 8, 3, {**first.totals, (8, 3): 1 + first.total(8, 3)})
 
 
 def test_labels_and_terms_sort_by_their_field_tuples():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MONO_ALL, MONO_C, MONO_D
 from clusterperm import series
-from clusterperm.clusters import cluster_counts
+from clusterperm.clusters import ClusterTable, cluster_counts
 from clusterperm.graph import PatternCollection
 from clusterperm.perms import DomainError
 from clusterperm.series import (
@@ -194,71 +194,71 @@ def ref_avoidance_gf(table, order):
 
 
 # ---------------------------------------------------------------------------
-# The two reciprocal kernels: the list kernel is the reference of the packed
-# one, which ``reciprocal`` picks on deep, dense integral rows.
+# The two paths of ``avoidance_gf``: below _PACKED_ORDER_MIN the list
+# reciprocal and shift_t, the reference of the packed pass ``_avoidance_rows``
+# that runs from it.
 # ---------------------------------------------------------------------------
-
-big_cells = st.integers(-(2**64), 2**64)
-integral_rows = st.integers(1, 12).flatmap(lambda order: st.lists(
-    st.one_of(st.just([]), st.lists(big_cells, min_size=1, max_size=1),
-              st.lists(st.one_of(st.just(0), big_cells), max_size=7)),
-    min_size=order, max_size=order,
-))
-
-
-@settings(max_examples=150, deadline=None)
-@given(integral_rows)
-def test_packed_kernel_matches_the_list_kernel(rows):
-    s = BiSeries._of_rows(len(rows), [[1]] + rows)
-    width = series._majorant_width(s.rows, s.order)
-    packed = series._packed_reciprocal(s.rows, s.order, width)
-    assert packed == series._list_reciprocal(s.rows, s.order)
 
 
 def _coll(*patterns):
     return PatternCollection(tuple(tuple(map(int, p)) for p in patterns))
 
 
-def test_avoidance_gf_through_the_packed_kernel_matches_the_list_kernel():
-    for coll in (_coll("12345"), MONO_C, MONO_D, _coll("1324")):
-        for order in (40, 45, 50):
-            table = cluster_counts(coll, order, order)
-            a = (BiSeries.one(order) - cluster_gf(table, order)).rows
-            want = BiSeries._of_rows(order, series._list_reciprocal(a, order)).shift_t(-1)
-            assert avoidance_gf(coll, order, table=table).rows == want.rows, (coll, order)
-
-
-def test_reciprocal_picks_the_packed_kernel_on_deep_dense_integral_rows(monkeypatch):
-    ran = []
-    for name in ("_list_reciprocal", "_packed_reciprocal"):
-        def stub(a, order, *width, name=name):
-            ran.append(name)
-            return [[1]] + [[] for _ in range(order)]
-        monkeypatch.setattr(series, name, stub)
-
-    def picked(s):
-        ran.clear()
-        s.reciprocal()
-        (kernel,) = ran
-        return kernel
-
-    def cluster_rows(coll, order):
-        return BiSeries.one(order) - cluster_gf(cluster_counts(coll, order, order), order)
-
-    for coll, order in ((_coll("12345"), 45), (MONO_C, 50), (MONO_D, 50)):
-        assert picked(cluster_rows(coll, order)) == "_packed_reciprocal", (coll, order)
-    # too shallow; 30 cells in 60 rows; a slot of 528 bits, past the bound
-    for coll, order in ((_coll("12345"), 13), (_coll("132"), 60), (_coll("12345"), 100)):
-        assert picked(cluster_rows(coll, order)) == "_list_reciprocal", (coll, order)
+def list_path(table, order):
+    """Pi(x, t) by the list reciprocal of 1 - Pi_cl(x, s), then s -> t - 1."""
+    return (BiSeries.one(order) - cluster_gf(table, order)).reciprocal().shift_t(-1)
 
 
 def test_avoidance_gf_matches_the_shift_first_order(reference_tables):
     assert len(reference_tables) == 173
     for coll, table in reference_tables:  # filled to (12, 12)
-        assert avoidance_gf(coll, 10, table=table) == ref_avoidance_gf(table, 10), coll
+        want = ref_avoidance_gf(table, 10)
+        assert avoidance_gf(coll, 10, table=table) == want, coll
+        assert series._avoidance_rows(cluster_gf(table, 10).rows, 10) == want.rows, coll
     for coll in MONO_ALL:
         table = cluster_counts(coll, 30, 30)
-        assert avoidance_gf(coll, 30, table=table) == ref_avoidance_gf(table, 30), coll
+        want = ref_avoidance_gf(table, 30)
+        assert avoidance_gf(coll, 30, table=table) == want, coll
+        assert series._avoidance_rows(cluster_gf(table, 30).rows, 30) == want.rows, coll
+
+
+def test_avoidance_gf_through_the_packed_kernel_matches_the_list_kernel():
+    # dense and sparse (132: one cell per cluster length) cluster rows, and
+    # MONO_C at 100, whose alpha need a slot past 512 bits
+    cases = [(coll, order) for coll in (_coll("12345"), MONO_C, MONO_D, _coll("1324"), _coll("132"))
+             for order in (40, 50, 60)]
+    for coll, order in [*cases, (MONO_C, 100)]:
+        table = cluster_counts(coll, order, order)
+        got = avoidance_gf(coll, order, table=table)
+        assert got.rows == list_path(table, order).rows, (coll, order)
+        assert sum(got.rows[order]) == factorial(order)
+
+
+def test_packed_pass_rejects_a_table_that_does_not_count_clusters():
+    # a 2-cluster with no marks: every row from n = 2 on sums past n!
+    coll = _coll("12345")
+    table = cluster_counts(coll, 40, 40)
+    bumped = ClusterTable(coll, 40, 40, {**table.totals, (2, 0): 1})
+    with pytest.raises(DomainError, match=r"row n=2 of the inverse sums to 3, not n!"):
+        avoidance_gf(coll, 40, table=bumped)
+    assert avoidance_gf(coll, 40, table=table).rows[2] == [2]
+
+
+def test_avoidance_gf_picks_its_path_by_order(monkeypatch):
+    calls = []
+    for name in ("reciprocal", "shift_t"):
+        def spy(self, *args, real=getattr(BiSeries, name), name=name):
+            calls.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(BiSeries, name, spy)
+    coll = _coll("132")
+    for order, want in ((39, ["reciprocal", "shift_t"]), (40, [])):
+        table = cluster_counts(coll, order, order)
+        calls.clear()
+        got = avoidance_gf(coll, order, table=table)
+        assert calls == want, order
+        assert got.rows == list_path(table, order).rows
+    assert series._PACKED_ORDER_MIN == 40
 
 
 def test_table_of_another_collection_is_rejected():
