@@ -24,13 +24,13 @@ slices Y[n][q] = n! [x^n t^q] y, the term d^a(x^b/b! d^c y) has coefficient
 C(n+a, b) Y[n+a-b+c][q], which is zero when n+a < b; with a = m - m_j,
 b = l_j - m_j and c = k_j the equation at x^n t^q is the recurrence above at
 length n + m.  Each row Y[n] is kept as one integer, the t-polynomial at
-t = 2^s (``clusters.PackedRows``), so the equation at x^n is one integer
-comparison: the row Y[n+m] against (sum C(n+a, b) Y[n+a-b+c]) << s.  Every
+t = 2^s (``clusters.PackedRows``), so the equation at x^n is one signed sum
+that must be zero: Y[n+m] minus (sum C(n+a, b) Y[n+a-b+c]) << s.  Every
 residual coefficient is at most sum C(n+a, b) |Y[n+a-b+c]| + |Y[n+m]| in
 size, a bound taken from the system's own terms; the rows are repacked
 wider (``PackedRows.widened``) only where s does not keep it below 2^(s-1).
-So no slot can carry into the next, the two integers are equal only if
-every coefficient is, and a wrong system or a wrong row can never alias to
+So no slot can carry into the next, the sum is zero only if every
+coefficient is, and a wrong system or a wrong row can never alias to
 a right one.  Only the first x^n that fails is unpacked, into signed
 base-2^s digits, to report (n, q, lhs, rhs).  ``verify-ode`` checks the
 vertex tables it filled; ``verify_ode`` and ``verify_poly_ode`` first pack
@@ -261,7 +261,7 @@ def verify_ode(
     system: OdeSystem, series: dict[Perm, BiSeries], order: int
 ) -> VerifyReport:
     """Check every equation (and the boundary data) against the series: their
-    rows are packed once, and each x^n is checked by one integer comparison."""
+    rows are packed once, and each x^n is checked by one signed sum."""
     orders = {v: y.order for v, y in series.items()}
     return _verify_rows(system, _pack_series(series), orders, order)
 

@@ -225,13 +225,11 @@ def test_avoidance_gf_matches_the_shift_first_order(reference_tables):
 def test_avoidance_gf_through_the_packed_kernel_matches_the_list_kernel():
     # dense and sparse (132: one cell per cluster length) cluster rows, and
     # MONO_C at 100, whose alpha need a slot past 512 bits
-    cases = [(coll, order) for coll in (_coll("12345"), MONO_C, MONO_D, _coll("1324"), _coll("132"))
-             for order in (40, 50, 60)]
-    for coll, order in [*cases, (MONO_C, 100)]:
+    colls = (_coll("12345"), MONO_C, MONO_D, _coll("1324"), _coll("132"))
+    for coll, order in [*((c, order) for c in colls for order in (40, 50, 60)), (MONO_C, 100)]:
         table = cluster_counts(coll, order, order)
         got = avoidance_gf(coll, order, table=table)
         assert got.rows == list_path(table, order).rows, (coll, order)
-        assert sum(got.rows[order]) == factorial(order)
 
 
 def test_packed_pass_rejects_a_table_that_does_not_count_clusters():
