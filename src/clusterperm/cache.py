@@ -13,7 +13,9 @@ atomic rename.  A file that cannot be read back as a table (one nested too
 deeply for the JSON decoder among them), that holds a malformed or repeated
 cell, whose cell list is not as long as the cell count it records, or whose
 schema, key or fill bounds differ from the request, counts as a miss and is
-rewritten.
+rewritten.  So does a cell above n! 2^(n - 1): in a reduced collection one
+pattern at most starts at each position, so a cluster is a permutation with
+a set of marked starts, the first one always marked.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import hashlib
 import json
 import os
 import tempfile
+from math import factorial
 from pathlib import Path
 
 from .clusters import ClusterTable, cluster_counts
@@ -103,8 +106,8 @@ def load_table(
     if not path.exists():
         return None
     # a truncated, too deeply nested, stale or foreign file, or one with a
-    # malformed, repeated or missing cell, is a miss; the caller recomputes
-    # and overwrites it
+    # malformed, repeated, missing or too large cell, is a miss; the caller
+    # recomputes and overwrites it
     try:
         doc = json.loads(path.read_text())
         if (doc["schema"], doc["key"], doc["n_max"], doc["q_max"], doc["cells"]) != (
@@ -115,9 +118,10 @@ def load_table(
         for n, q, c in doc["totals"]:
             if not (type(n) is type(q) is int and 1 <= n <= n_max and 0 <= q <= q_max
                     and (n, q) not in totals and type(c) is str and c.isascii()
-                    and c.isdigit() and c[0] != "0"):
+                    and c.isdigit() and c[0] != "0"
+                    and (count := int(c)) <= factorial(n) << (n - 1)):
                 return None
-            totals[n, q] = int(c)
+            totals[n, q] = count
         return ClusterTable(collection, n_max, q_max, totals)
     except (ValueError, KeyError, TypeError, RecursionError):
         return None

@@ -32,20 +32,22 @@ whenever ``is_monotone`` holds and the refined one otherwise.
 
 from __future__ import annotations
 
+import functools
 import sys
 from itertools import accumulate, combinations, product
 from math import comb
+from operator import itemgetter
 from struct import calcsize
 from typing import NamedTuple
 
 from . import kernels
+from .kernels import slot_width
 from .graph import (
     Edge,
     OverlapGraph,
     PatternCollection,
     _extensions_to_perms,
     _Record,
-    _window_order_preds,
     build_graph,
     is_monotone,
 )
@@ -81,38 +83,53 @@ class Cluster(_Record):
             raise DomainError("cluster must be completely covered")
 
 
-def _cluster_shapes(collection: PatternCollection, n: int, q: int):
-    """All (pattern sequence, offsets) with total length n and every window
-    contained in 1..n."""
-    pats = list(collection)
-    out = []
-
-    def extend(seq, offs):
-        j = len(seq)
-        d, last = offs[-1], seq[-1]
-        if j == q:
-            if d + len(last) - 1 == n:
-                out.append((tuple(seq), tuple(offs)))
-            return
-        for p in pats:
-            for nxt in range(d + 1, d + len(last)):
-                if nxt + len(p) - 1 <= n:
-                    extend(seq + [p], offs + [nxt])
-
-    for p in pats:
-        if len(p) <= n:
-            extend([p], [1])
-    return out
-
-
 def _consistent_shapes(collection: PatternCollection, n: int, q: int):
-    """(patterns, offsets, predecessor masks) of each consistent cluster shape."""
+    """(patterns, offsets, predecessor masks) of each consistent cluster
+    shape: q windows ending at n, each overlapping the one before, whose
+    value orders do not contradict.
+
+    The windows are placed left to right.  ``less[i]``, the bitmask of the
+    positions forced below position i, stays transitively closed: a window
+    adds its order as a chain of edges a < b, and each edge puts a and all
+    below it under b and all above b.  An edge with b already below a
+    closes a cycle, and the prefix is dropped with every shape extending it.
+    As the collection is reduced, each window of a consistent shape adds 1
+    to l_max - 1 positions, so a prefix that cannot end at n is dropped too.
+    """
     if n < 1 or q < 1:
         raise DomainError("need n >= 1 and q >= 1")
-    for seq, offs in _cluster_shapes(collection, n, q):
-        preds = _window_order_preds(n, [(d - 1, p) for p, d in zip(seq, offs)])
-        if preds is not None:
-            yield seq, offs, preds
+    pats = [(p, sorted(range(len(p)), key=p.__getitem__)) for p in collection]
+    step = max(map(len, collection)) - 1
+    out = []
+
+    def place(less, off, order):
+        less = less.copy()
+        for a, b in zip(order, order[1:]):
+            a, b = a + off, b + off
+            if less[a] >> b & 1:
+                return None
+            below = less[a] | 1 << a
+            if below & ~less[b]:
+                for y in range(n):
+                    if y == b or less[y] >> b & 1:
+                        less[y] |= below
+        return less
+
+    def extend(seq, offs, less):
+        if len(seq) == q:
+            out.append((tuple(seq), tuple(offs), less))
+            return
+        left = q - len(seq) - 1  # windows after the next one
+        starts = range(offs[-1] + 1, offs[-1] + len(seq[-1])) if seq else (1,)
+        for p, order in pats:
+            for d in starts:
+                if 0 <= n - left - (d + len(p) - 1) <= left * step:
+                    closed = place(less, d - 1, order)
+                    if closed is not None:
+                        extend(seq + [p], offs + [d], closed)
+
+    extend([], [], [0] * n)
+    yield from out
 
 
 def enumerate_clusters_oracle(
@@ -211,71 +228,78 @@ class _Engine:
     terms, shifted up by one mark and weighted, to each source state the
     step can come from.  A state whose lowest q is q_max pushes nothing, so
     no state beyond 1 + q_max (l_max - 1) is built.
+
+    An edge into v is one tuple: drop, source, fixed, runs, the slices of b
+    they fill, a getter of the source word and a buffer for b (see
+    ``LinkageProfile``).  A layer keys its states by vertex, then by what
+    the getter reads off b: the word, or its one entry for the source (1).
     """
 
     def __init__(self, graph: OverlapGraph, n_max: int, q_max: int):
-        self.q_max = q_max
-        self.into: dict[Perm, list[LinkageProfile]] = {
-            v: [] for v in graph.vertices
-        }
+        into: dict[Perm, list] = {v: [] for v in graph.vertices}
         for e in graph.edges:
-            self.into[e.target].append(_edge_profile(e))
-        self.options: dict[tuple[tuple[int, ...], int], list] = {}
+            p = _edge_profile(e)
+            # a run with free values last: its picks are the innermost loop
+            runs = sorted(p.runs, key=lambda run: run[1] - run[0] > 1)
+            *outer, inner = [slice(lo + 1, hi) for lo, hi, _ in runs]
+            into[e.target].append((p.drop, e.source, p.fixed, runs, outer, inner,
+                                   itemgetter(*p.source), [0] * (p.size + 2)))
         self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
-        layers: list[dict] = [{} for _ in range(n_max + 1)]
-        layers[1][(1,), (1,)] = _first_row(graph.collection)[: q_max + 1]
+        layers = [{v: {} for v in graph.vertices} for _ in range(n_max + 1)]
+        layers[1][(1,)][1] = list(_first_row(graph.collection)[: q_max + 1])
         for n, layer in enumerate(layers):
-            for (v, word), acc in layer.items():
-                terms = tuple((q, c) for q, c in enumerate(acc) if c)
-                self.memo[v, n, word] = terms
-                pushed = [(q + 1, c) for q, c in terms if q < q_max]
-                for prof in self.into[v] if pushed else ():
-                    m = n + prof.drop
-                    if m <= n_max:
-                        self._push(prof, m, word, pushed, layers[m])
-            layers[n] = {}
+            for v, states in layer.items():
+                for y, acc in states.items():
+                    y = y if len(v) > 1 else (y,)
+                    terms = tuple((q, c) for q, c in enumerate(acc) if c)
+                    self.memo[v, n, y] = terms
+                    pushed = [(q + 1, c) for q, c in terms if q < q_max]
+                    for drop, src, fixed, runs, outer, inner, get, b in (
+                            into[v] if pushed else ()):
+                        m = n + drop
+                        if m > n_max:
+                            continue
+                        out = layers[m][src]
+                        b[-1] = m + 1
+                        for (r, shift), x in zip(fixed, y):
+                            b[r] = x + shift
+                        choices = [_run_options(spacing, b[lo], b[hi])
+                                   for lo, hi, spacing in runs]
+                        for chosen in product(*choices[:-1]):
+                            ways = 1
+                            for run, (picked, w) in zip(outer, chosen):
+                                b[run] = picked
+                                ways *= w
+                            for picked, w in choices[-1]:
+                                b[inner] = picked
+                                word = get(b)
+                                row = out.get(word)
+                                if row is None:
+                                    row = out[word] = [0] * (q_max + 1)
+                                w *= ways
+                                for q, c in pushed:
+                                    row[q] += w * c
+            layers[n] = None
 
-    def _push(
-        self, prof: LinkageProfile, n: int, y: Perm, pushed: list, layer: dict
-    ):
-        """Add ``pushed``, times each step's weight, to every source state at
-        length n of a step whose target word is y."""
-        b = [0] * (prof.size + 2)
-        b[-1] = n + 1
-        for (r, shift), x in zip(prof.fixed, y):
-            b[r] = x + shift
-        choices = [self._options(sp, b[hi] - b[lo]) for lo, hi, sp in prof.runs]
-        v = prof.edge.source
-        for chosen in product(*choices):
-            ways = 1
-            for (lo, _, _), (picked, w) in zip(prof.runs, chosen):
-                for r, x in enumerate(picked, lo + 1):
-                    b[r] = b[lo] + x
-                ways *= w
-            key = v, tuple(b[r] for r in prof.source)
-            acc = layer.get(key)
-            if acc is None:
-                acc = layer[key] = [0] * (self.q_max + 1)
-            for q, c in pushed:
-                acc[q] += ways * c
 
-    def _options(self, spacing: tuple[int, ...], width: int) -> list:
-        """(offsets above the run's lower end, weight) of each way to place
-        len(spacing) - 1 free values in a run spanning ``width``."""
-        key = spacing, width
-        options = self.options.get(key)
-        if options is None:
-            lifts = tuple(accumulate(spacing))[: len(spacing) - 1]
-            options = []
-            for low in combinations(range(1, width - sum(spacing)), len(lifts)):
-                picked = tuple(x + s for x, s in zip(low, lifts))
-                ways, prev = 1, 0
-                for x, m in zip(picked + (width,), spacing):
-                    ways *= comb(x - prev - 1, m)
-                    prev = x
-                options.append((picked, ways))
-            self.options[key] = options
-        return options
+# Runs whose placements are kept, shared by every fill; a fixed bound, so a
+# long-running process cannot grow the table without limit.
+@functools.lru_cache(maxsize=4096)
+def _run_options(spacing: tuple[int, ...], low: int, high: int) -> tuple:
+    """(values, weight) of each way to place len(spacing) - 1 free values
+    strictly between the boundary values low and high, with spacing[i]
+    pattern entries off the boundary below the i-th and spacing[-1] above
+    the last."""
+    lifts = tuple(accumulate(spacing))[: len(spacing) - 1]
+    options = []
+    for gaps in combinations(range(low + 1, high - sum(spacing)), len(lifts)):
+        picked = tuple(x + s for x, s in zip(gaps, lifts))
+        ways, prev = 1, low
+        for x, m in zip(picked + (high,), spacing):
+            ways *= comb(x - prev - 1, m)
+            prev = x
+        options.append((picked, ways))
+    return tuple(options)
 
 
 def _refined_cluster_counts(
@@ -343,11 +367,6 @@ class PackedRows(NamedTuple):
         rows = {v: [pack_row(row, width) for row in unpack_rows(xs, self.width)]
                 for v, xs in self.rows.items()}
         return PackedRows(width, rows, self.bounds)
-
-
-def slot_width(bound: int) -> int:
-    """The least multiple of 8 with bound < 2^(width - 1)."""
-    return (bound.bit_length() + 8) // 8 * 8
 
 
 def _bias(slots: int, width: int) -> int:

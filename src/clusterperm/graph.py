@@ -155,30 +155,6 @@ def is_monotone(collection: PatternCollection) -> MonotoneResult:
     return MonotoneResult(True, None)
 
 
-def _window_order_preds(n: int, windows: list[tuple[int, Perm]]):
-    """Strict-order predecessor masks implied by standardization constraints.
-
-    ``windows`` holds (0-based offset, pattern) pairs; the pattern dictates
-    the total value-order of its window's positions.  Returns per-position
-    bitmasks of the positions forced smaller (transitively closed), or None
-    on contradiction.
-    """
-    less = [0] * n  # bit j of less[i]: position j has the smaller value
-    for off, pat in windows:
-        below = 0
-        for i in sorted(range(len(pat)), key=pat.__getitem__):
-            less[off + i] |= below
-            below |= 1 << (off + i)
-    # Warshall's transitive closure
-    for k in range(n):
-        for i in range(n):
-            if less[i] >> k & 1:
-                less[i] |= less[k]
-    if any(less[i] >> i & 1 for i in range(n)):
-        return None
-    return less
-
-
 def _extensions_to_perms(n: int, less: list[int]) -> list[Perm]:
     """Enumerate all value assignments consistent with the order constraints."""
     result: list[Perm] = []

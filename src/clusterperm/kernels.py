@@ -8,7 +8,16 @@ independent of the overlap graph and the cluster recurrences it checks.
 
 from __future__ import annotations
 
+from math import factorial
+
+from .perms import DomainError
+
 BACKEND = "pure"
+
+
+def slot_width(bound: int) -> int:
+    """The least multiple of 8 with bound < 2^(width - 1)."""
+    return (bound.bit_length() + 8) // 8 * 8
 
 
 def _std(word) -> tuple[int, ...]:
@@ -32,9 +41,15 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
     the gap between its sorted values that r falls in, so they are memoised
     per shape.  The last entry adds ways times the gap size per gap instead
     of building states.
+
+    A state's {q: ways} is one integer, sum_q ways 2^(q w) with w =
+    slot_width(n!): no count exceeds n!, so no slot carries into the next,
+    and ending h occurrences shifts it h slots.  The sum is unpacked once.
     """
+    if n < 0:
+        raise DomainError(f"count_distribution needs n >= 0, got n = {n}")
     patterns = [_std(p) for p in patterns if len(p) <= n]
-    if n <= 0:
+    if n == 0:
         return {0: 1}
     occurrences: dict[tuple[int, ...], int] = {}
     prefixes = set()
@@ -42,10 +57,12 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
         occurrences[p] = occurrences.get(p, 0) + 1
         prefixes.update(_std(p[:j]) for j in range(len(p)))
     moves_memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    width = slot_width(factorial(n))
 
     def move(shape, gap):
-        """(occurrences ended, entries dropped) when the new entry has `gap`
-        entries of the state below it; the new entry itself is always kept."""
+        """(bit shift of the occurrences ended, entries dropped) when the new
+        entry has `gap` entries of the state below it; the new entry itself
+        is always kept."""
         window = tuple(v + (v >= gap) for v in shape) + (gap,)
         hits, keep = 0, 1
         for l in range(1, len(window) + 1):
@@ -53,10 +70,10 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
             hits += occurrences.get(suffix, 0)
             if suffix in prefixes:
                 keep = l
-        return hits, len(window) - keep
+        return hits * width, len(window) - keep
 
     def gaps(tail, i):
-        """((hits, drop), first r, last r) for each gap between the sorted
+        """((shift, drop), first r, last r) for each gap between the sorted
         tail values."""
         shape = _std(tail)
         moves = moves_memo.get(shape)
@@ -66,29 +83,27 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
         ordered = sorted(tail)
         return zip(moves, [1] + [v + 1 for v in ordered], ordered + [i + 1])
 
-    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    layer: dict[tuple[int, ...], int] = {(): 1}
     for i in range(n - 1):
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for tail, dist in layer.items():
-            for (h, drop), lo, hi in gaps(tail, i):
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        for tail, packed in layer.items():
+            for (shift, drop), lo, hi in gaps(tail, i):
                 # every r in the gap bumps the same kept values
                 bumped = tuple(v + (v >= hi) for v in tail[drop:])
+                moved = packed << shift
                 for r in range(lo, hi + 1):
                     new = bumped + (r,)
-                    into = nxt.get(new)
-                    if into is None:
-                        nxt[new] = {q + h: w for q, w in dist.items()}
-                    else:
-                        for q, w in dist.items():
-                            into[q + h] = into.get(q + h, 0) + w
+                    nxt[new] = get(new, 0) + moved
         layer = nxt
-    out: dict[int, int] = {}
-    for tail, dist in layer.items():
-        for (h, _), lo, hi in gaps(tail, n - 1):
-            size = hi - lo + 1
-            for q, w in dist.items():
-                out[q + h] = out.get(q + h, 0) + w * size
-    return out
+    total = 0
+    for tail, packed in layer.items():
+        for (shift, _), lo, hi in gaps(tail, n - 1):
+            total += packed * (hi - lo + 1) << shift
+    size = width // 8
+    data = total.to_bytes(-(-total.bit_length() // width) * size, "little")
+    return {q: ways for q, j in enumerate(range(0, len(data), size))
+            if (ways := int.from_bytes(data[j : j + size], "little"))}
 
 
 def count_linear_extensions(n: int, less_masks) -> int:
@@ -98,18 +113,33 @@ def count_linear_extensions(n: int, less_masks) -> int:
 
     Values are handed out in increasing order, so the positions holding the
     first j values form a downset.  Layer j maps each reachable downset of
-    size j to its number of fillings; a position joins a downset once every
-    position forced below it is in it.
+    size j to its number of fillings and its ready mask: the positions
+    outside it whose every position forced below is in it.  Placing a ready
+    position can only make ready the positions forced above it.
     """
     less_masks = list(less_masks)
-    layer = {0: 1}
+    if n < 0 or len(less_masks) != n:
+        raise DomainError(f"count_linear_extensions needs n >= 0 and one mask per "
+                          f"position: n = {n}, len(less_masks) = {len(less_masks)}")
+    above = [[(1 << j, m) for j, m in enumerate(less_masks) if m >> i & 1] for i in range(n)]
+    layer = {0: [1, sum(1 << i for i, m in enumerate(less_masks) if not m)]}
     for _ in range(n):
-        nxt: dict[int, int] = {}
-        for placed, ways in layer.items():
-            for i in range(n):
-                bit = 1 << i
-                if not placed & bit and less_masks[i] & placed == less_masks[i]:
-                    key = placed | bit
-                    nxt[key] = nxt.get(key, 0) + ways
+        nxt: dict[int, list[int]] = {}
+        for placed, (ways, ready) in layer.items():
+            rest = ready
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                key = placed | bit
+                entry = nxt.get(key)
+                if entry is None:
+                    # the ready mask depends on the downset alone
+                    ready_key = ready ^ bit
+                    for jbit, m in above[bit.bit_length() - 1]:
+                        if m & key == m:
+                            ready_key |= jbit
+                    nxt[key] = [ways, ready_key]
+                else:
+                    entry[0] += ways
         layer = nxt
-    return layer.get((1 << n) - 1, 0)
+    return layer.get((1 << n) - 1, [0])[0]

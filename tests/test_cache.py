@@ -589,6 +589,27 @@ def test_file_with_a_malformed_cell_is_a_miss_and_is_rewritten(tmp_path, fault):
     assert path.read_text() == whole
 
 
+def test_file_with_a_cell_past_the_cluster_bound_is_a_miss(tmp_path):
+    # 2^300 added to cl_{40,1} = 0 leaves every cell a decimal string, and
+    # the packed pass of avoidance_gf accepted the table; no cl_{n,q}
+    # exceeds n! 2^(n - 1), about 2^197 at n = 40
+    coll = PatternCollection(((1, 2, 3, 4, 5),))
+    table = cluster_counts(coll, 40, 40)
+    assert table.total(40, 1) == 0
+    path = save_table(table, tmp_path)
+    assert load_table(coll, 40, 40, tmp_path).totals == table.totals
+    doc = json.loads(path.read_text())
+    doc["totals"].append([40, 1, str(2**300)])
+    doc["cells"] += 1
+    path.write_text(json.dumps(doc))
+    assert load_table(coll, 40, 40, tmp_path) is None
+    # a cell at the bound itself is read back
+    doc["totals"] = [[1, 0, "1"], [3, 1, str(6 << 2)]]
+    doc["cells"] = 2
+    path.write_text(json.dumps(doc))
+    assert load_table(coll, 40, 40, tmp_path).totals == {(1, 0): 1, (3, 1): 24}
+
+
 def test_atomic_write(tmp_path):
     target = tmp_path / "sub" / "out.json"
     atomic_write_text(target, "hello\n")

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import clusterperm.graph as graph_module
 from clusterperm import kernels
 from clusterperm.clusters import (
-    _cluster_shapes,
+    _consistent_shapes,
     count_clusters_oracle,
     enumerate_clusters_oracle,
 )
@@ -50,7 +50,7 @@ def test_enumerate_linkages_are_genuine(pi, pip):
     l, lp = len(pi), len(pip)
     ref = _reference_overlaps(pi, pip)
     for n in range(max(l, lp), l + lp):
-        preds = graph_module._window_order_preds(n, [(0, pi), (n - lp, pip)])
+        preds = _window_order_preds(n, [(0, pi), (n - lp, pip)])
         words = [] if preds is None else graph_module._extensions_to_perms(n, preds)
         assert bool(words) == (l + lp - n in ref), (pi, pip, n)
         assert len(set(words)) == len(words)
@@ -243,6 +243,49 @@ def test_oracles_do_not_read_the_border_table(monkeypatch):
     assert sum(kernels.count_distribution(6, list(coll)).values()) == 720
 
 
+def _cluster_shapes(collection, n, q):
+    """All (pattern sequence, offsets) with total length n and every window
+    contained in 1..n, consistent or not: the shape walk's reference."""
+    pats = list(collection)
+    out = []
+
+    def extend(seq, offs):
+        j = len(seq)
+        d, last = offs[-1], seq[-1]
+        if j == q:
+            if d + len(last) - 1 == n:
+                out.append((tuple(seq), tuple(offs)))
+            return
+        for p in pats:
+            for nxt in range(d + 1, d + len(last)):
+                if nxt + len(p) - 1 <= n:
+                    extend(seq + [p], offs + [nxt])
+
+    for p in pats:
+        if len(p) <= n:
+            extend([p], [1])
+    return out
+
+
+def _window_order_preds(n, windows):
+    """Predecessor masks of the positions, from the value order each
+    (0-based offset, pattern) window dictates, closed by Warshall's
+    algorithm; None on contradiction."""
+    less = [0] * n  # bit j of less[i]: position j has the smaller value
+    for off, pat in windows:
+        below = 0
+        for i in sorted(range(len(pat)), key=pat.__getitem__):
+            less[off + i] |= below
+            below |= 1 << (off + i)
+    for k in range(n):
+        for i in range(n):
+            if less[i] >> k & 1:
+                less[i] |= less[k]
+    if any(less[i] >> i & 1 for i in range(n)):
+        return None
+    return less
+
+
 def _set_closure_preds(n, windows):
     """Predecessor sets of each position, closed by repeated unions until
     nothing changes; None when a position precedes itself."""
@@ -267,16 +310,40 @@ def _set_closure_preds(n, windows):
     return [sum(1 << j for j in s) for s in less]
 
 
-def test_mask_closure_matches_set_closure():
-    shapes = contradictions = 0
+def _reference_shapes():
+    """(collection, n, q, every shape) on the reference corpus, n <= 8 and
+    q <= 4."""
     for coll in reference_collections():
         for n in range(1, 9):
             for q in range(1, 5):
-                for seq, offs in _cluster_shapes(coll, n, q):
-                    windows = [(d - 1, p) for p, d in zip(seq, offs)]
-                    got = graph_module._window_order_preds(n, windows)
-                    assert got == _set_closure_preds(n, windows), (seq, offs)
-                    shapes += 1
-                    contradictions += got is None
-    # both outcomes occur: 3,821 shapes, 2,742 of them contradictory
-    assert 0 < contradictions < shapes
+                yield coll, n, q, _cluster_shapes(coll, n, q)
+
+
+def test_shape_walk_yields_the_consistent_shapes_of_the_reference_walk():
+    # the walk prunes a prefix once its closure is contradictory; the
+    # reference enumerates every shape and closes each one by Warshall
+    shapes = contradictions = 0
+    for coll, n, q, every in _reference_shapes():
+        expected = []
+        for seq, offs in every:
+            preds = _window_order_preds(n, [(d - 1, p) for p, d in zip(seq, offs)])
+            if preds is not None:
+                expected.append((seq, offs, preds))
+            contradictions += preds is None
+        shapes += len(every)
+        assert list(_consistent_shapes(coll, n, q)) == expected, (coll, n, q)
+    assert (shapes, contradictions) == (3821, 2742)
+
+
+def test_mask_closure_matches_set_closure():
+    # the walk's incremental closure against a closure by sets: each
+    # consistent shape with its masks, and no shape the sets find consistent
+    # is missing
+    consistent = 0
+    for coll, n, q, every in _reference_shapes():
+        got = {(seq, offs): preds for seq, offs, preds in _consistent_shapes(coll, n, q)}
+        for seq, offs in every:
+            windows = [(d - 1, p) for p, d in zip(seq, offs)]
+            assert got.get((seq, offs)) == _set_closure_preds(n, windows), (seq, offs)
+        consistent += len(got)
+    assert consistent == 3821 - 2742

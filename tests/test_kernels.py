@@ -3,14 +3,14 @@ brute force."""
 
 import itertools
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from conftest import MONO_C
 from clusterperm import kernels
 from clusterperm.graph import PatternCollection
-from clusterperm.perms import parse_perm
+from clusterperm.perms import DomainError, parse_perm
 from clusterperm.series import alpha_counts, avoidance_gf
 
 
@@ -144,3 +144,68 @@ def test_adjacent_pair_and_long_chain():
     assert kernels.count_distribution(3, [(1, 2)]) == {0: 1, 1: 4, 2: 1}
     big_chain = [(1 << i) - 1 for i in range(22)]
     assert kernels.count_linear_extensions(22, big_chain) == 1
+
+
+def eulerian_rows(n_max):
+    """A(n, k), the permutations of S_n with k ascents, by (k + 1) A(n - 1, k)
+    + (n - k) A(n - 1, k - 1); row 0 is A(0, 0) = 1."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([(k + 1) * prev[k] + (n - k) * (prev[k - 1] if k else 0)
+                     for k in range(n)])
+    return rows
+
+
+def test_ascent_distribution_is_eulerian_past_machine_words():
+    # consecutive 12 marks the ascents; from n = 21 a packed slot is 72 bits
+    # wide, more than one machine word, and at n = 22 the counts pass 2^64
+    rows = eulerian_rows(22)
+    assert max(rows[22]) > 2**64
+    for n, row in enumerate(rows):
+        expected = {k: a for k, a in enumerate(row) if a}
+        assert kernels.count_distribution(n, [(1, 2)]) == expected, n
+
+
+def zigzag_numbers(n_max):
+    """E_0..E_n_max, the up/down numbers, by the Seidel boustrophedon."""
+    out, row = [1], [1]
+    for _ in range(n_max):
+        nxt = [0]
+        for x in reversed(row):
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        out.append(row[-1])
+    return out
+
+
+def test_zigzag_poset_has_the_up_down_number_of_extensions():
+    # p0 < p1 > p2 < p3 > ...: E_17 = 209,865,342,976 at the benchmark's size
+    numbers = zigzag_numbers(20)
+    assert numbers[:8] == [1, 1, 1, 2, 5, 16, 61, 272]
+    assert numbers[17] == 209_865_342_976
+    for n in range(21):
+        less = [0] * n
+        for i in range(1, n, 2):
+            less[i] = 1 << (i - 1) | (1 << (i + 1) if i + 1 < n else 0)
+        assert kernels.count_linear_extensions(n, less) == numbers[n], n
+
+
+@pytest.mark.parametrize("lengths", [(1,), (3, 4), (2, 2, 2), (5, 1, 6, 3), (7, 7, 4)])
+def test_disjoint_chains_give_the_multinomial(lengths):
+    # each point above its neighbour only, so the kernel must close the order
+    less, start = [], 0
+    for l in lengths:
+        less += [0] + [1 << i for i in range(start, start + l - 1)]
+        start += l
+    expected = factorial(sum(lengths)) // prod(map(factorial, lengths))
+    assert kernels.count_linear_extensions(len(less), less) == expected
+
+
+def test_kernels_name_a_bad_argument():
+    with pytest.raises(DomainError, match=r"len\(less_masks\) = 2"):
+        kernels.count_linear_extensions(3, [0, 1])
+    with pytest.raises(DomainError, match="n = -1"):
+        kernels.count_linear_extensions(-1, [])
+    with pytest.raises(DomainError, match="n = -1"):
+        kernels.count_distribution(-1, [(1, 2)])
