@@ -2,8 +2,10 @@
 
 ``count_distribution`` is the definitional check of the occurrence counts
 alpha_{n,q}: it standardizes windows of sigma and nothing else, so it stays
-independent of the overlap graph and the cluster recurrences it checks.
-``count_linear_extensions`` counts the fillings of a cluster's order.
+independent of the overlap graph and the cluster recurrences it checks; each
+state packs its counts by q into one integer of ``slot_width``-bit slots.
+``count_linear_extensions`` counts the fillings of a cluster's order over
+downsets that carry their ready positions.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
     per shape.  The last entry adds ways times the gap size per gap instead
     of building states.
 
-    A state's {q: ways} is one integer, sum_q ways 2^(q w) with w =
-    slot_width(n!): no count exceeds n!, so no slot carries into the next,
-    and ending h occurrences shifts it h slots.  The sum is unpacked once.
+    A state's {q: ways} is sum_q ways 2^(q w), w = slot_width(n!): no count
+    exceeds n!, so no slot carries, and ending h occurrences shifts h slots.
     """
     if n < 0:
         raise DomainError(f"count_distribution needs n >= 0, got n = {n}")
