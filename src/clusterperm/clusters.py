@@ -246,7 +246,7 @@ class _Engine:
                                    itemgetter(*p.source), [0] * (p.size + 2)))
         self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
         layers = [{v: {} for v in graph.vertices} for _ in range(n_max + 1)]
-        layers[1][(1,)][1] = list(_first_row(graph.collection)[: q_max + 1])
+        layers[1][(1,)][1] = _first_row(graph.collection)[: q_max + 1]
         for n, layer in enumerate(layers):
             for v, states in layer.items():
                 for y, acc in states.items():
