@@ -123,7 +123,7 @@ def _consistent_shapes(collection: PatternCollection, n: int, q: int):
         starts = range(offs[-1] + 1, offs[-1] + len(seq[-1])) if seq else (1,)
         for p, order in pats:
             for d in starts:
-                if 0 <= n - left - (d + len(p) - 1) <= left * step:
+                if left <= n - (d + len(p) - 1) <= left * step:
                     closed = place(less, d - 1, order)
                     if closed is not None:
                         extend(seq + [p], offs + [d], closed)
