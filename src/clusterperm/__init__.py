@@ -33,13 +33,13 @@ from .graph import (
     PatternCollection,
     build_graph,
     graph_to_dot,
+    is_monotone,
 )
 from .monotone import (
     OdeSystem,
     OdeTerm,
     emit_ode_system,
     emit_single_pattern_ode,
-    is_monotone,
     monotone_cluster_counts,
     monotone_vertex_series,
     verify_ode,

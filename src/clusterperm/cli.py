@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import cache, clusters, equivalence, monotone, series
-from .graph import PatternCollection, build_graph, graph_to_dot
+from .graph import PatternCollection, build_graph, graph_to_dot, is_monotone
 from .perms import DomainError, parse_collection_text
 
 ORACLE_CAP = 10
@@ -91,7 +91,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 def cmd_monotone(args: argparse.Namespace) -> int:
     coll = _load_collection(args.patterns)
-    res = monotone.is_monotone(coll)
+    res = is_monotone(coll)
     if not res:
         pi, pp, k = res.witness
         _emit(f"not monotone: {pi} -> {pp} at k={k}\n")

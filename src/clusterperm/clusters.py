@@ -33,15 +33,13 @@ whenever ``is_monotone`` holds and the refined one otherwise.
 from __future__ import annotations
 
 import functools
-import sys
 from itertools import accumulate, combinations, product
 from math import comb
 from operator import itemgetter
-from struct import calcsize
 from typing import NamedTuple
 
 from . import kernels
-from .kernels import slot_width
+from .kernels import pack_row, slot_width, unpack_rows
 from .graph import (
     Edge,
     OverlapGraph,
@@ -158,8 +156,9 @@ def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class LinkageProfile(NamedTuple):
-    """Per-edge data driving one step of the refined recurrence.
+def _edge_profile(e: Edge) -> tuple:
+    """One step of the refined recurrence along e, as the tuple ``_Engine``
+    fills from: (drop, source, fixed, runs, outer, inner, get, b).
 
     The boundary of an edge is the whole pattern when l <= k + k', and its
     first k and last k' entries otherwise.  Write b_1 < ... < b_s for its
@@ -167,27 +166,20 @@ class LinkageProfile(NamedTuple):
     pattern entries off the boundary lie between ranks r and r + 1, so a
     step has weight prod_r C(b_{r+1} - b_r - 1, spacing_r).
 
-    ``fixed[j]`` is (rank, shift) of the target's j-th entry: b at that
-    rank, less the shift that standardizes it within the sub-cluster.  The
-    source entries not shared with the target are free.  ``runs`` lists
-    (lo, hi, spacing[lo:hi]) for each pair of consecutive fixed ranks, 0 and
-    s + 1 included, with free ranks or spacing between them.  ``source``
-    gives the rank of each source entry.
+    ``drop`` is l - k': the sub-cluster is this much shorter.  ``fixed[j]``
+    is (rank, shift) of the target's j-th entry: b at that rank, less the
+    shift that standardizes it within the sub-cluster.  The source entries
+    not shared with the target are free.  ``runs`` lists (lo, hi,
+    spacing[lo:hi]) for each pair of consecutive fixed ranks, 0 and s + 1
+    included, with free ranks or spacing between them, and sorted so that
+    the runs with free ranks come last: the picks of the last run are the
+    innermost loop.  ``outer`` and ``inner`` are the slices of b the runs
+    fill, ``get`` reads the source word off b, and ``b`` is the buffer.
 
     A shift counts the entries outside the sub-cluster below its entry, so
     the fixed values leave room for every free entry and spacing: each run
     has a placement, and every weight is positive.
     """
-
-    edge: Edge
-    drop: int  # l - k': the sub-cluster is this much shorter
-    fixed: tuple[tuple[int, int], ...]
-    runs: tuple[tuple[int, int, tuple[int, ...]], ...]
-    source: tuple[int, ...]
-    size: int  # s
-
-
-def _edge_profile(e: Edge) -> LinkageProfile:
     pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
     where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
     values = [pat[i] for i in where]
@@ -199,12 +191,15 @@ def _edge_profile(e: Edge) -> LinkageProfile:
         (rank[size - kp + j], pat[l - kp + j] - e.target[j]) for j in range(kp)
     )
     ends = sorted({0, size + 1, *(r for r, _ in fixed)})
-    runs = tuple(
-        (lo, hi, tuple(spacing[lo:hi]))
-        for lo, hi in zip(ends, ends[1:])
-        if hi - lo > 1 or spacing[lo]
+    runs = sorted(
+        ((lo, hi, tuple(spacing[lo:hi]))
+         for lo, hi in zip(ends, ends[1:])
+         if hi - lo > 1 or spacing[lo]),
+        key=lambda run: run[1] - run[0] > 1,
     )
-    return LinkageProfile(e, l - kp, fixed, runs, rank[:k], size)
+    *outer, inner = [slice(lo + 1, hi) for lo, hi, _ in runs]
+    return (l - kp, e.source, fixed, runs, outer, inner, itemgetter(*rank[:k]),
+            [0] * (size + 2))
 
 
 def _first_row(collection: PatternCollection) -> tuple[int, ...]:
@@ -229,21 +224,15 @@ class _Engine:
     step can come from.  A state whose lowest q is q_max pushes nothing, so
     no state beyond 1 + q_max (l_max - 1) is built.
 
-    An edge into v is one tuple: drop, source, fixed, runs, the slices of b
-    they fill, a getter of the source word and a buffer for b (see
-    ``LinkageProfile``).  A layer keys its states by vertex, then by what
-    the getter reads off b: the word, or its one entry for the source (1).
+    An edge into v is the tuple of ``_edge_profile``.  A layer keys its
+    states by vertex, then by what the edge's getter reads off b: the word,
+    or its one entry for the source (1).
     """
 
     def __init__(self, graph: OverlapGraph, n_max: int, q_max: int):
         into: dict[Perm, list] = {v: [] for v in graph.vertices}
         for e in graph.edges:
-            p = _edge_profile(e)
-            # a run with free values last: its picks are the innermost loop
-            runs = sorted(p.runs, key=lambda run: run[1] - run[0] > 1)
-            *outer, inner = [slice(lo + 1, hi) for lo, hi, _ in runs]
-            into[e.target].append((p.drop, e.source, p.fixed, runs, outer, inner,
-                                   itemgetter(*p.source), [0] * (p.size + 2)))
+            into[e.target].append(_edge_profile(e))
         self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
         layers = [{v: {} for v in graph.vertices} for _ in range(n_max + 1)]
         layers[1][(1,)][1] = _first_row(graph.collection)[: q_max + 1]
@@ -342,14 +331,9 @@ def monotone_recurrence_data(graph: OverlapGraph) -> dict[Perm, list[EdgeData]]:
 
 
 class PackedRows(NamedTuple):
-    """t-polynomial rows packed at t = 2^width, by vertex.
-
-    ``rows[v][n]`` is sum_q d_q 2^(q width) for the row d_q of v at n, and
-    ``bounds[v][n]`` bounds every |d_q| of it.  Every |d_q| stays below
-    2^(width - 1), so the digits are the signed base-2^width digits of the
-    integer: ``unpack_row`` reads them back, and sums of rows add slot by
-    slot (Kronecker substitution).  ``width`` is a multiple of 8, so that
-    ``unpack_row`` can slice bytes.
+    """t-polynomial rows packed at t = 2^width (``kernels.pack_row``), by
+    vertex: ``rows[v][n]`` is the row d_q of v at n, and ``bounds[v][n]``
+    bounds every |d_q| of it, below 2^(width - 1).
     """
 
     width: int
@@ -367,48 +351,6 @@ class PackedRows(NamedTuple):
         rows = {v: [pack_row(row, width) for row in unpack_rows(xs, self.width)]
                 for v, xs in self.rows.items()}
         return PackedRows(width, rows, self.bounds)
-
-
-def _bias(slots: int, width: int) -> int:
-    """sum_q 2^(width - 1) 2^(q width) over ``slots`` slots: added to a
-    packed row, it makes every digit nonnegative."""
-    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
-
-
-def pack_row(row, width: int) -> int:
-    """sum_q row[q] 2^(q width); every |row[q]| < 2^(width - 1)."""
-    size, half = width // 8, 1 << (width - 1)
-    data = b"".join((d + half).to_bytes(size, "little") for d in row)
-    return int.from_bytes(data, "little") - _bias(len(row), width)
-
-
-def unpack_row(x: int, width: int) -> list[int]:
-    """The signed base-2^width digits of x, lowest first and with no
-    trailing zeros; every digit must be below 2^(width - 1) in size."""
-    return unpack_rows([x], width)[0]
-
-
-# memoryview formats of the signed machine integers by width, if little-endian
-_SIGNED = {8 * calcsize(c): c for c in "bhiq"} if sys.byteorder == "little" else {}
-
-
-def unpack_rows(xs: list[int], width: int) -> list[list[int]]:
-    """``unpack_row`` of each x in xs, read from one bytes object.  If the top
-    digit of x has index j, 2^(j width - 1) < |x| < 2^(j width + width - 1),
-    so x needs bit_length() // width + 1 = j + 1 slots.  With B the bias of
-    the most slots any x needs, (x + B) ^ B holds each digit of x in two's
-    complement in its own slot, and zeros above j."""
-    size = width // 8
-    slots = [x.bit_length() // width + 1 if x else 0 for x in xs]
-    bias = _bias(max(slots, default=0), width)
-    data = b"".join([((x + bias) ^ bias).to_bytes(k * size, "little")
-                     for x, k in zip(xs, slots)])
-    if width in _SIGNED:
-        digits = memoryview(data).cast(_SIGNED[width]).tolist()
-    else:
-        digits = [int.from_bytes(data[i : i + size], "little", signed=True)
-                  for i in range(0, len(data), size)]
-    return [digits[end - k : end] for k, end in zip(slots, accumulate(slots))]
 
 
 def _vertex_tables(graph: OverlapGraph, n_max: int, q_max: int) -> PackedRows:

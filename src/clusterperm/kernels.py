@@ -1,4 +1,8 @@
-"""Counting kernels, in pure Python on arbitrary-precision integers.
+"""Counting kernels, in pure Python on arbitrary-precision integers, and the
+packed-slot format: a t-polynomial sum_q d_q t^q is the integer
+sum_q d_q 2^(q w) (Kronecker substitution), with whole bytes per slot (w a
+multiple of 8) and every |d_q| < 2^(w - 1), so packed rows add slot by slot
+and no slot carries.
 
 ``count_distribution`` is the definitional check of the occurrence counts
 alpha_{n,q}: it standardizes windows of sigma and nothing else, so it stays
@@ -10,7 +14,10 @@ downsets that carry their ready positions.
 
 from __future__ import annotations
 
+import sys
+from itertools import accumulate
 from math import factorial
+from struct import calcsize
 
 from .perms import DomainError
 
@@ -20,6 +27,43 @@ BACKEND = "pure"
 def slot_width(bound: int) -> int:
     """The least multiple of 8 with bound < 2^(width - 1)."""
     return (bound.bit_length() + 8) // 8 * 8
+
+
+def _bias(slots: int, width: int) -> int:
+    """sum_q 2^(width - 1) 2^(q width) over ``slots`` slots: added to a
+    packed row, it makes every digit nonnegative."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
+
+
+def pack_row(row, width: int) -> int:
+    """sum_q row[q] 2^(q width); every |row[q]| < 2^(width - 1)."""
+    size, half = width // 8, 1 << (width - 1)
+    data = b"".join((d + half).to_bytes(size, "little") for d in row)
+    return int.from_bytes(data, "little") - _bias(len(row), width)
+
+
+# memoryview formats of the signed machine integers by width, if little-endian
+_SIGNED = {8 * calcsize(c): c for c in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def unpack_rows(xs: list[int], width: int) -> list[list[int]]:
+    """The signed base-2^width digits of each x in xs, lowest first and with
+    no trailing zeros, read from one bytes object.  If the top digit of x
+    has index j, 2^(j width - 1) < |x| < 2^(j width + width - 1), so x needs
+    bit_length() // width + 1 = j + 1 slots.  With B the bias of the most
+    slots any x needs, (x + B) ^ B holds each digit of x in two's complement
+    in its own slot, and zeros above j."""
+    size = width // 8
+    slots = [x.bit_length() // width + 1 if x else 0 for x in xs]
+    bias = _bias(max(slots, default=0), width)
+    data = b"".join([((x + bias) ^ bias).to_bytes(k * size, "little")
+                     for x, k in zip(xs, slots)])
+    if width in _SIGNED:
+        digits = memoryview(data).cast(_SIGNED[width]).tolist()
+    else:
+        digits = [int.from_bytes(data[i : i + size], "little", signed=True)
+                  for i in range(0, len(data), size)]
+    return [digits[end - k : end] for k, end in zip(slots, accumulate(slots))]
 
 
 def _std(word) -> tuple[int, ...]:
@@ -101,10 +145,8 @@ def count_distribution(n: int, patterns) -> dict[int, int]:
     for tail, packed in layer.items():
         for (shift, _), lo, hi in gaps(tail, n - 1):
             total += packed * (hi - lo + 1) << shift
-    size = width // 8
-    data = total.to_bytes(-(-total.bit_length() // width) * size, "little")
-    return {q: ways for q, j in enumerate(range(0, len(data), size))
-            if (ways := int.from_bytes(data[j : j + size], "little"))}
+    # every digit is at most n! < 2^(width - 1), so the signed read is exact
+    return {q: ways for q, ways in enumerate(unpack_rows([total], width)[0]) if ways}
 
 
 def count_linear_extensions(n: int, less_masks) -> int:

@@ -51,11 +51,9 @@ from .clusters import (
     _monotone_cluster_counts,
     _vertex_tables,
     monotone_recurrence_data,
-    pack_row,
-    slot_width,
-    unpack_row,
 )
 from .graph import OverlapGraph, PatternCollection, build_graph, is_monotone
+from .kernels import pack_row, slot_width, unpack_rows
 from .perms import DomainError, Perm, format_perm
 from .series import BiSeries
 
@@ -149,8 +147,8 @@ def _ode_system(graph: OverlapGraph, order: int = 0):
     tables = _vertex_tables(graph, top, top)
     boundary = {
         eq.vertex: tuple(
-            {q: c for q, c in enumerate(unpack_row(x, tables.width)) if c}
-            for x in tables.rows[eq.vertex][: eq.order]
+            {q: c for q, c in enumerate(row) if c}
+            for row in unpack_rows(tables.rows[eq.vertex][: eq.order], tables.width)
         )
         for eq in equations
     }
@@ -242,7 +240,7 @@ def _first_residual(plan, top: int, tables: PackedRows):
                 x *= abs(f)
             total = total + x if f > 0 else total - x
         if total:
-            digits = unpack_row(total, s)
+            digits = unpack_rows([total], s)[0]
             q = next(q for q, r in enumerate(digits) if r)
             return n, q, digits[q]
     return None
@@ -279,13 +277,13 @@ def _verify_rows(system: OdeSystem, tables: PackedRows, orders, order: int) -> V
         bad = _first_residual(plan, top, tables)
         if bad:
             n, q, r = bad
-            row = unpack_row(tables.rows[eq.vertex][n + eq.order], tables.width)
+            row = unpack_rows([tables.rows[eq.vertex][n + eq.order]], tables.width)[0]
             y_m = row[q] if q < len(row) else 0
             bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
     boundary_ok = all(
         {q: c for q, c in enumerate(
-            unpack_row(tables.rows[v][i], tables.width) if i <= orders[v] else []) if c}
+            unpack_rows([tables.rows[v][i]], tables.width)[0] if i <= orders[v] else []) if c}
         == {q: c for q, c in row.items() if c}
         for v, rows in system.boundary.items()
         for i, row in enumerate(rows)

@@ -34,7 +34,7 @@ def check_word(word: Sequence[int]) -> Perm:
     w = tuple(word)
     if not w:
         raise InvalidWordError("empty word")
-    if any((not isinstance(x, int)) or x < 1 for x in w):
+    if any(type(x) is not int or x < 1 for x in w):
         raise InvalidWordError(f"word entries must be positive integers: {w}")
     if len(set(w)) != len(w):
         raise InvalidWordError(f"word has repeated entries: {w}")
@@ -43,11 +43,11 @@ def check_word(word: Sequence[int]) -> Perm:
 
 def check_permutation(perm: Sequence[int]) -> Perm:
     """Validate that ``perm`` contains each of 1..n exactly once, as ints
-    (``check_word``'s rule: ``1.0`` compares equal to ``1`` but is no entry)."""
+    (``check_word``'s rule: ``1.0`` and ``True`` equal ``1`` but are no entries)."""
     p = tuple(perm)
     if not p:
         raise InvalidPermutationError("empty permutation")
-    if not all(isinstance(x, int) for x in p) or set(p) != set(range(1, len(p) + 1)):
+    if not all(type(x) is int for x in p) or set(p) != set(range(1, len(p) + 1)):
         raise InvalidPermutationError(f"not a permutation of 1..{len(p)}: {p}")
     return p
 

@@ -38,8 +38,9 @@ from math import comb, factorial, perm
 from operator import add, mul
 
 from . import kernels
-from .clusters import ClusterTable, cluster_counts, slot_width, unpack_rows
+from .clusters import ClusterTable, cluster_counts
 from .graph import PatternCollection
+from .kernels import slot_width, unpack_rows
 from .perms import DomainError
 
 

@@ -1,6 +1,5 @@
 """Cluster enumeration oracle and the recurrence engines."""
 
-import random
 from itertools import accumulate, combinations, product
 from math import comb
 
@@ -23,10 +22,6 @@ from clusterperm.clusters import (
     count_clusters_oracle,
     enumerate_clusters_oracle,
     monotone_recurrence_data,
-    pack_row,
-    slot_width,
-    unpack_row,
-    unpack_rows,
 )
 from clusterperm.graph import PatternCollection, build_graph, is_monotone
 from clusterperm.perms import DomainError, all_permutations, occurrences, standardize
@@ -389,32 +384,3 @@ def test_packed_fill_matches_the_list_fill():
                 for v, rows in ref.items():
                     for row, bound in zip(rows, tables.bounds[v]):
                         assert max(row, default=0) <= bound < 1 << (tables.width - 2)
-
-
-@given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=12), st.integers(0, 8))
-def test_pack_and_unpack_are_inverse(row, extra):
-    while row and not row[-1]:
-        row.pop()
-    width = slot_width(max(map(abs, row), default=0)) + 8 * extra
-    assert unpack_row(pack_row(row, width), width) == row
-    assert pack_row(row, width) == sum(d << (q * width) for q, d in enumerate(row))
-
-
-@pytest.mark.parametrize("width", [8, 16, 24, 32, 40, 64, 72])
-def test_bulk_unpack_matches_unpack_row(width):
-    # signed digits up to the largest size a slot holds, negative top
-    # digits, zero rows and rows of every length, at widths memoryview
-    # casts (8, 16, 32, 64) and at widths it does not
-    big = (1 << (width - 1)) - 1
-    rng = random.Random(width)
-    rows = [[], [big], [-big], [0, 0, -1], [big, -big, big], [-1, 0, 0, 0, -big], [5]]
-    for _ in range(200):
-        row = [rng.choice((0, 1, -1, big, -big, rng.randint(-big, big)))
-               for _ in range(rng.randint(0, 9))]
-        while row and not row[-1]:
-            row.pop()
-        rows.append(row)
-    xs = [pack_row(row, width) for row in rows]
-    assert unpack_rows(xs, width) == [unpack_row(x, width) for x in xs] == rows
-    assert unpack_rows([], width) == []
-    assert unpack_rows([0, 0], width) == [[], []]

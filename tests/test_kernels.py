@@ -6,6 +6,7 @@ import random
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import MONO_C
 from clusterperm import kernels
@@ -209,3 +210,34 @@ def test_kernels_name_a_bad_argument():
         kernels.count_linear_extensions(-1, [])
     with pytest.raises(DomainError, match="n = -1"):
         kernels.count_distribution(-1, [(1, 2)])
+
+
+@given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=12), st.integers(0, 8))
+def test_pack_and_unpack_are_inverse(row, extra):
+    while row and not row[-1]:
+        row.pop()
+    width = kernels.slot_width(max(map(abs, row), default=0)) + 8 * extra
+    x = kernels.pack_row(row, width)
+    assert kernels.unpack_rows([x], width) == [row]
+    assert x == sum(d << (q * width) for q, d in enumerate(row))
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 32, 40, 64, 72])
+def test_bulk_unpack_matches_one_row_unpacks(width):
+    # signed digits up to the largest size a slot holds, negative top
+    # digits, zero rows and rows of every length, at widths memoryview
+    # casts (8, 16, 32, 64) and at widths it does not
+    big = (1 << (width - 1)) - 1
+    rng = random.Random(width)
+    rows = [[], [big], [-big], [0, 0, -1], [big, -big, big], [-1, 0, 0, 0, -big], [5]]
+    for _ in range(200):
+        row = [rng.choice((0, 1, -1, big, -big, rng.randint(-big, big)))
+               for _ in range(rng.randint(0, 9))]
+        while row and not row[-1]:
+            row.pop()
+        rows.append(row)
+    xs = [kernels.pack_row(row, width) for row in rows]
+    one_by_one = [kernels.unpack_rows([x], width)[0] for x in xs]
+    assert kernels.unpack_rows(xs, width) == one_by_one == rows
+    assert kernels.unpack_rows([], width) == []
+    assert kernels.unpack_rows([0, 0], width) == [[], []]

@@ -25,10 +25,9 @@ from clusterperm.clusters import (
     _vertex_tables,
     cluster_counts,
     count_clusters_oracle,
-    pack_row,
-    slot_width,
 )
 from clusterperm.graph import PatternCollection, _overlaps, build_graph
+from clusterperm.kernels import pack_row, slot_width
 from clusterperm.monotone import (
     EquationCheck,
     MonotoneError,

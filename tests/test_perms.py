@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from clusterperm.graph import PatternCollection
 from clusterperm.perms import (
     DomainError,
     InvalidPermutationError,
@@ -61,6 +62,19 @@ def test_check_permutation_rejects_gaps():
     with pytest.raises(InvalidPermutationError):
         check_permutation((1, 3))
     assert check_permutation([2, 1]) == (2, 1)
+
+
+def test_bool_entries_are_rejected():
+    # True == 1 and hash(True) == hash(1), but a bool is no int entry: it
+    # would print as "True" in a pattern's text and in its cache key
+    with pytest.raises(InvalidPermutationError):
+        check_permutation((True, 2))
+    with pytest.raises(InvalidWordError):
+        check_word((True,))
+    with pytest.raises(InvalidPermutationError):
+        PatternCollection(((True, 3, 2),))
+    with pytest.raises(InvalidPermutationError):
+        format_perm((2, True))
 
 
 def test_occurrences_positions_are_one_based():

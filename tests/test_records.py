@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from clusterperm.cache import cached_cluster_counts
-from clusterperm.clusters import Cluster, ClusterTable, LinkageProfile, cluster_counts
+from clusterperm.clusters import Cluster, ClusterTable, cluster_counts
 from clusterperm.equivalence import PatternBijection, Theorem13Report
 from clusterperm.graph import (
     Edge,
@@ -46,10 +46,6 @@ RECORDS = [
      PatternCollection(((1, 2, 3),)), GRAPH_REPR),
     (Cluster, ("sigma", "patterns", "offsets"), ((1, 3, 2), ((1, 3, 2),), (1,)),
      (2, 1), "Cluster(sigma=(1, 3, 2), patterns=((1, 3, 2),), offsets=(1,))"),
-    (LinkageProfile, ("edge", "drop", "fixed", "runs", "source", "size"),
-     (EDGE, 2, ((2, 1),), ((0, 2, (0, 0)), (2, 3, (1,))), (1,), 2), LABEL,
-     f"LinkageProfile(edge={EDGE_REPR}, drop=2, fixed=((2, 1),), "
-     "runs=((0, 2, (0, 0)), (2, 3, (1,))), source=(1,), size=2)"),
     (ClusterTable, ("collection", "n_max", "q_max", "totals", "_engine"),
      (PC, 3, 2, {(1, 0): 1, (3, 1): 1}, None),
      PatternCollection(((1, 2, 3),)),

@@ -25,8 +25,9 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from clusterperm import series  # noqa: E402
-from clusterperm.clusters import cluster_counts, slot_width  # noqa: E402
+from clusterperm.clusters import cluster_counts  # noqa: E402
 from clusterperm.graph import PatternCollection  # noqa: E402
+from clusterperm.kernels import slot_width  # noqa: E402
 
 INPUTS = {
     "12345": ("12345",),
