@@ -85,7 +85,8 @@ class PatternCollection(_Record):
             seen.add(p)
         for p in self.patterns:
             for p2 in self.patterns:
-                if p != p2 and divides(p, p2):
+                # distinct patterns of one length never divide each other
+                if len(p) < len(p2) and divides(p, p2):
                     raise NotReducedError(p, p2)
 
     def __iter__(self):
@@ -104,7 +105,8 @@ class PatternCollection(_Record):
 
 
 # Patterns whose border tables are kept; a fixed bound, so a long-running
-# process cannot grow the table without limit.
+# process cannot grow the table without limit.  ``_edge`` and
+# ``clusters._edge_step``, which read these tables, are bounded alike.
 _BORDER_PATTERNS = 4096
 
 
@@ -202,6 +204,18 @@ class OverlapGraph(NamedTuple):
     edges: tuple[Edge, ...]
 
 
+# Edges kept, by (pattern, k, k'); a fixed bound, as for the border tables.
+@functools.lru_cache(maxsize=4096)
+def _edge(pat: Perm, k: int, kp: int) -> Edge:
+    """The edge of the validated pattern ``pat`` from its length-k prefix to
+    its length-k' suffix: it depends on (pat, k, k') alone, so every graph
+    that reaches it shares one record."""
+    heads, tails = _borders(pat)
+    l = len(pat)
+    label = EdgeLabel(tuple(sorted(pat[:k])), tuple(sorted(pat[l - kp :])), l)
+    return Edge(heads[k - 1], tails[kp - 1], label, pat, k, kp)
+
+
 def build_graph(coll: PatternCollection) -> OverlapGraph:
     borders = {p: _borders(p) for p in coll}
     verts: set[Perm] = {(1,)}
@@ -213,18 +227,10 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
     vertices = tuple(sorted(verts, key=lambda v: (len(v), v)))
     edges: list[Edge] = []
     for pat in coll:
-        l = len(pat)
         heads, tails = borders[pat]
-        prefix_ok = {k: h for k, h in enumerate(heads, 1) if h in verts}
-        suffix_ok = {kp: t for kp, t in enumerate(tails, 1) if t in verts}
-        for k, src in prefix_ok.items():
-            for kp, tgt in suffix_ok.items():
-                label = EdgeLabel(
-                    mu_i=tuple(sorted(pat[:k])),
-                    mu_f=tuple(sorted(pat[l - kp :])),
-                    length=l,
-                )
-                edges.append(Edge(src, tgt, label, pat, k, kp))
+        ks = [k for k, h in enumerate(heads, 1) if h in verts]
+        kps = [kp for kp, t in enumerate(tails, 1) if t in verts]
+        edges += [_edge(pat, k, kp) for k in ks for kp in kps]
     edges.sort()  # by source, target, label, pattern: the label fixes k, k_prime
     return OverlapGraph(coll, vertices, tuple(edges))
 

@@ -12,10 +12,10 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def run(pair, side, wall, hits=1.0):
+def run(pair, side, wall, hits=1.0, first_pass=None):
     first = "parent" if pair % 2 == 0 else "change"
     return {"pair": pair, "side": side, "first": first, "workload": "w",
-            "seed": 1, "trace": 0,
+            "seed": 1, "trace": 0, "first_pass_wall_s": first_pass,
             "metrics": {"wall_s": wall, "cache.hits": hits, "ok_share": 1.0}}
 
 
@@ -45,6 +45,24 @@ def test_summary_of_fixed_runs():
     assert zero["wall_s"]["change_vs_parent"] == 0.0
     assert bench_pairs.summarize([run(0, "parent", 0.1)]) == {"pairs": 0}
     assert bench_pairs.run_key("series-deep", 7, 1) == "series-deep_s7_t1"
+    assert "first_pass_wall_s" not in summary  # no run recorded one
+
+
+def test_summary_of_first_pass_times():
+    # a run without a first pass (traced, or recorded before the field) leaves
+    # its pair out of the first-pass medians, and out of nothing else
+    runs = [run(0, "parent", 0.10, first_pass=0.30), run(0, "change", 0.08, first_pass=0.31),
+            run(1, "parent", 0.10, first_pass=0.20), run(1, "change", 0.08, first_pass=0.19),
+            run(2, "parent", 0.10, first_pass=0.40), run(2, "change", 0.08, first_pass=0.35),
+            run(3, "parent", 0.10, first_pass=9.9), run(3, "change", 0.08)]
+    del runs[1]["first_pass_wall_s"]  # a record from before the field
+    summary = bench_pairs.summarize(runs)
+    assert summary["pairs"] == 4 and summary["wall_s"]["change_won"] == 4
+    first = summary["first_pass_wall_s"]
+    assert first["pairs"] == 2
+    assert first["parent_median"] == pytest.approx(0.30)
+    assert first["change_median"] == pytest.approx(0.27)
+    assert first["change_vs_parent"] == pytest.approx(0.27 / 0.30 - 1)
 
 
 def test_a_parent_with_another_benchmark_is_refused(tmp_path, monkeypatch, capsys):
@@ -76,7 +94,7 @@ def test_pairs_alternate_the_first_side_and_interleave_the_workloads(tmp_path, m
         side = "change" if checkout == bench_pairs.ROOT else "parent"
         calls.append((workload, side))
         wall = {"parent": 0.10, "change": 0.08}[side]
-        return {"meta": {"passes": 11},
+        return {"meta": {"passes": 11, "pass_wall_s": [2 * wall, wall, wall]},
                 "result": {"correct": True, "failed": 0, "attempted": 11,
                            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}}
 
@@ -99,6 +117,13 @@ def test_pairs_alternate_the_first_side_and_interleave_the_workloads(tmp_path, m
         (3, "change", "change"), (3, "parent", "change"),
     ]
     assert runs[0]["seed"] == 7 and runs[0]["passes"] == 11
+    assert runs[0]["first_pass_wall_s"] == 0.20 and "first_pass_wall_s" not in runs[0]["metrics"]
     wall = doc["summary"]["b_s7_t0"]["wall_s"]
     assert doc["summary"]["b_s7_t0"]["pairs"] == 4
     assert (wall["change_won"], wall["change_lost"]) == (4, 0)
+    first = doc["summary"]["b_s7_t0"]["first_pass_wall_s"]
+    assert (first["parent_median"], first["change_median"]) == (0.20, 0.16)
+    assert bench_pairs.record(0, "parent", "parent", "w", 1, 1, {
+        "meta": {"traced_passes": 3}, "result": {
+            "correct": True, "failed": 0, "attempted": 3, "metrics": {}}},
+    )["first_pass_wall_s"] is None

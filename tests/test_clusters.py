@@ -2,6 +2,7 @@
 
 from itertools import accumulate, combinations, product
 from math import comb
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from conftest import (
 )
 from clusterperm.clusters import (
     Cluster,
+    _edge_step,
     _first_row,
     _refined_cluster_counts,
     _vertex_tables,
@@ -23,6 +25,7 @@ from clusterperm.clusters import (
     enumerate_clusters_oracle,
     monotone_recurrence_data,
 )
+import clusterperm.graph as graph_module
 from clusterperm.graph import PatternCollection, build_graph, is_monotone
 from clusterperm.perms import DomainError, all_permutations, occurrences, standardize
 
@@ -104,7 +107,7 @@ def test_single_pattern_engine_matches_general():
         gen = cluster_counts(coll, 10, 4)
         single = cluster_counts_single_pattern(pat, 10, 4)
         assert dict(gen.totals) == single.totals, pat
-        assert _refined_cluster_counts(coll, 10, 4).totals == single.totals, pat
+        assert _refined_cluster_counts(build_graph(coll), 10, 4).totals == single.totals, pat
     for n_max, q_max in [(0, 3), (3, 0)]:
         with pytest.raises(DomainError):
             cluster_counts_single_pattern((1, 3, 2), n_max, q_max)
@@ -139,7 +142,7 @@ def test_monotone_table_answers_refined_queries():
     # refined engine's per-vertex sums equal the collapsed vertex rows
     table = cluster_counts(MONO_D, 10, 4)
     assert table._engine is None
-    refined = _refined_cluster_counts(MONO_D, 10, 4)
+    refined = _refined_cluster_counts(build_graph(MONO_D), 10, 4)
     assert refined.totals == table.totals
     tables = _vertex_tables(build_graph(MONO_D), 10, 4)
     by_vertex = {(v, n): [0] * 5 for v in tables.rows for n in range(11)}
@@ -157,7 +160,7 @@ def test_refined_counts_sum_to_totals():
     coll = PatternCollection(((1, 3, 2, 5, 4),))
     table = cluster_counts(coll, 9, 3)
     assert table._engine is None
-    assert _refined_cluster_counts(coll, 9, 3).totals == table.totals
+    assert _refined_cluster_counts(build_graph(coll), 9, 3).totals == table.totals
 
 
 def test_engine_memo_holds_one_vector_per_word():
@@ -307,6 +310,90 @@ class RefEngine:
                     acc[q + 1] += ways * c
 
 
+def ref_edge_profile(e):
+    """One step of the refined recurrence along e, derived from the edge
+    alone with ``standardize``: (drop, source, fixed, runs, outer, inner,
+    get, b), the reference for the cached ``_edge_step`` that ``_Engine``
+    fills from (see that function for the fields)."""
+    pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
+    where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
+    values = [pat[i] for i in where]
+    size = len(values)
+    rank = standardize(values)
+    entry = (0, *sorted(values), l + 1)  # pattern entry of each rank
+    spacing = [entry[r + 1] - entry[r] - 1 for r in range(size + 1)]
+    fixed = tuple(
+        (rank[size - kp + j], pat[l - kp + j] - e.target[j]) for j in range(kp)
+    )
+    ends = sorted({0, size + 1, *(r for r, _ in fixed)})
+    runs = sorted(
+        ((lo, hi, tuple(spacing[lo:hi]))
+         for lo, hi in zip(ends, ends[1:])
+         if hi - lo > 1 or spacing[lo]),
+        key=lambda run: run[1] - run[0] > 1,
+    )
+    *outer, inner = [slice(lo + 1, hi) for lo, hi, _ in runs]
+    return (l - kp, e.source, fixed, runs, outer, inner, itemgetter(*rank[:k]),
+            [0] * (size + 2))
+
+
+# Eight overlap-graph vertices.
+CACHE_COLLECTION = PatternCollection(tuple(
+    tuple(map(int, p)) for p in "51423 54321 34215 31452".split()
+))
+
+
+def _holds_a_list(x):
+    if isinstance(x, list):
+        return True
+    return isinstance(x, tuple) and any(map(_holds_a_list, x))
+
+
+def test_cached_steps_match_the_reference_derivation():
+    singles = [PatternCollection((p,)) for p in all_permutations(5)]
+    colls = reference_collections() + [SIXTEEN, CACHE_COLLECTION] + singles
+    edges = {e for coll in colls for e in build_graph(coll).edges}
+    assert len(edges) > 600
+    for e in edges:
+        step = _edge_step(e.pattern, e.k, e.k_prime)
+        assert graph_module._edge(e.pattern, e.k, e.k_prime) is e
+        assert not _holds_a_list(step) and not _holds_a_list(e), e
+        drop, fixed, runs, outer, inner, get, size = step
+        r_drop, source, r_fixed, r_runs, r_outer, r_inner, r_get, b = ref_edge_profile(e)
+        assert (drop, fixed, runs, outer, inner) == (
+            r_drop, r_fixed, tuple(r_runs), tuple(r_outer), r_inner), e
+        assert source == e.source and size == len(b) and not any(b)
+        # itemgetters compare by identity; their reductions name the items
+        assert get.__reduce__() == r_get.__reduce__(), e
+
+
+def _fresh_fill(coll, n, q):
+    graph_module._edge.cache_clear()
+    _edge_step.cache_clear()
+    return cluster_counts(coll, n, q)
+
+
+def test_fills_that_share_patterns_match_fresh_fills():
+    # each fill gets its own buffers: a buffer shared through the cached
+    # steps, or a cached step changed by a fill, would change a later fill
+    expected = {(n, q): _fresh_fill(SIXTEEN, n, q) for n, q in [(8, 3), (10, 10)]}
+    for n, q in [(8, 3), (10, 10), (8, 3)]:
+        table = cluster_counts(SIXTEEN, n, q)
+        assert table.totals == expected[n, q].totals, (n, q)
+        assert table._engine.memo == expected[n, q]._engine.memo, (n, q)
+    _edge_step.cache_clear()
+    again = cluster_counts(SIXTEEN, 8, 3)
+    assert _edge_step.cache_info().currsize == len(build_graph(SIXTEEN).edges)
+    assert again.totals == expected[8, 3].totals
+    assert again._engine.memo == expected[8, 3]._engine.memo
+
+
+def test_collapsed_fills_derive_no_steps():
+    _edge_step.cache_clear()
+    assert cluster_counts(MONO_D, 10, 4)._engine is None
+    assert _edge_step.cache_info().currsize == 0
+
+
 def _admissible_words(v, n):
     for values in combinations(range(1, n + 1), len(v)):
         yield tuple(values[x - 1] for x in v)
@@ -316,7 +403,7 @@ def test_refined_queries_match_the_top_down_reference():
     # the monotone collections too, through the refined engine; the sums by
     # vertex and length show that the memo holds no inadmissible word
     for coll in reference_collections() + list(MONO_ALL):
-        memo = _refined_cluster_counts(coll, 10, 10)._engine.memo
+        memo = _refined_cluster_counts(build_graph(coll), 10, 10)._engine.memo
         assert all(memo.values())
         in_memo = {}
         for (v, n, _), terms in memo.items():

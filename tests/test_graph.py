@@ -73,6 +73,30 @@ def test_pattern_collection_requires_reduced():
         PatternCollection(((1, 2, 3), (1, 2, 3)))
 
 
+def test_reduction_check_skips_pairs_of_one_length(monkeypatch):
+    # distinct patterns of one length never divide each other, so only a
+    # shorter pattern is tried against a longer one
+    calls = []
+    real = graph_module.divides
+
+    def counting(p, p2):
+        calls.append((p, p2))
+        return real(p, p2)
+
+    monkeypatch.setattr(graph_module, "divides", counting)
+    PatternCollection(tuple(
+        tuple(map(int, p))
+        for p in "123456 153264 253614 315426 362541 435261 541632 632154".split()
+    ))
+    assert calls == []
+    PatternCollection(((1, 3, 2), (2, 1, 3), (1, 2, 3, 4)))
+    assert calls == [((1, 3, 2), (1, 2, 3, 4)), ((2, 1, 3), (1, 2, 3, 4))]
+    calls.clear()
+    with pytest.raises(NotReducedError):
+        PatternCollection(((1, 4, 5, 6, 2, 3), (1, 3, 4, 5, 2)))
+    assert calls == [((1, 3, 4, 5, 2), (1, 4, 5, 6, 2, 3))]
+
+
 def test_collection_symmetries():
     c = PatternCollection(((1, 2, 3), (2, 1, 3)))
     assert set(c.reversed().patterns) == {(3, 2, 1), (3, 1, 2)}

@@ -16,6 +16,12 @@ The result goes to ``--out`` in this layout:
   change won and lost (``ok_share`` and ``cache.hits``: higher is better;
   every other metric: lower)
 
+Each run also keeps the wall time of its first pass, ``pass_wall_s[0]`` of
+the ``# meta`` line, as ``first_pass_wall_s`` beside its metrics, and the
+summary gives each side's median of it: a gain that needs work repeated
+within one process shows in ``wall_s``, the median pass, but not there.
+A traced run records no pass times, and its first pass is None.
+
 An existing ``--out`` file keeps its other keys and runs, and its summary is
 recomputed over all runs, so several invocations can fill one file.  Run
 from the root of a checkout, e.g.
@@ -52,14 +58,14 @@ def summarize(runs: list[dict]) -> dict:
     both sides count."""
     sides = {}
     for run in runs:
-        sides.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+        sides.setdefault(run["pair"], {})[run["side"]] = run
     pairs = [s for _, s in sorted(sides.items()) if len(s) == 2]
     out = {"pairs": len(pairs)}
     if not pairs:
         return out
-    for name in pairs[0]["parent"]:
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
+    for name in pairs[0]["parent"]["metrics"]:
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
         sign = -1 if name in HIGHER_IS_BETTER else 1
         pm, cm = statistics.median(parent), statistics.median(change)
         out[name] = {
@@ -71,6 +77,14 @@ def summarize(runs: list[dict]) -> dict:
             "change_won": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
             "change_lost": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
         }
+    firsts = [(p["parent"].get("first_pass_wall_s"), p["change"].get("first_pass_wall_s"))
+              for p in pairs]
+    firsts = [f for f in firsts if None not in f]
+    if firsts:
+        pm, cm = (statistics.median(side) for side in zip(*firsts))
+        out["first_pass_wall_s"] = {"pairs": len(firsts), "parent_median": pm,
+                                    "change_median": cm,
+                                    "change_vs_parent": cm / pm - 1 if pm else 0.0}
     return out
 
 
@@ -120,6 +134,7 @@ def record(pair, side, first, workload, seed, trace, out) -> dict:
         "pair": pair, "side": side, "first": first, "workload": workload,
         "seed": seed, "trace": trace,
         "passes": meta.get("passes", meta.get("traced_passes")),
+        "first_pass_wall_s": meta.get("pass_wall_s", [None])[0],
         "correct": result["correct"], "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
