@@ -6,9 +6,7 @@ so the canonical form of the graph plus the fill bounds (N, Q) is a sound
 cache key.  The form is ``graph.canonical_form``, shared with
 ``graphs_isomorphic``; colour refinement orders the vertices by their labelled
 edges, and individualise-and-refine breaks the ties it leaves; a graph past
-that search's leaf budget has no key, and its table is computed uncached.  A
-lookup builds the overlap graph once, and on a miss that graph serves both
-the key and the fill.  Tables
+that search's leaf budget has no key, and its table is computed uncached.  Tables
 are stored as JSON files that carry the cache schema version and their own
 key; writes go through a temporary file in the same directory followed by an
 atomic rename.  A file that cannot be read back as a table (one nested too
@@ -29,8 +27,8 @@ import tempfile
 from math import factorial
 from pathlib import Path
 
-from .clusters import ClusterTable, _graph_cluster_counts, cluster_counts
-from .graph import LeafBudgetError, OverlapGraph, PatternCollection, build_graph, canonical_form
+from .clusters import ClusterTable, cluster_counts
+from .graph import LeafBudgetError, PatternCollection, build_graph, canonical_form
 
 ENV_CACHE_DIR = "CLUSTERPERM_CACHE_DIR"
 # Bumped whenever the key or the file layout changes.
@@ -40,12 +38,7 @@ SCHEMA = 3
 def cache_key(collection: PatternCollection) -> str:
     """Hex digest identifying the collection's overlap graph up to
     label-preserving isomorphism."""
-    return _graph_key(build_graph(collection))
-
-
-def _graph_key(graph: OverlapGraph) -> str:
-    """``cache_key`` of the collection whose overlap graph the caller built."""
-    encoding, _ = canonical_form(graph)
+    encoding, _ = canonical_form(build_graph(collection))
     return hashlib.sha256(repr(encoding).encode()).hexdigest()
 
 
@@ -96,8 +89,14 @@ def save_table(
     return path
 
 
-def load_table(collection: PatternCollection, n_max: int, q_max: int,
-               directory: Path | None = None, *, key: str | None = None) -> ClusterTable | None:
+def load_table(
+    collection: PatternCollection,
+    n_max: int,
+    q_max: int,
+    directory: Path | None = None,
+    *,
+    key: str | None = None,
+) -> ClusterTable | None:
     """The cached table under ``key`` (computed from the collection when
     absent), or None on a miss."""
     if key is None:
@@ -128,19 +127,21 @@ def load_table(collection: PatternCollection, n_max: int, q_max: int,
         return None
 
 
-def cached_cluster_counts(collection: PatternCollection, n_max: int, q_max: int,
-                          directory: Path | None = None) -> ClusterTable:
-    """Load the table from cache or compute and store it.  One overlap graph
-    serves the key and the fill, and the key is computed once: on a large
-    overlap graph it is the costly part."""
-    graph = build_graph(collection)
+def cached_cluster_counts(
+    collection: PatternCollection,
+    n_max: int,
+    q_max: int,
+    directory: Path | None = None,
+) -> ClusterTable:
+    """Load the table from cache or compute and store it.  The key is
+    computed once: on a large overlap graph it is the costly part."""
     try:
-        key = _graph_key(graph)
+        key = cache_key(collection)
     except LeafBudgetError:
         return cluster_counts(collection, n_max, q_max)
     hit = load_table(collection, n_max, q_max, directory, key=key)
     if hit is not None:
         return hit
-    table = _graph_cluster_counts(graph, n_max, q_max)
+    table = cluster_counts(collection, n_max, q_max)
     save_table(table, directory, key=key)
     return table

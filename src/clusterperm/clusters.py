@@ -41,9 +41,9 @@ from typing import NamedTuple
 from . import kernels
 from .kernels import pack_row, slot_width, unpack_rows
 from .graph import (
+    Edge,
     OverlapGraph,
     PatternCollection,
-    _borders,
     _extensions_to_perms,
     _Record,
     build_graph,
@@ -130,7 +130,9 @@ def _consistent_shapes(collection: PatternCollection, n: int, q: int):
     yield from out
 
 
-def enumerate_clusters_oracle(collection: PatternCollection, n: int, q: int) -> list[Cluster]:
+def enumerate_clusters_oracle(
+    collection: PatternCollection, n: int, q: int
+) -> list[Cluster]:
     """Every q-cluster of length n, by exhaustive search.  Oracle use only."""
     found = [
         Cluster(sigma, seq, offs)
@@ -154,14 +156,9 @@ def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Steps kept, by (pattern, k, k'); a fixed bound, as for the border tables.
-@functools.lru_cache(maxsize=4096)
-def _edge_step(pat: Perm, k: int, kp: int) -> tuple:
-    """The step of the refined recurrence along the edge of the validated
-    pattern ``pat`` from its length-k prefix to its length-k' suffix:
-    (drop, fixed, runs, outer, inner, get, size), which ``_Engine`` fills
-    from.  It depends on (pat, k, k') alone, so it is derived once, and only
-    for a graph that the refined recurrence fills.
+def _edge_profile(e: Edge) -> tuple:
+    """One step of the refined recurrence along e, as the tuple ``_Engine``
+    fills from: (drop, source, fixed, runs, outer, inner, get, b).
 
     The boundary of an edge is the whole pattern when l <= k + k', and its
     first k and last k' entries otherwise.  Write b_1 < ... < b_s for its
@@ -177,29 +174,31 @@ def _edge_step(pat: Perm, k: int, kp: int) -> tuple:
     included, with free ranks or spacing between them, and sorted so that
     the runs with free ranks come last: the picks of the last run are the
     innermost loop.  ``outer`` and ``inner`` are the slices of b the runs
-    fill, ``get`` reads the source word off b, and ``size`` is the length
-    of b, s + 2.  The step holds no list: each fill makes its own b.
+    fill, ``get`` reads the source word off b, and ``b`` is the buffer.
 
     A shift counts the entries outside the sub-cluster below its entry, so
     the fixed values leave room for every free entry and spacing: each run
     has a placement, and every weight is positive.
     """
-    l = len(pat)
-    target = _borders(pat)[1][kp - 1]
+    pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
     values = pat if l <= k + kp else pat[:k] + pat[l - kp :]
     size = len(values)
     entry = (0, *sorted(values), l + 1)  # pattern entry of each rank
-    rank = [entry.index(x) for x in values]
+    rank = [entry.index(x) for x in values]  # values of a permutation: distinct
     spacing = [entry[r + 1] - entry[r] - 1 for r in range(size + 1)]
-    fixed = tuple((rank[size - kp + j], pat[l - kp + j] - target[j]) for j in range(kp))
+    fixed = tuple(
+        (rank[size - kp + j], pat[l - kp + j] - e.target[j]) for j in range(kp)
+    )
     ends = sorted({0, size + 1, *(r for r, _ in fixed)})
-    runs = tuple(sorted(
-        ((lo, hi, tuple(spacing[lo:hi])) for lo, hi in zip(ends, ends[1:])
+    runs = sorted(
+        ((lo, hi, tuple(spacing[lo:hi]))
+         for lo, hi in zip(ends, ends[1:])
          if hi - lo > 1 or spacing[lo]),
         key=lambda run: run[1] - run[0] > 1,
-    ))
+    )
     *outer, inner = [slice(lo + 1, hi) for lo, hi, _ in runs]
-    return l - kp, fixed, runs, tuple(outer), inner, itemgetter(*rank[:k]), size + 2
+    return (l - kp, e.source, fixed, runs, outer, inner, itemgetter(*rank[:k]),
+            [0] * (size + 2))
 
 
 def _first_row(collection: PatternCollection) -> tuple[int, ...]:
@@ -224,17 +223,15 @@ class _Engine:
     step can come from.  A state whose lowest q is q_max pushes nothing, so
     no state beyond 1 + q_max (l_max - 1) is built.
 
-    An edge into v is its ``_edge_step`` with its source after the drop and
-    its own buffer b for the buffer length.  A layer keys its states by
-    vertex, then by what the edge's getter reads off b: the word, or its one
-    entry for the source (1).
+    An edge into v is the tuple of ``_edge_profile``.  A layer keys its
+    states by vertex, then by what the edge's getter reads off b: the word,
+    or its one entry for the source (1).
     """
 
     def __init__(self, graph: OverlapGraph, n_max: int, q_max: int):
         into: dict[Perm, list] = {v: [] for v in graph.vertices}
         for e in graph.edges:
-            drop, *step, size = _edge_step(e.pattern, e.k, e.k_prime)
-            into[e.target].append((drop, e.source, *step, [0] * size))
+            into[e.target].append(_edge_profile(e))
         self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
         layers = [{v: {} for v in graph.vertices} for _ in range(n_max + 1)]
         layers[1][(1,)][1] = _first_row(graph.collection)[: q_max + 1]
@@ -293,16 +290,18 @@ def _run_options(spacing: tuple[int, ...], low: int, high: int) -> tuple:
     return tuple(options)
 
 
-def _refined_cluster_counts(graph: OverlapGraph, n_max: int, q_max: int) -> ClusterTable:
+def _refined_cluster_counts(
+    collection: PatternCollection, n_max: int, q_max: int
+) -> ClusterTable:
     """cl_{n,q} by the refined recurrence, summed over first letters."""
-    engine = _Engine(graph, n_max, q_max)
+    engine = _Engine(build_graph(collection), n_max, q_max)
     totals = {(1, 0): 1}
     for (v, n, _), terms in engine.memo.items():
         for q, c in terms if v == (1,) else ():
             if q:
                 totals[n, q] = totals.get((n, q), 0) + c
     totals = dict(sorted(totals.items()))
-    return ClusterTable(graph.collection, n_max, q_max, totals, engine)
+    return ClusterTable(collection, n_max, q_max, totals, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +397,15 @@ def _vertex_tables(graph: OverlapGraph, n_max: int, q_max: int) -> PackedRows:
     return PackedRows(width, rows, bounds)
 
 
-def _monotone_cluster_counts(graph: OverlapGraph, n_max: int, q_max: int) -> ClusterTable:
+def _monotone_cluster_counts(
+    collection: PatternCollection, n_max: int, q_max: int
+) -> ClusterTable:
     """cl_{n,q} by the collapsed recurrence; the collection must be monotone."""
-    rows = _vertex_tables(graph, n_max, q_max).lists((1,))
+    rows = _vertex_tables(build_graph(collection), n_max, q_max).lists((1,))
     totals = {
         (n, q): c for n, row in enumerate(rows) for q, c in enumerate(row) if c
     }
-    return ClusterTable(graph.collection, n_max, q_max, totals)
+    return ClusterTable(collection, n_max, q_max, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +431,25 @@ class ClusterTable(_Record):
         return self.totals.get((n, q), 0)
 
 
-def cluster_counts(collection: PatternCollection, n_max: int, q_max: int) -> ClusterTable:
+def cluster_counts(
+    collection: PatternCollection, n_max: int, q_max: int
+) -> ClusterTable:
     """Fill cl_{n,q} for n <= n_max, q <= q_max: by the collapsed recurrence
     when the collection is monotone, by the refined one otherwise."""
-    return _graph_cluster_counts(build_graph(collection), n_max, q_max)
-
-
-def _graph_cluster_counts(graph: OverlapGraph, n_max: int, q_max: int) -> ClusterTable:
-    """``cluster_counts`` of the collection on its overlap graph, which the
-    caller has built."""
     if n_max < 1 or q_max < 1:
         raise DomainError("need n_max >= 1 and q_max >= 1")
-    fill = _monotone_cluster_counts if is_monotone(graph.collection) else _refined_cluster_counts
-    return fill(graph, n_max, q_max)
+    if is_monotone(collection):
+        return _monotone_cluster_counts(collection, n_max, q_max)
+    return _refined_cluster_counts(collection, n_max, q_max)
 
 
-def cluster_counts_single_pattern(pattern, n_max: int, q_max: int) -> ClusterTable:
+def cluster_counts_single_pattern(
+    pattern, n_max: int, q_max: int
+) -> ClusterTable:
     """cl_{n,q} for the singleton collection of a bare pattern."""
-    return cluster_counts(PatternCollection((check_permutation(pattern),)), n_max, q_max)
+    return cluster_counts(
+        PatternCollection((check_permutation(pattern),)), n_max, q_max
+    )
 
 
 # ---------------------------------------------------------------------------

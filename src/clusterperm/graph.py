@@ -105,8 +105,7 @@ class PatternCollection(_Record):
 
 
 # Patterns whose border tables are kept; a fixed bound, so a long-running
-# process cannot grow the table without limit.  ``_edge`` and
-# ``clusters._edge_step``, which read these tables, are bounded alike.
+# process cannot grow the table without limit.
 _BORDER_PATTERNS = 4096
 
 
@@ -204,18 +203,6 @@ class OverlapGraph(NamedTuple):
     edges: tuple[Edge, ...]
 
 
-# Edges kept, by (pattern, k, k'); a fixed bound, as for the border tables.
-@functools.lru_cache(maxsize=4096)
-def _edge(pat: Perm, k: int, kp: int) -> Edge:
-    """The edge of the validated pattern ``pat`` from its length-k prefix to
-    its length-k' suffix: it depends on (pat, k, k') alone, so every graph
-    that reaches it shares one record."""
-    heads, tails = _borders(pat)
-    l = len(pat)
-    label = EdgeLabel(tuple(sorted(pat[:k])), tuple(sorted(pat[l - kp :])), l)
-    return Edge(heads[k - 1], tails[kp - 1], label, pat, k, kp)
-
-
 def build_graph(coll: PatternCollection) -> OverlapGraph:
     borders = {p: _borders(p) for p in coll}
     verts: set[Perm] = {(1,)}
@@ -227,10 +214,16 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
     vertices = tuple(sorted(verts, key=lambda v: (len(v), v)))
     edges: list[Edge] = []
     for pat in coll:
+        l = len(pat)
         heads, tails = borders[pat]
-        ks = [k for k, h in enumerate(heads, 1) if h in verts]
-        kps = [kp for kp, t in enumerate(tails, 1) if t in verts]
-        edges += [_edge(pat, k, kp) for k in ks for kp in kps]
+        starts = [(k, h, tuple(sorted(pat[:k])))
+                  for k, h in enumerate(heads, 1) if h in verts]
+        ends = [(kp, t, tuple(sorted(pat[l - kp :])))
+                for kp, t in enumerate(tails, 1) if t in verts]
+        for k, src, mu_i in starts:
+            for kp, tgt, mu_f in ends:
+                label = EdgeLabel(mu_i=mu_i, mu_f=mu_f, length=l)
+                edges.append(Edge(src, tgt, label, pat, k, kp))
     edges.sort()  # by source, target, label, pattern: the label fixes k, k_prime
     return OverlapGraph(coll, vertices, tuple(edges))
 

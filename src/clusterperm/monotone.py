@@ -72,12 +72,14 @@ def _require_monotone(collection: PatternCollection):
         )
 
 
-def monotone_cluster_counts(collection: PatternCollection, n_max: int, q_max: int) -> ClusterTable:
+def monotone_cluster_counts(
+    collection: PatternCollection, n_max: int, q_max: int
+) -> ClusterTable:
     """Totals cl_{n,q} via the simplified monotone recurrence."""
     _require_monotone(collection)
     if n_max < 1 or q_max < 1:
         raise DomainError("need n_max >= 1 and q_max >= 1")
-    return _monotone_cluster_counts(build_graph(collection), n_max, q_max)
+    return _monotone_cluster_counts(collection, n_max, q_max)
 
 
 def monotone_vertex_series(

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import clusterperm.cache as cache_module
-import clusterperm.clusters as clusters_module
 import clusterperm.graph as graph_module
 from clusterperm.cache import (
     atomic_write_text,
@@ -32,7 +31,7 @@ from clusterperm.graph import (
     canonical_form,
 )
 from clusterperm.perms import DomainError, all_permutations, parse_perm
-from conftest import MONO_ALL, MONO_D, nudged
+from conftest import MONO_ALL, nudged
 
 WILF_PAIR = (
     PatternCollection(((1, 4, 3, 2, 6, 5, 9, 8, 7),)),
@@ -441,32 +440,6 @@ def test_cache_miss_and_hit_compute_the_key_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert cold.totals == warm.totals == cluster_counts(coll, 8, 3).totals
     assert len(list(tmp_path.iterdir())) == 1
-
-
-@pytest.mark.parametrize("coll", [
-    PatternCollection(tuple(parse_perm(p) for p in "51423 54321 34215 31452".split())),
-    MONO_D,  # the collapsed fill
-])
-def test_cache_miss_and_hit_build_one_graph(tmp_path, monkeypatch, coll):
-    built, keyed = [], []
-
-    def counting(collection):
-        built.append(graph_module.build_graph(collection))
-        return built[-1]
-
-    def form(graph):
-        keyed.append(graph)
-        return canonical_form(graph)
-
-    for module in (cache_module, clusters_module):
-        monkeypatch.setattr(module, "build_graph", counting)
-    monkeypatch.setattr(cache_module, "canonical_form", form)
-    cold = cached_cluster_counts(coll, 8, 3, tmp_path)
-    assert len(built) == 1 and len(keyed) == 1 and keyed[0] is built[0]
-    warm = cached_cluster_counts(coll, 8, 3, tmp_path)
-    assert len(built) == 2 and keyed[1] is built[1]
-    monkeypatch.undo()
-    assert cold.totals == warm.totals == cluster_counts(coll, 8, 3).totals
 
 
 def test_collection_past_the_leaf_budget_is_computed_uncached(tmp_path, monkeypatch):

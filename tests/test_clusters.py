@@ -15,7 +15,7 @@ from conftest import (
 )
 from clusterperm.clusters import (
     Cluster,
-    _edge_step,
+    _edge_profile,
     _first_row,
     _refined_cluster_counts,
     _vertex_tables,
@@ -25,7 +25,6 @@ from clusterperm.clusters import (
     enumerate_clusters_oracle,
     monotone_recurrence_data,
 )
-import clusterperm.graph as graph_module
 from clusterperm.graph import PatternCollection, build_graph, is_monotone
 from clusterperm.perms import DomainError, all_permutations, occurrences, standardize
 
@@ -107,7 +106,7 @@ def test_single_pattern_engine_matches_general():
         gen = cluster_counts(coll, 10, 4)
         single = cluster_counts_single_pattern(pat, 10, 4)
         assert dict(gen.totals) == single.totals, pat
-        assert _refined_cluster_counts(build_graph(coll), 10, 4).totals == single.totals, pat
+        assert _refined_cluster_counts(coll, 10, 4).totals == single.totals, pat
     for n_max, q_max in [(0, 3), (3, 0)]:
         with pytest.raises(DomainError):
             cluster_counts_single_pattern((1, 3, 2), n_max, q_max)
@@ -142,7 +141,7 @@ def test_monotone_table_answers_refined_queries():
     # refined engine's per-vertex sums equal the collapsed vertex rows
     table = cluster_counts(MONO_D, 10, 4)
     assert table._engine is None
-    refined = _refined_cluster_counts(build_graph(MONO_D), 10, 4)
+    refined = _refined_cluster_counts(MONO_D, 10, 4)
     assert refined.totals == table.totals
     tables = _vertex_tables(build_graph(MONO_D), 10, 4)
     by_vertex = {(v, n): [0] * 5 for v in tables.rows for n in range(11)}
@@ -160,7 +159,7 @@ def test_refined_counts_sum_to_totals():
     coll = PatternCollection(((1, 3, 2, 5, 4),))
     table = cluster_counts(coll, 9, 3)
     assert table._engine is None
-    assert _refined_cluster_counts(build_graph(coll), 9, 3).totals == table.totals
+    assert _refined_cluster_counts(coll, 9, 3).totals == table.totals
 
 
 def test_engine_memo_holds_one_vector_per_word():
@@ -311,10 +310,9 @@ class RefEngine:
 
 
 def ref_edge_profile(e):
-    """One step of the refined recurrence along e, derived from the edge
-    alone with ``standardize``: (drop, source, fixed, runs, outer, inner,
-    get, b), the reference for the cached ``_edge_step`` that ``_Engine``
-    fills from (see that function for the fields)."""
+    """``_edge_profile`` derived with ``standardize`` for the ranks of the
+    boundary values, the reference for the library's derivation, which
+    reads them off the sorted values instead."""
     pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
     where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
     values = [pat[i] for i in where]
@@ -343,55 +341,18 @@ CACHE_COLLECTION = PatternCollection(tuple(
 ))
 
 
-def _holds_a_list(x):
-    if isinstance(x, list):
-        return True
-    return isinstance(x, tuple) and any(map(_holds_a_list, x))
-
-
-def test_cached_steps_match_the_reference_derivation():
+def test_edge_profiles_match_the_reference_derivation():
     singles = [PatternCollection((p,)) for p in all_permutations(5)]
     colls = reference_collections() + [SIXTEEN, CACHE_COLLECTION] + singles
     edges = {e for coll in colls for e in build_graph(coll).edges}
     assert len(edges) > 600
     for e in edges:
-        step = _edge_step(e.pattern, e.k, e.k_prime)
-        assert graph_module._edge(e.pattern, e.k, e.k_prime) is e
-        assert not _holds_a_list(step) and not _holds_a_list(e), e
-        drop, fixed, runs, outer, inner, get, size = step
-        r_drop, source, r_fixed, r_runs, r_outer, r_inner, r_get, b = ref_edge_profile(e)
-        assert (drop, fixed, runs, outer, inner) == (
-            r_drop, r_fixed, tuple(r_runs), tuple(r_outer), r_inner), e
-        assert source == e.source and size == len(b) and not any(b)
+        *step, get, b = _edge_profile(e)
+        *ref, ref_get, ref_b = ref_edge_profile(e)
+        assert step == ref, e
         # itemgetters compare by identity; their reductions name the items
-        assert get.__reduce__() == r_get.__reduce__(), e
-
-
-def _fresh_fill(coll, n, q):
-    graph_module._edge.cache_clear()
-    _edge_step.cache_clear()
-    return cluster_counts(coll, n, q)
-
-
-def test_fills_that_share_patterns_match_fresh_fills():
-    # each fill gets its own buffers: a buffer shared through the cached
-    # steps, or a cached step changed by a fill, would change a later fill
-    expected = {(n, q): _fresh_fill(SIXTEEN, n, q) for n, q in [(8, 3), (10, 10)]}
-    for n, q in [(8, 3), (10, 10), (8, 3)]:
-        table = cluster_counts(SIXTEEN, n, q)
-        assert table.totals == expected[n, q].totals, (n, q)
-        assert table._engine.memo == expected[n, q]._engine.memo, (n, q)
-    _edge_step.cache_clear()
-    again = cluster_counts(SIXTEEN, 8, 3)
-    assert _edge_step.cache_info().currsize == len(build_graph(SIXTEEN).edges)
-    assert again.totals == expected[8, 3].totals
-    assert again._engine.memo == expected[8, 3]._engine.memo
-
-
-def test_collapsed_fills_derive_no_steps():
-    _edge_step.cache_clear()
-    assert cluster_counts(MONO_D, 10, 4)._engine is None
-    assert _edge_step.cache_info().currsize == 0
+        assert get.__reduce__() == ref_get.__reduce__(), e
+        assert b == ref_b, e
 
 
 def _admissible_words(v, n):
@@ -403,7 +364,7 @@ def test_refined_queries_match_the_top_down_reference():
     # the monotone collections too, through the refined engine; the sums by
     # vertex and length show that the memo holds no inadmissible word
     for coll in reference_collections() + list(MONO_ALL):
-        memo = _refined_cluster_counts(build_graph(coll), 10, 10)._engine.memo
+        memo = _refined_cluster_counts(coll, 10, 10)._engine.memo
         assert all(memo.values())
         in_memo = {}
         for (v, n, _), terms in memo.items():

@@ -76,7 +76,7 @@ def test_monotone_matches_general_engine():
     # the refined recurrence is called directly to keep the check independent
     for coll in MONO_ALL:
         mono = monotone_cluster_counts(coll, 12, 4)
-        gen = _refined_cluster_counts(build_graph(coll), 12, 4)
+        gen = _refined_cluster_counts(coll, 12, 4)
         assert mono.totals == dict(gen.totals)
         for n_max, q_max in ((0, 3), (3, 0)):
             with pytest.raises(DomainError, match="need n_max >= 1 and q_max >= 1"):
@@ -211,7 +211,7 @@ def test_length_one_pattern_on_the_monotone_path():
     y = monotone_vertex_series(coll, 6)[(1,)]
     assert {k: y.coeff(*k) * factorial(k[0]) for k in y.coeffs} == totals
     # the refined engine agrees with the collapsed totals
-    assert _refined_cluster_counts(build_graph(coll), 6, 6).totals == totals
+    assert _refined_cluster_counts(coll, 6, 6).totals == totals
     from_table = alpha_counts(avoidance_gf(coll, 6, table=table))
     from_series = alpha_counts(
         (BiSeries.one(6) - y.shift_t(-1)).reciprocal()
