@@ -31,17 +31,13 @@ def _load_collection(path) -> PatternCollection:
     return PatternCollection(tuple(parse_collection_text(text)))
 
 
-def _emit(text: str):
-    sys.stdout.write(text)
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     coll = _load_collection(args.patterns)
     gf = series.avoidance_gf(coll, args.n)
     if args.format == "avoiders":
-        _emit(series.avoiders_to_tsv(gf))
+        sys.stdout.write(series.avoiders_to_tsv(gf))
     else:
-        _emit(series.alpha_to_tsv(gf))
+        sys.stdout.write(series.alpha_to_tsv(gf))
     return 0
 
 
@@ -51,13 +47,13 @@ def cmd_clusters(args: argparse.Namespace) -> int:
         table = cache.cached_cluster_counts(coll, args.n, args.q)
     else:
         table = clusters.cluster_counts(coll, args.n, args.q)
-    _emit(clusters.totals_to_tsv(table.totals))
+    sys.stdout.write(clusters.totals_to_tsv(table.totals))
     return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
     coll = _load_collection(args.patterns)
-    _emit(graph_to_dot(build_graph(coll)))
+    sys.stdout.write(graph_to_dot(build_graph(coll)))
     return 0
 
 
@@ -65,9 +61,9 @@ def cmd_gf(args: argparse.Namespace) -> int:
     coll = _load_collection(args.patterns)
     if args.format == "cluster":
         table = clusters.cluster_counts(coll, args.n, args.n)
-        _emit(series.gf_to_tsv(series.cluster_gf(table, args.n)))
+        sys.stdout.write(series.gf_to_tsv(series.cluster_gf(table, args.n)))
     else:
-        _emit(series.gf_to_tsv(series.avoidance_gf(coll, args.n)))
+        sys.stdout.write(series.gf_to_tsv(series.avoidance_gf(coll, args.n)))
     return 0
 
 
@@ -80,12 +76,12 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         phi = None  # past the search's node budget the tables below decide
     if phi is not None:
         pairs = ", ".join(f"{a} -> {b}" for a, b in phi.pairs)
-        _emit(f"equivalent (sufficient condition holds via {pairs})\n")
+        sys.stdout.write(f"equivalent (sufficient condition holds via {pairs})\n")
         return 0
     if equivalence.verify_strong_equivalence(c1, c2, args.n):
-        _emit(f"equivalent to order N={args.n} (generating functions agree)\n")
+        sys.stdout.write(f"equivalent to order N={args.n} (generating functions agree)\n")
     else:
-        _emit(f"not equivalent (generating functions differ within order {args.n})\n")
+        sys.stdout.write(f"not equivalent (generating functions differ within order {args.n})\n")
     return 0
 
 
@@ -94,14 +90,14 @@ def cmd_monotone(args: argparse.Namespace) -> int:
     res = is_monotone(coll)
     if not res:
         pi, pp, k = res.witness
-        _emit(f"not monotone: {pi} -> {pp} at k={k}\n")
+        sys.stdout.write(f"not monotone: {pi} -> {pp} at k={k}\n")
         return 0
     system = monotone.emit_ode_system(coll)
     if args.format == "json":
-        _emit(monotone.system_to_json(system))
+        sys.stdout.write(monotone.system_to_json(system))
     else:
-        _emit("monotone\n")
-        _emit(monotone.system_to_text(system))
+        sys.stdout.write("monotone\n")
+        sys.stdout.write(monotone.system_to_text(system))
     return 0
 
 
@@ -119,21 +115,21 @@ def cmd_verify_ode(args: argparse.Namespace) -> int:
         if check.mismatch:
             n, q, lhs, rhs = check.mismatch
             line += f" first mismatch at x^{n} t^{q}: {lhs} != {rhs}"
-        _emit(line + "\n")
-    _emit(f"boundary: {'pass' if report.boundary_ok else 'fail'}\n")
+        sys.stdout.write(line + "\n")
+    sys.stdout.write(f"boundary: {'pass' if report.boundary_ok else 'fail'}\n")
     return 0 if report.ok else 1
 
 
 def cmd_classify_s5(args: argparse.Namespace) -> int:
     report = equivalence.classify_s5()
     if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        _emit(f"orbits: {report['orbit_count']}\n")
+        sys.stdout.write(f"orbits: {report['orbit_count']}\n")
         for key, groups in report["classes"].items():
-            _emit(f"bucket {key}:\n")
+            sys.stdout.write(f"bucket {key}:\n")
             for grp in groups:
-                _emit("  " + " ~ ".join(grp) + "\n")
+                sys.stdout.write("  " + " ~ ".join(grp) + "\n")
     return 0
 
 
@@ -152,7 +148,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             fast = table.total(n, q)
             if oracle != fast:
                 ok = False
-                _emit(f"cluster mismatch at n={n} q={q}: {oracle} != {fast}\n")
+                sys.stdout.write(f"cluster mismatch at n={n} q={q}: {oracle} != {fast}\n")
     dist = series.count_distribution_oracle(coll, args.n)
     alpha = series.alpha_counts(series.avoidance_gf(coll, args.n, table=table))
     # a q that only one side has must be zero on the other
@@ -160,8 +156,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         oracle, fast = dist.get(q, 0), alpha.get((args.n, q), 0)
         if oracle != fast:
             ok = False
-            _emit(f"distribution mismatch at n={args.n} q={q}: {oracle} != {fast}\n")
-    _emit("oracle agreement: " + ("pass" if ok else "fail") + "\n")
+            sys.stdout.write(f"distribution mismatch at n={args.n} q={q}: {oracle} != {fast}\n")
+    sys.stdout.write("oracle agreement: " + ("pass" if ok else "fail") + "\n")
     return 0 if ok else 1
 
 

@@ -180,7 +180,7 @@ def _edge_profile(e: Edge) -> tuple:
     the fixed values leave room for every free entry and spacing: each run
     has a placement, and every weight is positive.
     """
-    pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
+    pat, l, k, kp = e.pattern, len(e.pattern), len(e.source), len(e.target)
     values = pat if l <= k + kp else pat[:k] + pat[l - kp :]
     size = len(values)
     entry = (0, *sorted(values), l + 1)  # pattern entry of each rank
@@ -321,9 +321,9 @@ def monotone_recurrence_data(graph: OverlapGraph) -> dict[Perm, list[EdgeData]]:
     recurrence.  They count clusters only when the collection is monotone."""
     data: dict[Perm, list[EdgeData]] = {v: [] for v in graph.vertices}
     for e in graph.edges:
-        l = len(e.pattern)
-        m = max(e.label.mu_f) if l > e.k + e.k_prime else l
-        data[e.source].append(EdgeData(l, e.k_prime, m, e.target))
+        l, k, kp = len(e.pattern), len(e.source), len(e.target)
+        m = max(e.label.mu_f) if l > k + kp else l
+        data[e.source].append(EdgeData(l, kp, m, e.target))
     for v in data:
         data[v].sort()
     return data

@@ -7,8 +7,9 @@ this in two steps:
 * check_theorem13: a structural sufficient condition on a pattern bijection:
   it preserves the overlap lengths of every ordered pair and each pattern's
   label (its length, and its final and initial entry sets at each overlap
-  length where it overlaps its collection), as in labelled isomorphism;
-  any_theorem13_bijection searches for one;
+  length where it overlaps its collection), as in labelled isomorphism.  It
+  returns a ``Theorem13Report`` (ok, failures), with ok exactly when no
+  failure is listed; any_theorem13_bijection searches for a bijection;
 * verify_strong_equivalence: coefficientwise equality of the avoidance
   generating functions to a finite order (the definition, truncated),
   decided on the cluster tables that determine them.
@@ -70,24 +71,12 @@ class PatternBijection(_Record):
         if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
             raise DomainError("mapping is not a bijection")
 
-    def check_domains(self, pi1, pi2):
-        if set(a for a, _ in self.pairs) != set(_patterns_of(pi1)) or set(
-            b for _, b in self.pairs
-        ) != set(_patterns_of(pi2)):
-            raise DomainError("bijection does not match the two collections")
-
 
 class Theorem13Report(NamedTuple):
-    """Outcome of a bijection check.  ``linkages_ok`` compares ovl on every
-    ordered pair, ``overlap_sets_ok`` the labels of ``_labels``.  Where
-    ``linkages_ok`` is False the two sides' labels may take their sets at
-    different k, so ``overlap_sets_ok`` can differ from a pair-by-pair
-    comparison at the pairs whose overlap lengths agree; ``ok`` cannot."""
+    """Outcome of a bijection check: ``ok`` exactly when ``failures``, the
+    reasons it fails, is empty."""
 
     ok: bool
-    lengths_ok: bool
-    linkages_ok: bool
-    overlap_sets_ok: bool
     failures: tuple[str, ...]
 
     def __bool__(self):
@@ -124,30 +113,29 @@ def _labels(ovl, kind) -> dict:
 
 
 def _check_bijection(pi1, pi2, phi: PatternBijection, kind):
-    """Lengths, then ovl on every ordered pair and the labels of ``kind``."""
-    phi.check_domains(pi1, pi2)
-    pats1 = _patterns_of(pi1)
+    """Lengths, then ovl on every ordered pair and the labels of ``kind``.
+
+    Where ovl agrees on every pair, K_out and K_in agree, so two labels
+    differ only at a k both take, and every difference is a failure."""
+    pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
     image = dict(phi.pairs)
+    if set(image) != set(pats1) or set(image.values()) != set(pats2):
+        raise DomainError("bijection does not match the two collections")
     failures = [f"length mismatch: {x} vs {image[x]}" for x in pats1 if len(x) != len(image[x])]
-    lengths_ok = not failures
-    linkages_ok = overlaps_ok = True
-    if lengths_ok:
-        ovl1, ovl2 = _ovl_matrix(pats1), _ovl_matrix(_patterns_of(pi2))
+    if not failures:
+        ovl1, ovl2 = _ovl_matrix(pats1), _ovl_matrix(pats2)
         for (x, y), ks1 in ovl1.items():
             ks2 = ovl2[image[x], image[y]]
             if ks1 != ks2:
-                linkages_ok = False
                 failures.append(f"overlap lengths differ for ({x},{y}): {ks1} vs {ks2}")
         labels1, labels2 = _labels(ovl1, kind), _labels(ovl2, kind)
         noun = "set" if kind[0] is frozenset else "set maximum"
         for x in pats1:
-            mine, theirs = labels1[x], labels2[image[x]]
-            overlaps_ok &= mine == theirs
-            for side, sets, other in zip(("final", "initial"), mine[1:], theirs[1:]):
+            for side, sets, other in zip(("final", "initial"), labels1[x][1:],
+                                         labels2[image[x]][1:]):
                 failures += [f"{side} {k}-{noun} differs: {x} vs {image[x]}"
                              for k, key in sets if (k, key) not in other]
-    ok = lengths_ok and linkages_ok and overlaps_ok
-    return Theorem13Report(ok, lengths_ok, linkages_ok, overlaps_ok, tuple(failures))
+    return Theorem13Report(not failures, tuple(failures))
 
 
 # Nodes (calls of ``extend``) a bijection search may visit; past it the search

@@ -192,9 +192,7 @@ class Edge(NamedTuple):
     source: Perm
     target: Perm
     label: EdgeLabel
-    pattern: Perm
-    k: int  # length of the initial subword (= len(source))
-    k_prime: int  # length of the final subword (= len(target))
+    pattern: Perm  # its first len(source) and last len(target) entries are the subwords
 
 
 class OverlapGraph(NamedTuple):
@@ -216,15 +214,14 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
     for pat in coll:
         l = len(pat)
         heads, tails = borders[pat]
-        starts = [(k, h, tuple(sorted(pat[:k])))
+        starts = [(h, tuple(sorted(pat[:k])))
                   for k, h in enumerate(heads, 1) if h in verts]
-        ends = [(kp, t, tuple(sorted(pat[l - kp :])))
+        ends = [(t, tuple(sorted(pat[l - kp :])))
                 for kp, t in enumerate(tails, 1) if t in verts]
-        for k, src, mu_i in starts:
-            for kp, tgt, mu_f in ends:
-                label = EdgeLabel(mu_i=mu_i, mu_f=mu_f, length=l)
-                edges.append(Edge(src, tgt, label, pat, k, kp))
-    edges.sort()  # by source, target, label, pattern: the label fixes k, k_prime
+        for src, mu_i in starts:
+            for tgt, mu_f in ends:
+                edges.append(Edge(src, tgt, EdgeLabel(mu_i=mu_i, mu_f=mu_f, length=l), pat))
+    edges.sort()  # by source, target, label, pattern
     return OverlapGraph(coll, vertices, tuple(edges))
 
 

@@ -18,6 +18,8 @@ where m_j is the maximal entry of the final k_j-subword of the edge pattern
 and m is the per-vertex maximum of the m_j.  A single pattern's ODE
 (``emit_single_pattern_ode``) is this system's equation for (1): every vertex
 series other than y_(1) is y_(1) - x, and every term reads it at order >= 2.
+The system's boundary holds each y_v^(i)(0, t), i < m_v, as a row: its
+coefficients by q with no trailing zeros, as ``kernels.unpack_rows`` gives.
 
 ``verify_ode`` checks the system on packed rows.  On the normalised x^n
 slices Y[n][q] = n! [x^n t^q] y, the term d^a(x^b/b! d^c y) has coefficient
@@ -113,9 +115,9 @@ class OdeEquation(NamedTuple):
 
 class OdeSystem(NamedTuple):
     equations: tuple[OdeEquation, ...]
-    # boundary[v][i] is the t-polynomial y_v^(i)(0,t) for i < m_v,
-    # as a map q -> coefficient
-    boundary: dict[Perm, tuple[dict[int, int], ...]]
+    # boundary[v][i] is the t-polynomial y_v^(i)(0,t) for i < m_v, as its
+    # coefficients by q with no trailing zeros
+    boundary: dict[Perm, tuple[list[int], ...]]
 
 
 def emit_ode_system(collection: PatternCollection) -> OdeSystem:
@@ -145,13 +147,8 @@ def _ode_system(graph: OverlapGraph, order: int = 0):
     # y_v^(i)(0, t) = sum_q cl_{v,i,q} t^q, read off this graph's cell table
     top = max(order, *(eq.order for eq in equations))
     tables = _vertex_tables(graph, top, top)
-    boundary = {
-        eq.vertex: tuple(
-            {q: c for q, c in enumerate(row) if c}
-            for row in unpack_rows(tables.rows[eq.vertex][: eq.order], tables.width)
-        )
-        for eq in equations
-    }
+    boundary = {eq.vertex: tuple(unpack_rows(tables.rows[eq.vertex][: eq.order], tables.width))
+                for eq in equations}
     return OdeSystem(tuple(equations), boundary), tables
 
 
@@ -281,12 +278,11 @@ def _verify_rows(system: OdeSystem, tables: PackedRows, orders, order: int) -> V
             y_m = row[q] if q < len(row) else 0
             bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
+    # rows past x^orders[v] read as zero; a caller's rows compare trimmed
     boundary_ok = all(
-        {q: c for q, c in enumerate(
-            unpack_rows([tables.rows[v][i]], tables.width)[0] if i <= orders[v] else []) if c}
-        == {q: c for q, c in row.items() if c}
+        unpack_rows((tables.rows[v][: orders[v] + 1] + [0] * len(rows))[: len(rows)], tables.width)
+        == [list(row)[: max((q + 1 for q, c in enumerate(row) if c), default=0)] for row in rows]
         for v, rows in system.boundary.items()
-        for i, row in enumerate(rows)
     )
     ok = boundary_ok and all(c.ok for c in checks)
     return VerifyReport(ok, tuple(checks), boundary_ok)
@@ -352,8 +348,8 @@ def verify_poly_ode(
 # ---------------------------------------------------------------------------
 
 
-def _poly_to_json(poly: dict[int, int]):
-    return {str(q): f"{c.numerator}/{c.denominator}" for q, c in sorted(poly.items())}
+def _poly_to_json(row: list[int]):
+    return {str(q): f"{c.numerator}/{c.denominator}" for q, c in enumerate(row) if c}
 
 
 def system_to_json(system: OdeSystem) -> str:

@@ -512,7 +512,7 @@ def test_criterion_7():
     # through its own length-3 overlap 254 ~ 132
     edges = build_graph(MONO_C).edges
     from_self_overlap = [
-        e for e in edges if e.pattern == (1, 3, 2, 5, 4) and e.k_prime == 3
+        e for e in edges if e.pattern == (1, 3, 2, 5, 4) and len(e.target) == 3
     ]
     if len(edges) != 6 or len(from_self_overlap) != 2 or 3 not in _self_overlaps(
         (1, 3, 2, 5, 4)

@@ -19,6 +19,7 @@ from clusterperm.cache import (
     load_table,
     save_table,
 )
+from clusterperm.cli import main
 from clusterperm.clusters import cluster_counts, count_clusters_oracle
 from clusterperm.equivalence import graphs_isomorphic
 from clusterperm.graph import (
@@ -147,7 +148,7 @@ def synthetic_graph(lengths, arcs):
     names = {length: iter(all_permutations(length)) for length in set(lengths)}
     vertices = [(1,), *(next(names[length]) for length in lengths)]
     edges = [
-        Edge(vertices[s], vertices[t], label, (1, 2, 3, 4), 1, 1)
+        Edge(vertices[s], vertices[t], label, (1, 2, 3, 4))
         for s, t, label in arcs
     ]
     return OverlapGraph(
@@ -618,3 +619,28 @@ def test_atomic_write(tmp_path):
     assert target.read_text() == "world\n"
     leftovers = [p for p in target.parent.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _failing_replace(src, dst):
+    raise OSError(f"cannot rename {src} to {dst}")
+
+
+def test_atomic_write_failure_leaves_no_temporary_file(tmp_path, monkeypatch):
+    target = tmp_path / "sub" / "out.json"
+    atomic_write_text(target, "hello\n")
+    monkeypatch.setattr(cache_module.os, "replace", _failing_replace)
+    with pytest.raises(OSError, match="cannot rename"):
+        atomic_write_text(target, "world\n")
+    assert target.read_text() == "hello\n"
+    assert [p.name for p in target.parent.iterdir()] == ["out.json"]
+
+
+def test_cached_clusters_report_a_failed_write(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CLUSTERPERM_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(cache_module.os, "replace", _failing_replace)
+    patterns = tmp_path / "p.txt"
+    patterns.write_text("1324\n")
+    assert main(["clusters", str(patterns), "--n", "8", "--q", "3", "--cache"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: cannot rename")
+    assert list((tmp_path / "cache").glob("*.tmp")) == []

@@ -100,6 +100,13 @@ def test_recurrence_matches_oracle_mixed_collection():
             assert table.total(n, q) == count_clusters_oracle(coll, n, q), (n, q)
 
 
+def test_input_checks():
+    coll = PatternCollection(((1, 3, 2),))
+    for n, q in [(0, 1), (1, 0)]:
+        with pytest.raises(DomainError, match="need n >= 1 and q >= 1"):
+            count_clusters_oracle(coll, n, q)
+
+
 def test_single_pattern_engine_matches_general():
     for pat in [(2, 1, 3), (1, 3, 2, 4), (2, 4, 1, 3), (1, 2, 3, 4, 5)]:
         coll = PatternCollection((pat,))
@@ -232,7 +239,7 @@ class RefEngine:
         lifts, room) for each gap g between sorted source entries that holds
         fresh entries or must leave room; sub gives each target entry's index
         in the step's value list and its standardizing shift."""
-        pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
+        pat, l, k, kp = e.pattern, len(e.pattern), len(e.source), len(e.target)
         where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
         values = [pat[i] for i in where]
         size = len(values)
@@ -313,7 +320,7 @@ def ref_edge_profile(e):
     """``_edge_profile`` derived with ``standardize`` for the ranks of the
     boundary values, the reference for the library's derivation, which
     reads them off the sorted values instead."""
-    pat, l, k, kp = e.pattern, len(e.pattern), e.k, e.k_prime
+    pat, l, k, kp = e.pattern, len(e.pattern), len(e.source), len(e.target)
     where = range(l) if l <= k + kp else [*range(k), *range(l - kp, l)]
     values = [pat[i] for i in where]
     size = len(values)

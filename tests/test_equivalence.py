@@ -54,7 +54,7 @@ def test_bijection_validation():
         PatternBijection((((1, 2), (1, 2)), ((2, 1), (1, 2))))
     phi = PatternBijection((((1, 2, 3), (1, 3, 2)),))
     with pytest.raises(DomainError, match="does not match"):
-        phi.check_domains([(1, 2, 3), (2, 1, 3)], [(1, 3, 2), (2, 1, 3)])
+        check_theorem13([(1, 2, 3), (2, 1, 3)], [(1, 3, 2), (2, 1, 3)], phi)
 
 
 def test_condition_positive_on_wilf_pair():
@@ -70,7 +70,7 @@ def test_condition_negative_on_different_overlaps():
     phi = PatternBijection((((1, 2, 3), (1, 3, 2)),))
     report = check_theorem13(c1, c2, phi)
     assert not report.ok and not report
-    assert not report.linkages_ok
+    assert report.failures[0] == "overlap lengths differ for ((1, 2, 3),(1, 2, 3)): [1, 2] vs [1]"
 
 
 def test_condition_accepts_raw_pattern_lists():
@@ -161,22 +161,21 @@ def test_monotone_corollary_on_nine_family():
 def _ref_check(pi1, pi2, phi, overlap_test):
     """The per-pair form of the condition: lengths, then overlap lengths on
     every ordered pair, then ``overlap_test`` at each realized overlap of the
-    pair against its image.  Returns (ok, lengths_ok, linkages_ok,
-    overlap_sets_ok)."""
-    phi.check_domains(pi1, pi2)
+    pair against its image.  Returns whether the bijection passes."""
     pats1, f = list(pi1), dict(phi.pairs)
-    lengths_ok = all(len(p) == len(f[p]) for p in pats1)
-    linkages_ok = overlaps_ok = True
-    if lengths_ok:
-        for pi in pats1:
-            for pip in pats1:
-                fp, fpp = f[pi], f[pip]
-                ks = _ref_overlaps(pi, pip)
-                if ks != _ref_overlaps(fp, fpp):
-                    linkages_ok = False
-                elif any(overlap_test(pi, pip, k, fp, fpp) for k in ks):
-                    overlaps_ok = False
-    return (lengths_ok and linkages_ok and overlaps_ok, lengths_ok, linkages_ok, overlaps_ok)
+    if set(f) != set(pats1) or set(f.values()) != set(pi2):
+        raise DomainError("bijection does not match the two collections")
+    if any(len(p) != len(f[p]) for p in pats1):
+        return False
+    for pi in pats1:
+        for pip in pats1:
+            fp, fpp = f[pi], f[pip]
+            ks = _ref_overlaps(pi, pip)
+            if ks != _ref_overlaps(fp, fpp) or any(
+                overlap_test(pi, pip, k, fp, fpp) for k in ks
+            ):
+                return False
+    return True
 
 
 @functools.cache
@@ -211,7 +210,7 @@ def exhaustive_first_bijection(pi1, pi2, check):
     a = sorted(pi1)
     for perm in permutations(sorted(pi2)):
         phi = PatternBijection(tuple(zip(a, perm)))
-        if check(pi1, pi2, phi)[0]:
+        if check(pi1, pi2, phi):
             return phi
     return None
 
@@ -265,7 +264,8 @@ LABELS_WITHOUT_OVL = (
 
 def test_pruned_bijection_search_matches_exhaustive_scan():
     report = check_theorem13(*LABELS_WITHOUT_OVL, PatternBijection(tuple(zip(*LABELS_WITHOUT_OVL))))
-    assert report.overlap_sets_ok and not report.linkages_ok
+    # the labels agree: every failure is one of ovl
+    assert report.failures and all(f.startswith("overlap lengths") for f in report.failures)
     found = {check_theorem13: 0, check_monotone_corollary: 0}
     # the seeded pairs, the pairs acceptance criterion 5 checks, every
     # ordered pair of the two-pattern reference collections, and the pair above
@@ -305,7 +305,7 @@ def test_family_search_answers_exactly(monkeypatch):
             times.append(time.perf_counter() - start)
         assert min(times) < 0.1, m
         phi = any_theorem13_bijection(c, d)
-        assert phi is not None and ref_check_theorem13(c, d, phi)[0], m
+        assert phi is not None and ref_check_theorem13(c, d, phi), m
     # the root offers a's first pattern no candidate, so one node decides
     monkeypatch.setattr(equivalence, "_NODE_BUDGET", 1)
     for m in range(7, 41):
@@ -348,15 +348,16 @@ def test_family_search_matches_the_exhaustive_scan():
             assert any_theorem13_bijection(a, b) == want, m
 
 
-def flags(check, *args):
+def verdict(check, *args):
     r = check(*args)
-    return (r.ok, r.lengths_ok, r.linkages_ok, r.overlap_sets_ok)
+    assert r.ok == (r.failures == ()), r
+    return r.ok
 
 
 def test_label_check_matches_the_per_pair_check():
-    """ok, lengths_ok and linkages_ok equal the per-pair reference's on every
-    bijection of the seeded pairs and on every ordered pair of singles from
-    S_1 to S_5; overlap_sets_ok may differ only where linkages_ok is False."""
+    """ok equals the per-pair reference's verdict, and holds exactly when no
+    failure is listed, on every bijection of the seeded pairs and on every
+    ordered pair of singles from S_1 to S_5."""
     cases = [
         (a, b, PatternBijection(tuple(zip(a, perm))))
         for a, b in seeded_pattern_pairs(200, seed=7)
@@ -364,20 +365,13 @@ def test_label_check_matches_the_per_pair_check():
     ]
     singles = [p for l in range(1, 6) for p in perms.all_permutations(l)]
     cases += [([p], [q], PatternBijection(((p, q),))) for p in singles for q in singles]
-    rows = differing = 0
+    rows = 0
     for a, b, phi in cases:
         for _, check, ref in CHECKS:
-            got = outcome(flags, check, a, b, phi)
-            want = outcome(ref, a, b, phi)
-            if want is MonotoneError or got is MonotoneError:
-                assert got == want, (a, b, phi)
-                continue
-            assert got[:3] == want[:3], (a, b, phi)
-            if got[3] != want[3]:
-                assert not got[2], (a, b, phi)
-                differing += 1
-            rows += 1
-    assert rows > 20000 and differing > 0
+            got = outcome(verdict, check, a, b, phi)
+            assert got == outcome(ref, a, b, phi), (a, b, phi)
+            rows += got is not MonotoneError
+    assert rows > 20000
 
 
 def test_monotone_corollary_rejects_non_monotone_sides():

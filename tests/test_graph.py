@@ -218,7 +218,7 @@ def _reference_build_graph(coll):
                 label = EdgeLabel(
                     tuple(sorted(pat[:k])), tuple(sorted(pat[l - kp :])), l
                 )
-                edges.append(Edge(src, tgt, label, pat, k, kp))
+                edges.append(Edge(src, tgt, label, pat))
     edges.sort(key=lambda e: (e.source, e.target, e.label, e.pattern))
     return tuple(sorted(verts, key=lambda v: (len(v), v))), tuple(edges)
 

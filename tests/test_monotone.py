@@ -123,11 +123,7 @@ def test_one_fill_serves_the_boundary_and_the_rows():
             top = max(eq.order for eq in system.equations)
             fresh = _vertex_tables(graph, top, top)
             assert system.boundary == {
-                eq.vertex: tuple(
-                    {q: c for q, c in enumerate(row) if c}
-                    for row in fresh.lists(eq.vertex)[: eq.order]
-                )
-                for eq in system.equations
+                eq.vertex: tuple(fresh.lists(eq.vertex)[: eq.order]) for eq in system.equations
             }, (coll, order)
             assert system == emit_ode_system(coll)
             through = {v: tables.lists(v)[: order + 1] for v in tables.rows}
@@ -148,8 +144,8 @@ def test_single_pattern_equation_shape():
     shapes = sorted((t.a, t.b, t.c) for t in eq.terms)
     # self-overlaps of lengths 1 and 3 give x^4/4! (not x^3/3!) and x terms
     assert shapes == [(0, 1, 3), (3, 4, 1)]
-    assert system.boundary[(1,)][0] == {}  # y(0) = 0
-    assert system.boundary[(1,)][1] == {0: Fraction(1)}  # y'(0) = 1
+    assert system.boundary[(1,)][0] == []  # y(0) = 0
+    assert system.boundary[(1,)][1] == [1]  # y'(0) = 1
 
 
 def test_emitted_systems_verify():
@@ -168,6 +164,26 @@ def test_single_pattern_ode_verifies():
         ys = monotone_vertex_series(PatternCollection((pat,)), top)
         report = verify_ode(system, ys, top)
         assert report.ok, (pat, report)
+
+
+def test_boundary_rows_compare_trimmed():
+    # a caller's rows may carry trailing zeros, and rows past the series'
+    # order read as zero; a changed coefficient still fails
+    system = emit_ode_system(MONO_C)
+    order = max(eq.order for eq in system.equations)
+    ys = monotone_vertex_series(MONO_C, order)
+
+    def boundary_ok(boundary):
+        return verify_ode(system._replace(boundary=boundary), ys, order).boundary_ok
+
+    assert boundary_ok(system.boundary)
+    assert boundary_ok({v: tuple((*row, 0, 0) for row in rows)
+                        for v, rows in system.boundary.items()})
+    for v, rows in system.boundary.items():
+        assert len(rows) == order
+        assert boundary_ok({**system.boundary, v: (*rows, ys[v].rows[order], [0, 0])})
+        assert not boundary_ok({**system.boundary, v: (*rows, ys[v].rows[order], [0, 1])})
+        assert not boundary_ok({**system.boundary, v: ([*rows[0], 1], *rows[1:])})
 
 
 def test_corrected_elimination_of_two_vertex_system():
@@ -255,7 +271,7 @@ def ref_verify_ode(system, series, order):
         checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
     boundary_ok = all(
         {q: c for (n, q), c in series[v].coeffs.items() if n == i}
-        == {q: c for q, c in row.items() if c}
+        == {q: c for q, c in enumerate(row) if c}
         for v, rows in system.boundary.items()
         for i, row in enumerate(rows)
     )
@@ -319,9 +335,9 @@ def ref_single_pattern_ode(pattern):
     ms = [max(pattern[l - k :]) for k in ks]
     m = max(ms)
     terms = tuple(sorted(OdeTerm(m - mj, l - mj, kj, ONE) for kj, mj in zip(ks, ms)))
-    rows = [{} for _ in range(m)]
+    rows = [[] for _ in range(m)]
     if m >= 2:
-        rows[1] = {0: Fraction(1)}
+        rows[1] = [1]
     return OdeSystem((OdeEquation(ONE, m, terms),), {ONE: tuple(rows)})
 
 

@@ -64,6 +64,14 @@ def test_check_permutation_rejects_gaps():
     assert check_permutation([2, 1]) == (2, 1)
 
 
+def test_input_checks():
+    with pytest.raises(InvalidPermutationError, match="empty permutation"):
+        check_permutation(())
+    with pytest.raises(InvalidPermutationError, match="cannot parse permutation: '1 x 2'"):
+        parse_perm("1 x 2")
+    assert occurrences((1, 2, 3), (1, 2)) == []  # a pattern longer than its host
+
+
 def test_bool_entries_are_rejected():
     # True == 1 and hash(True) == hash(1), but a bool is no int entry: it
     # would print as "True" in a pattern's text and in its cache key

@@ -166,6 +166,14 @@ def test_distribution_matches_oracle():
         assert dist == {q: c for (m, q), c in counts.items() if m == n}
 
 
+def test_input_checks():
+    with pytest.raises(DomainError, match="need n >= 1"):
+        count_distribution_oracle(PatternCollection(((1, 3, 2),)), 0)
+    # a BiSeries is equal to no other type: == falls back to identity
+    assert BiSeries.one(2).__eq__(5) is NotImplemented
+    assert (BiSeries.one(2) == 5) is False
+
+
 def test_cluster_gf_contains_base_term():
     table = cluster_counts(PatternCollection(((1, 2, 3),)), 6, 6)
     pcl = cluster_gf(table, 6)
