@@ -37,7 +37,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.format == "avoiders":
         sys.stdout.write(series.avoiders_to_tsv(gf))
     else:
-        sys.stdout.write(series.alpha_to_tsv(gf))
+        sys.stdout.write(clusters.totals_to_tsv(series.alpha_counts(gf)))
     return 0
 
 
@@ -107,8 +107,7 @@ def cmd_verify_ode(args: argparse.Namespace) -> int:
     system, tables = monotone._ode_system(build_graph(coll), args.n)  # checks monotonicity
     if args.n < 0:
         raise DomainError("truncation order must be nonnegative")
-    orders = dict.fromkeys(tables.rows, args.n)
-    report = monotone._verify_rows(system, tables, orders, args.n)
+    report = monotone._verify_rows(system, tables, args.n)
     for check in report.equations:
         status = "pass" if check.ok else "fail"
         line = f"{check.vertex}: {status} (through x^{check.checked_order})"

@@ -44,7 +44,6 @@ from .graph import (
     Edge,
     OverlapGraph,
     PatternCollection,
-    _extensions_to_perms,
     _Record,
     build_graph,
     is_monotone,
@@ -128,6 +127,26 @@ def _consistent_shapes(collection: PatternCollection, n: int, q: int):
 
     extend([], [], [0] * n)
     yield from out
+
+
+def _extensions_to_perms(n: int, less: list[int]) -> list[Perm]:
+    """Enumerate all value assignments consistent with the order constraints."""
+    result: list[Perm] = []
+    values = [0] * n
+
+    def assign(rank: int, remaining: int):
+        if not remaining:
+            result.append(tuple(values))
+            return
+        for pos in range(n):
+            # pos may take the next rank only once every smaller-valued
+            # position already holds a value
+            if remaining >> pos & 1 and not less[pos] & remaining:
+                values[pos] = rank
+                assign(rank + 1, remaining & ~(1 << pos))
+
+    assign(1, (1 << n) - 1)
+    return result
 
 
 def enumerate_clusters_oracle(

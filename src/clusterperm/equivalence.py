@@ -272,8 +272,10 @@ def verify_strong_equivalence(
 # Classification of S_5
 # ---------------------------------------------------------------------------
 
+_S5_Q_MAX = 3  # ``classify_s5`` separates classes by cl_{n,q} for q <= 3
 
-def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
+
+def classify_s5(n_max: int = 13) -> dict:
     """Orbits of S_5 under reverse and complement, bucketed by self-overlap
     lengths k >= 2, with strong c-Wilf equivalence classes and the cluster
     statistics separating inequivalent pairs.
@@ -300,10 +302,10 @@ def classify_s5(n_max: int = 13, q_max: int = 3) -> dict:
         orbit_labels = frozenset(label[m] for m in orbits[rep])
         classes.setdefault(key, {}).setdefault(orbit_labels, []).append(rep)
 
-    cells = [(n, q) for q in range(1, q_max + 1) for n in range(1, n_max + 1)]
+    cells = [(n, q) for q in range(1, _S5_Q_MAX + 1) for n in range(1, n_max + 1)]
     vectors = {}
     for rep in reps:
-        totals = cluster_counts_single_pattern(rep, n_max, q_max).totals
+        totals = cluster_counts_single_pattern(rep, n_max, _S5_Q_MAX).totals
         vectors[rep] = [totals.get(cell, 0) for cell in cells]
 
     separations = []

@@ -156,26 +156,6 @@ def is_monotone(collection: PatternCollection) -> MonotoneResult:
     return MonotoneResult(True, None)
 
 
-def _extensions_to_perms(n: int, less: list[int]) -> list[Perm]:
-    """Enumerate all value assignments consistent with the order constraints."""
-    result: list[Perm] = []
-    values = [0] * n
-
-    def assign(rank: int, remaining: int):
-        if not remaining:
-            result.append(tuple(values))
-            return
-        for pos in range(n):
-            # pos may take the next rank only once every smaller-valued
-            # position already holds a value
-            if remaining >> pos & 1 and not less[pos] & remaining:
-                values[pos] = rank
-                assign(rank + 1, remaining & ~(1 << pos))
-
-    assign(1, (1 << n) - 1)
-    return result
-
-
 class EdgeLabel(NamedTuple):
     """Unordered entry sets of the boundary subwords plus the pattern length."""
 
@@ -206,9 +186,7 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
     verts: set[Perm] = {(1,)}
     for pb in coll:
         for pa in coll:
-            verts.update(
-                h for h, t in zip(borders[pa][0], borders[pb][1]) if h == t
-            )
+            verts.update(borders[pa][0][k - 1] for k in _overlaps(pb, pa))
     vertices = tuple(sorted(verts, key=lambda v: (len(v), v)))
     edges: list[Edge] = []
     for pat in coll:

@@ -34,9 +34,11 @@ wider (``PackedRows.widened``) only where s does not keep it below 2^(s-1).
 So no slot can carry into the next, the sum is zero only if every
 coefficient is, and a wrong system or a wrong row can never alias to
 a right one.  Only the first x^n that fails is unpacked, into signed
-base-2^s digits, to report (n, q, lhs, rhs).  ``verify-ode`` checks the
-vertex tables it filled; ``verify_ode`` and ``verify_poly_ode`` first pack
-the series' rows once by the fill's width rule (``_pack_series``).
+base-2^s digits, to report (n, q, lhs, rhs).  ``_check`` does this for
+emitted and hand-assembled equations alike, and trusts each vertex's rows
+through the last one.  ``verify-ode`` checks the vertex tables it filled;
+``verify_ode`` and ``verify_poly_ode`` first pack the series' rows, one per
+x^n through its order, by the fill's width rule (``_pack_series``).
 """
 
 from __future__ import annotations
@@ -190,19 +192,20 @@ class VerifyReport(NamedTuple):
         return self.ok
 
 
-def _plan(terms, orders, top: int, bounds):
-    """(order checked, plan, size) for the sum of the terms (w, p, e, a, b,
-    c, target); each one caps the order and raises where
+def _check(terms, tables: PackedRows, top: int):
+    """(order checked, first residual) of the sum of the terms (w, p, e, a,
+    b, c, target) on the packed rows, each vertex's trusted through x^n for
+    n < len(tables.rows[v]); each term caps the order and raises where
     y.dx(c).mul_xpow(b).dx(a).mul_monomial(e).mul_tpow(p) would.
 
     With k = n - e + a, a term adds w perm(n, e) C(k, b) Y[k-b+c] t^p to the
     normalised x^n slice, and nothing when n < e or k < b.  The plan lists
     (n0, fs, p, target, d) by term: fs[n - n0] is its factor at x^n for
     n0 <= n <= top, and it reads Y[n + d].  No t-coefficient of the slice is
-    larger in size than the sum of |factor| bounds[target][n + d], and
-    ``size`` is the largest such sum."""
+    larger in size than the sum of |factor| bounds[target][n + d], and the
+    rows are repacked only if the largest such sum does not fit the width."""
     for w, p, e, a, b, c, target in terms:
-        order = orders[target]
+        order = len(tables.rows[target]) - 1
         for bad, what in ((order < c, "truncation order"), (b < 0, "monomial degree"),
                           (order - c + b < a, "truncation order"),
                           (e < 0, "monomial degree"), (p < 0, "t power")):
@@ -215,9 +218,10 @@ def _plan(terms, orders, top: int, bounds):
         n0, d = max(e, e - a + b, e - a + b - c), a - e - b + c
         fs = [w * perm(n, e) * comb(n - e + a, b) for n in range(n0, top + 1)]
         plan.append((n0, fs, p, target, d))
-        parts = map(mul, map(abs, fs), bounds[target][n0 + d :])
+        parts = map(mul, map(abs, fs), tables.bounds[target][n0 + d :])
         sizes[n0:] = map(add, sizes[n0:], parts)
-    return top, plan, max(sizes, default=0)
+    tables = tables.widened(slot_width(max(sizes, default=0)))
+    return top, _first_residual(plan, top, tables)
 
 
 def _first_residual(plan, top: int, tables: PackedRows):
@@ -257,40 +261,16 @@ def verify_ode(
 ) -> VerifyReport:
     """Check every equation (and the boundary data) against the series: their
     rows are packed once, and each x^n is checked by one signed sum."""
-    orders = {v: y.order for v, y in series.items()}
-    return _verify_rows(system, _pack_series(series), orders, order)
+    return _verify_rows(system, _pack_series(series), order)
 
 
-def _verify_rows(system: OdeSystem, tables: PackedRows, orders, order: int) -> VerifyReport:
-    """``verify_ode`` on packed rows tables.rows[v][n], trusted through
-    x^orders[v], where row n packs n! [x^n t^q] y_v: the vertex tables the
-    system's boundary was read from are such rows.  They are repacked only
-    if a residual of the system could carry at their width, and only a
-    failing x^n is unpacked."""
-    plans = _equation_plans(system, orders, order, tables.bounds)
-    tables = tables.widened(slot_width(max((size for *_, size in plans), default=0)))
+def _verify_rows(system: OdeSystem, tables: PackedRows, order: int) -> VerifyReport:
+    """``verify_ode`` on packed rows tables.rows[v][n], where row n packs
+    n! [x^n t^q] y_v and the last row is the last one trusted: the vertex
+    tables the system's boundary was read from are such rows.  Each
+    equation y_v^(m) - t (sum of the terms) goes through ``_check``, and
+    only a failing x^n is unpacked."""
     checks = []
-    for eq, (top, plan, _) in zip(system.equations, plans):
-        bad = _first_residual(plan, top, tables)
-        if bad:
-            n, q, r = bad
-            row = unpack_rows([tables.rows[eq.vertex][n + eq.order]], tables.width)[0]
-            y_m = row[q] if q < len(row) else 0
-            bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
-        checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
-    # rows past x^orders[v] read as zero; a caller's rows compare trimmed
-    boundary_ok = all(
-        unpack_rows((tables.rows[v][: orders[v] + 1] + [0] * len(rows))[: len(rows)], tables.width)
-        == [list(row)[: max((q + 1 for q, c in enumerate(row) if c), default=0)] for row in rows]
-        for v, rows in system.boundary.items()
-    )
-    ok = boundary_ok and all(c.ok for c in checks)
-    return VerifyReport(ok, tuple(checks), boundary_ok)
-
-
-def _equation_plans(system: OdeSystem, orders, order: int, bounds):
-    """``_plan`` of y_v^(m) - t (sum of the terms), by equation."""
-    plans = []
     for eq in system.equations:
         if order < eq.order:
             raise DomainError(
@@ -298,16 +278,28 @@ def _equation_plans(system: OdeSystem, orders, order: int, bounds):
                 f"derivative order of the equation for vertex "
                 f"({format_perm(eq.vertex)})"
             )
-        if orders[eq.vertex] < order:
-            raise DomainError(
-                f"series for {eq.vertex} filled to {orders[eq.vertex]}, need {order}"
-            )
+        filled = len(tables.rows[eq.vertex]) - 1
+        if filled < order:
+            raise DomainError(f"series for {eq.vertex} filled to {filled}, need {order}")
         if order < 0:  # only with m_v < 0; the sum of the terms has this order
             raise DomainError("truncation order must be nonnegative")
         lhs = (1, 0, 0, 0, 0, eq.order, eq.vertex)
         rhs = [(-1, 1, 0, t.a, t.b, t.c, t.target) for t in eq.terms]
-        plans.append(_plan([lhs, *rhs], orders, min(order, order - eq.order), bounds))
-    return plans
+        top, bad = _check([lhs, *rhs], tables, min(order, order - eq.order))
+        if bad:
+            n, q, r = bad
+            row = unpack_rows([tables.rows[eq.vertex][n + eq.order]], tables.width)[0]
+            y_m = row[q] if q < len(row) else 0
+            bad = (n, q, Fraction(y_m, factorial(n)), Fraction(y_m - r, factorial(n)))
+        checks.append(EquationCheck(eq.vertex, bad is None, top, bad))
+    # rows past the last one read as zero; a caller's rows compare trimmed
+    boundary_ok = all(
+        unpack_rows((tables.rows[v] + [0] * len(rows))[: len(rows)], tables.width)
+        == [list(row)[: max((q + 1 for q, c in enumerate(row) if c), default=0)] for row in rows]
+        for v, rows in system.boundary.items()
+    )
+    ok = boundary_ok and all(c.ok for c in checks)
+    return VerifyReport(ok, tuple(checks), boundary_ok)
 
 
 class OdePolyTerm(NamedTuple):
@@ -335,9 +327,7 @@ def verify_poly_ode(
     weight = lcm(*(c.denominator for c in coeffs))
     terms = [(int(c * weight), t.t_power, t.pre_degree, t.a, t.b, t.c, t.target)
              for c, t in zip(coeffs, terms)]
-    tables = _pack_series(series)
-    top, plan, size = _plan(terms, {v: y.order for v, y in series.items()}, order, tables.bounds)
-    bad = _first_residual(plan, top, tables.widened(slot_width(size)))
+    top, bad = _check(terms, _pack_series(series), order)
     if bad:
         bad = (*bad[:2], Fraction(bad[2], weight * factorial(bad[0])))
     return bad is None, bad, top

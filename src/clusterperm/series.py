@@ -355,11 +355,6 @@ def count_distribution_oracle(
 # ---------------------------------------------------------------------------
 
 
-def alpha_to_tsv(series: BiSeries) -> str:
-    lines = [f"{n}\t{q}\t{a}" for (n, q), a in alpha_counts(series).items()]
-    return "\n".join(lines) + "\n"
-
-
 def avoiders_to_tsv(series: BiSeries) -> str:
     """Two-column form n, alpha_n for the avoider counts (q = 0 slice)."""
     alpha_counts(series)  # every coefficient must be a count

@@ -403,6 +403,12 @@ def test_cache_dir_env(monkeypatch, tmp_path):
     assert cache_dir() == tmp_path / "c"
 
 
+def test_cache_dir_defaults_under_home(monkeypatch, tmp_path):
+    monkeypatch.delenv("CLUSTERPERM_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cache_dir() == tmp_path / ".cache" / "clusterperm"
+
+
 def test_save_load_round_trip(tmp_path):
     coll = PatternCollection(((1, 3, 2),))
     table = cluster_counts(coll, 9, 4)

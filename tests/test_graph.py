@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import clusterperm.clusters as clusters_module
 import clusterperm.graph as graph_module
 from clusterperm import kernels
 from clusterperm.clusters import (
@@ -51,7 +52,7 @@ def test_enumerate_linkages_are_genuine(pi, pip):
     ref = _reference_overlaps(pi, pip)
     for n in range(max(l, lp), l + lp):
         preds = _window_order_preds(n, [(0, pi), (n - lp, pip)])
-        words = [] if preds is None else graph_module._extensions_to_perms(n, preds)
+        words = [] if preds is None else clusters_module._extensions_to_perms(n, preds)
         assert bool(words) == (l + lp - n in ref), (pi, pip, n)
         assert len(set(words)) == len(words)
         for w in words:

@@ -36,7 +36,6 @@ from clusterperm.monotone import (
     OdeSystem,
     OdeTerm,
     VerifyReport,
-    _equation_plans,
     _ode_system,
     _verify_rows,
     emit_ode_system,
@@ -471,9 +470,36 @@ def _checked(system, ys, order, width=None):
             {v: [pack_row(row, width) for row in rows] for v, rows in lists.items()},
             {v: [max(map(abs, row), default=0) for row in rows] for v, rows in lists.items()},
         )
-        orders = {v: y.order for v, y in ys.items()}
-        assert _verify_rows(system, tables, orders, order) == want
+        assert _verify_rows(system, tables, order) == want
     return want
+
+
+@pytest.fixture
+def widenings(monkeypatch):
+    """Counts ``PackedRows.widened`` calls, and the calls that repack."""
+    calls = Counter()
+    real = PackedRows.widened
+
+    def spy(self, width):
+        calls["called"] += 1
+        calls["repacked"] += width > self.width
+        return real(self, width)
+
+    monkeypatch.setattr(PackedRows, "widened", spy)
+    return calls
+
+
+def test_emitted_systems_check_at_the_fill_width(widenings):
+    # _ode_system's claim: the residual of an emitted equation fits the
+    # width of the fill its boundary came from, so no check repacks
+    colls = [MONO_C, MONO_D, *(PatternCollection((p,)) for p in _monotone_self_overlapping(6))]
+    assert len(colls) == 82
+    equations = 0
+    for coll in colls:
+        system, tables = _ode_system(build_graph(coll), 30)
+        assert _verify_rows(system, tables, 30).ok, coll
+        equations += len(system.equations)
+    assert widenings == Counter(called=equations)
 
 
 @pytest.mark.parametrize("coll", MONO_ALL)
@@ -540,7 +566,7 @@ def test_packed_check_widens_past_an_aliasing_residual():
 
 
 @pytest.mark.parametrize("coll", [MONO_C, MONO_D])
-def test_packed_check_reports_altered_systems(coll):
+def test_packed_check_reports_altered_systems(coll, widenings):
     # every term of every equation, with another target, with b raised by 1,
     # or with b and c raised by 6 (it reads the same rows, times C(k, b + 6));
     # some of these need a wider slot than the fill's
@@ -548,8 +574,7 @@ def test_packed_check_reports_altered_systems(coll):
     order = max(eq.order for eq in system.equations) + 20
     _, tables = _ode_system(build_graph(coll), order)
     ys = monotone_vertex_series(coll, order)
-    orders = dict.fromkeys(tables.rows, order)
-    widened = 0
+    repacked = 0
     for i, eq in enumerate(system.equations):
         for j, term in enumerate(eq.terms):
             other = next(v for v in tables.rows if v != term.target)
@@ -560,11 +585,11 @@ def test_packed_check_reports_altered_systems(coll):
                 equations[i] = eq._replace(terms=terms)
                 altered = OdeSystem(tuple(equations), system.boundary)
                 want = _checked(altered, ys, order)
-                assert _verify_rows(altered, tables, orders, order) == want
+                before = widenings["repacked"]
+                assert _verify_rows(altered, tables, order) == want
                 assert not want.ok, (i, j, changed)
-                plans = _equation_plans(altered, orders, order, tables.bounds)
-                widened += slot_width(max(size for *_, size in plans)) > tables.width
-    assert widened
+                repacked += widenings["repacked"] > before
+    assert repacked
 
 
 def test_packed_poly_check_clears_fractions():

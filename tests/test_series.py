@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MONO_ALL, MONO_C, MONO_D
 from clusterperm import series
-from clusterperm.clusters import ClusterTable, cluster_counts
+from clusterperm.clusters import ClusterTable, cluster_counts, totals_to_tsv
 from clusterperm.graph import PatternCollection
 from clusterperm.perms import DomainError
 from clusterperm.series import (
     BiSeries,
     alpha_counts,
-    alpha_to_tsv,
     avoidance_gf,
     avoiders_to_tsv,
     cluster_gf,
@@ -302,7 +301,13 @@ def test_scale_and_shift_t_take_only_integers():
 def test_tsv_round_trips():
     coll = PatternCollection(((1, 3, 2),))
     gf = avoidance_gf(coll, 6)
-    assert alpha_to_tsv(gf).strip()
+    text = totals_to_tsv(alpha_counts(gf))
+    parsed = {}
+    for line in text.splitlines():
+        n, q, a = map(int, line.split("\t"))
+        parsed[n, q] = a
+    assert parsed == alpha_counts(gf)
+    assert list(parsed) == sorted(parsed)
     avo = avoiders_to_tsv(gf)
     assert avo.splitlines()[0].split("\t")[0] == "1"
 
