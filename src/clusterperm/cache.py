@@ -80,9 +80,7 @@ def save_table(
         "n_max": table.n_max,
         "q_max": table.q_max,
         "cells": len(table.totals),
-        "totals": [
-            [n, q, str(c)] for (n, q), c in sorted(table.totals.items())
-        ],
+        "totals": [[n, q, str(c)] for (n, q), c in table.totals.items()],
     }
     path = _table_path(key, table.n_max, table.q_max, directory)
     atomic_write_text(path, json.dumps(doc) + "\n")
@@ -114,15 +112,16 @@ def load_table(
             SCHEMA, key, n_max, q_max, len(doc["totals"])
         ):
             return None
-        totals = {}
+        rows = [[] for _ in range(n_max + 1)]
         for n, q, c in doc["totals"]:
             if not (type(n) is type(q) is int and 1 <= n <= n_max and 0 <= q <= q_max
-                    and (n, q) not in totals and type(c) is str and c.isascii()
-                    and c.isdigit() and c[0] != "0"
+                    and not (q < len(rows[n]) and rows[n][q]) and type(c) is str
+                    and c.isascii() and c.isdigit() and c[0] != "0"
                     and (count := int(c)) <= factorial(n) << (n - 1)):
                 return None
-            totals[n, q] = count
-        return ClusterTable(collection, n_max, q_max, totals)
+            rows[n] += [0] * (q + 1 - len(rows[n]))
+            rows[n][q] = count
+        return ClusterTable(collection, n_max, q_max, rows)
     except (ValueError, KeyError, TypeError, RecursionError):
         return None
 

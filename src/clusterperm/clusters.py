@@ -16,7 +16,8 @@ Counts are produced two independent ways:
 The refined count cl[v, n, q, p_bar] is the number of q-clusters sigma of
 length n whose first len(v) entries are literally the word p_bar (with
 standardization v).  Summing over admissible words at the distinguished
-vertex (1) gives the total cl_{n,q}.  The recurrence is evaluated on
+vertex (1) gives cl_{n,q}, which a ``ClusterTable`` stores as the rows of
+Pi_cl, the way ``BiSeries`` stores a series.  The recurrence is evaluated on
 t-polynomials: one entry per (v, n, p_bar) holds cl[v, n, q, p_bar] for
 every q <= q_max, and an edge shifts its target's polynomial by one mark.
 It is filled forward in n from the base state ((1), 1, (1)): each nonzero
@@ -312,15 +313,15 @@ def _run_options(spacing: tuple[int, ...], low: int, high: int) -> tuple:
 def _refined_cluster_counts(
     collection: PatternCollection, n_max: int, q_max: int
 ) -> ClusterTable:
-    """cl_{n,q} by the refined recurrence, summed over first letters."""
+    """cl_{n,q} by the refined recurrence: the terms of every (1) state, the
+    base state's (1, 0) among them, summed over first letters."""
     engine = _Engine(build_graph(collection), n_max, q_max)
-    totals = {(1, 0): 1}
+    rows = [[] for _ in range(n_max + 1)]
     for (v, n, _), terms in engine.memo.items():
         for q, c in terms if v == (1,) else ():
-            if q:
-                totals[n, q] = totals.get((n, q), 0) + c
-    totals = dict(sorted(totals.items()))
-    return ClusterTable(collection, n_max, q_max, totals, engine)
+            rows[n] += [0] * (q + 1 - len(rows[n]))
+            rows[n][q] += c
+    return ClusterTable(collection, n_max, q_max, rows, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +422,7 @@ def _monotone_cluster_counts(
 ) -> ClusterTable:
     """cl_{n,q} by the collapsed recurrence; the collection must be monotone."""
     rows = _vertex_tables(build_graph(collection), n_max, q_max).lists((1,))
-    totals = {
-        (n, q): c for n, row in enumerate(rows) for q, c in enumerate(row) if c
-    }
-    return ClusterTable(collection, n_max, q_max, totals)
+    return ClusterTable(collection, n_max, q_max, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +431,28 @@ def _monotone_cluster_counts(
 
 
 class ClusterTable(_Record):
-    """Totals cl_{n,q} for n <= n_max and q <= q_max, keyed (n, q), with
-    only the nonzero cells stored.
+    """cl_{n,q} for n <= n_max and q <= q_max as the rows of Pi_cl, laid out
+    as in ``BiSeries``: ``rows[n][q]`` is cl_{n,q} for n = 0..n_max, and each
+    row ends in a nonzero entry.  ``totals`` views the nonzero cells by (n, q).
 
-    ``_engine`` is the filled refined engine when the totals came from it,
+    ``_engine`` is the filled refined engine when the rows came from it,
     and None when they came from the collapsed recurrence or the cache.
     """
 
-    __slots__ = ("collection", "n_max", "q_max", "totals", "_engine")
+    __slots__ = ("collection", "n_max", "q_max", "rows", "_engine")
 
-    def __init__(self, collection: PatternCollection, n_max: int, q_max: int, totals: dict,
-                 _engine: _Engine | None = None):
-        self._set(collection, n_max, q_max, totals, _engine)
+    def __init__(self, collection: PatternCollection, n_max: int, q_max: int,
+                 rows: list[list[int]], _engine: _Engine | None = None):
+        self._set(collection, n_max, q_max, rows, _engine)
+
+    @property
+    def totals(self) -> dict[tuple[int, int], int]:
+        """{(n, q): cl_{n,q}} for the nonzero cells, in (n, q) order."""
+        return {(n, q): c for n, row in enumerate(self.rows) for q, c in enumerate(row) if c}
 
     def total(self, n: int, q: int) -> int:
-        return self.totals.get((n, q), 0)
+        row = self.rows[n] if 0 <= n <= self.n_max else ()
+        return row[q] if 0 <= q < len(row) else 0
 
 
 def cluster_counts(
@@ -477,5 +482,7 @@ def cluster_counts_single_pattern(
 
 
 def totals_to_tsv(totals: dict[tuple[int, int], int]) -> str:
-    lines = [f"{n}\t{q}\t{totals[(n, q)]}" for n, q in sorted(totals)]
+    """One n, q, count line per cell, in the order given: (n, q) order for
+    ``ClusterTable.totals`` and ``series.alpha_counts``."""
+    lines = [f"{n}\t{q}\t{c}" for (n, q), c in totals.items()]
     return "\n".join(lines) + "\n"

@@ -261,11 +261,9 @@ def verify_strong_equivalence(
     avoidance GFs agree through x^order exactly when the cluster counts
     cl_{n,q} agree for every n <= order and every q; a cluster of length n
     has at most n marked occurrences, so q <= order covers them all.  Both
-    recurrences keep nonzero cells only, so the totals compare as dicts.
+    tables' rows end in nonzero entries, so the rows compare as lists.
     """
-    t1 = cluster_counts(pi1, order, order).totals
-    t2 = cluster_counts(pi2, order, order).totals
-    return t1 == t2
+    return cluster_counts(pi1, order, order).rows == cluster_counts(pi2, order, order).rows
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +303,8 @@ def classify_s5(n_max: int = 13) -> dict:
     cells = [(n, q) for q in range(1, _S5_Q_MAX + 1) for n in range(1, n_max + 1)]
     vectors = {}
     for rep in reps:
-        totals = cluster_counts_single_pattern(rep, n_max, _S5_Q_MAX).totals
-        vectors[rep] = [totals.get(cell, 0) for cell in cells]
+        table = cluster_counts_single_pattern(rep, n_max, _S5_Q_MAX)
+        vectors[rep] = [table.total(n, q) for n, q in cells]
 
     separations = []
     undecided = []

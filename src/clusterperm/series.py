@@ -44,17 +44,6 @@ from .kernels import slot_width, unpack_rows
 from .perms import DomainError
 
 
-def _fill_rows(order: int, cells) -> list[list]:
-    """rows[n][q] = cells[(n, q)] for n = 0..order; cells past x^order are dropped."""
-    rows = [[] for _ in range(order + 1)]
-    for (n, q), c in cells.items():
-        if n <= order:
-            row = rows[n]
-            row.extend([0] * (q + 1 - len(row)))
-            row[q] = c
-    return rows
-
-
 def _integer(value, what: str) -> int:
     """value as an int: an int, or a rational whose denominator is 1."""
     if getattr(value, "denominator", None) != 1:
@@ -82,13 +71,15 @@ class BiSeries:
     __slots__ = ("order", "rows")
 
     def __init__(self, order: int, coeffs=None):
-        cells = {}
+        rows = [[] for _ in range(order + 1)]
         for (n, q), c in (coeffs or {}).items():
             if n < 0 or q < 0:
                 raise DomainError(f"{'x' if n < 0 else 't'} exponents must be nonnegative")
             if n <= order:
-                cells[n, q] = _integer(Fraction(c) * factorial(n), f"n! c at (n={n}, q={q})")
-        self.order, self.rows = order, BiSeries._of_rows(order, _fill_rows(order, cells)).rows
+                row = rows[n]
+                row.extend([0] * (q + 1 - len(row)))
+                row[q] = _integer(Fraction(c) * factorial(n), f"n! c at (n={n}, q={q})")
+        self.order, self.rows = order, BiSeries._of_rows(order, rows).rows
 
     @classmethod
     def _of_rows(cls, order: int, rows: list[list[int]]) -> "BiSeries":
@@ -301,7 +292,7 @@ def cluster_gf(table: ClusterTable, order: int) -> BiSeries:
         )
     if table.q_max < order:
         raise DomainError(f"table capped at q={table.q_max}, need q={order}")
-    return BiSeries._of_rows(order, _fill_rows(order, table.totals))
+    return BiSeries._of_rows(order, [row[:] for row in table.rows[: order + 1]])
 
 
 def avoidance_gf(

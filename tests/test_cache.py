@@ -617,6 +617,28 @@ def test_file_with_a_cell_past_the_cluster_bound_is_a_miss(tmp_path):
     assert load_table(coll, 40, 40, tmp_path).totals == {(1, 0): 1, (3, 1): 24}
 
 
+def test_file_with_its_cells_reversed_is_a_hit(tmp_path, monkeypatch, capsys):
+    # each cell is placed in the rows by its (n, q), so a valid file is read
+    # whatever the order of its cells, and is left as it is
+    monkeypatch.setenv("CLUSTERPERM_CACHE_DIR", str(tmp_path / "cache"))
+    patterns = tmp_path / "p.txt"
+    patterns.write_text("13254\n2413\n")
+    argv = ["clusters", str(patterns), "--n", "9", "--q", "4"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main([*argv, "--cache"]) == 0
+    assert capsys.readouterr().out == out
+    (path,) = (tmp_path / "cache").iterdir()
+    doc = json.loads(path.read_text())
+    doc["totals"].reverse()
+    path.write_text(json.dumps(doc))
+    coll = PatternCollection(((1, 3, 2, 5, 4), (2, 4, 1, 3)))
+    assert load_table(coll, 9, 4, tmp_path / "cache") == cluster_counts(coll, 9, 4)
+    assert main([*argv, "--cache"]) == 0
+    assert capsys.readouterr().out == out
+    assert json.loads(path.read_text()) == doc
+
+
 def test_atomic_write(tmp_path):
     target = tmp_path / "sub" / "out.json"
     atomic_write_text(target, "hello\n")

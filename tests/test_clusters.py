@@ -162,6 +162,17 @@ def test_monotone_table_answers_refined_queries():
             assert by_vertex[v, n] == (row + [0] * 5)[:5], (v, n)
 
 
+def test_total_is_zero_outside_the_table():
+    # 12345 is a 123-cluster with 2 and with 3 marks; a row or entry indexed
+    # from the end would read those nonzero cells
+    table = cluster_counts(PatternCollection(((1, 2, 3),)), 5, 4)
+    assert table.rows[-1][2] == table.rows[3][-1] == 1
+    outside = [(-1, 2), (6, 2), (3, -1), (5, 5)]
+    assert [table.total(n, q) for n, q in outside] == [0, 0, 0, 0]
+    assert all(table.total(n, q) == table.totals.get((n, q), 0)
+               for n in range(-2, 8) for q in range(-2, 7))
+
+
 def test_refined_counts_sum_to_totals():
     coll = PatternCollection(((1, 3, 2, 5, 4),))
     table = cluster_counts(coll, 9, 3)

@@ -48,11 +48,11 @@ RECORDS = [
      PatternCollection(((1, 2, 3),)), GRAPH_REPR),
     (Cluster, ("sigma", "patterns", "offsets"), ((1, 3, 2), ((1, 3, 2),), (1,)),
      (2, 1), "Cluster(sigma=(1, 3, 2), patterns=((1, 3, 2),), offsets=(1,))"),
-    (ClusterTable, ("collection", "n_max", "q_max", "totals", "_engine"),
-     (PC, 3, 2, {(1, 0): 1, (3, 1): 1}, None),
+    (ClusterTable, ("collection", "n_max", "q_max", "rows", "_engine"),
+     (PC, 3, 2, [[], [1], [], [0, 1]], None),
      PatternCollection(((1, 2, 3),)),
      "ClusterTable(collection=PatternCollection(patterns=((1, 3, 2),)), "
-     "n_max=3, q_max=2, totals={(1, 0): 1, (3, 1): 1})"),
+     "n_max=3, q_max=2, rows=[[], [1], [], [0, 1]])"),
     (OdeTerm, ("a", "b", "c", "target"), (0, 1, 2, (1,)), 1,
      "OdeTerm(a=0, b=1, c=2, target=(1,))"),
     (OdeEquation, ("vertex", "order", "terms"), ((1,), 2, (TERM,)), (1, 2),
@@ -132,7 +132,10 @@ def test_tables_of_one_request_are_equal_whatever_engine_filled_them(tmp_path):
     hit = cached_cluster_counts(coll, 8, 3, tmp_path)
     assert hit._engine is None and cold._engine is not None
     assert hit == cold == first
-    assert hit != ClusterTable(coll, 8, 3, {**first.totals, (8, 3): 1 + first.total(8, 3)})
+    rows = [row[:] for row in first.rows]
+    rows[8] += [0] * (4 - len(rows[8]))
+    rows[8][3] += 1
+    assert hit != ClusterTable(coll, 8, 3, rows)
 
 
 # the records made on ``graph._Record``; the last table keeps its engine
@@ -140,7 +143,7 @@ REDUCIBLE = [
     PC,
     Cluster((1, 3, 2), ((1, 3, 2),), (1,)),
     PatternBijection((((1, 2), (2, 1)),)),
-    ClusterTable(PC, 3, 2, {(1, 0): 1, (3, 1): 1}),
+    ClusterTable(PC, 3, 2, [[], [1], [], [0, 1]]),
     cluster_counts(PatternCollection(((1, 4, 2, 5, 3),)), 8, 3),
 ]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import MONO_ALL, MONO_C, MONO_D
 from clusterperm import series
+from clusterperm.cache import cached_cluster_counts
 from clusterperm.clusters import ClusterTable, cluster_counts, totals_to_tsv
 from clusterperm.graph import PatternCollection
 from clusterperm.perms import DomainError
@@ -180,6 +181,28 @@ def test_cluster_gf_contains_base_term():
     assert pcl.coeff(3, 1) == Fraction(1, factorial(3))
 
 
+@pytest.mark.parametrize("coll", [
+    PatternCollection(((1, 3, 2, 5, 4), (2, 4, 1, 3))),
+    PatternCollection(((1, 2, 3, 4, 5),)),
+    MONO_C,
+], ids=["13254_2413", "12345", "MONO_C"])
+def test_table_rows_are_the_cluster_series(coll, tmp_path):
+    # Pi_cl is the table's rows as they are, freshly filled or read back;
+    # the first collection takes the refined fill, the others the collapsed
+    cold = cached_cluster_counts(coll, 12, 12, tmp_path)
+    hit = cached_cluster_counts(coll, 12, 12, tmp_path)
+    assert (cold._engine is not None) == (coll.patterns[0] == (1, 3, 2, 5, 4))
+    assert hit._engine is None
+    for table in (cold, hit):
+        assert len(table.rows) == table.n_max + 1
+        assert all(row[-1] for row in table.rows if row)
+        assert list(table.totals) == sorted(table.totals)
+        for order in (9, 12):
+            pcl = cluster_gf(table, order)
+            assert pcl.rows == table.rows[: order + 1]
+            assert not any(a is b for a, b in zip(pcl.rows, table.rows))
+
+
 def test_table_capped_below_the_order_in_q_is_rejected():
     # a (8, 2) table of 123 lacks the clusters with 3..6 occurrences; its
     # n = 8 row would be wrong yet still sum to 8!
@@ -243,7 +266,9 @@ def test_packed_pass_rejects_a_table_that_does_not_count_clusters():
     # a 2-cluster with no marks: every row from n = 2 on sums past n!
     coll = _coll("12345")
     table = cluster_counts(coll, 40, 40)
-    bumped = ClusterTable(coll, 40, 40, {**table.totals, (2, 0): 1})
+    rows = [row[:] for row in table.rows]
+    rows[2] = [1]
+    bumped = ClusterTable(coll, 40, 40, rows)
     with pytest.raises(DomainError, match=r"row n=2 of the inverse sums to 3, not n!"):
         avoidance_gf(coll, 40, table=bumped)
     assert avoidance_gf(coll, 40, table=table).rows[2] == [2]
