@@ -28,7 +28,7 @@ def _load_collection(path) -> PatternCollection:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no entry
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return PatternCollection(tuple(parse_collection_text(text)))
+    return PatternCollection(parse_collection_text(text))
 
 
 def cmd_count(args: argparse.Namespace) -> int:

@@ -34,7 +34,7 @@ whenever ``is_monotone`` holds and the refined one otherwise.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, zip_longest
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -61,8 +61,7 @@ class Cluster(_Record):
     __slots__ = ("sigma", "patterns", "offsets")
 
     def __init__(self, sigma: Perm, patterns: tuple[Perm, ...], offsets: tuple[int, ...]):
-        self._set(sigma, patterns, offsets)
-        check_permutation(self.sigma)
+        self._set(check_permutation(sigma), tuple(map(tuple, patterns)), tuple(offsets))
         n = len(self.sigma)
         q = len(self.patterns)
         if q == 0 or len(self.offsets) != q:
@@ -221,25 +220,24 @@ def _edge_profile(e: Edge) -> tuple:
             [0] * (size + 2))
 
 
-def _first_row(collection: PatternCollection) -> tuple[int, ...]:
+def _first_row(collection: PatternCollection) -> list[int]:
     """cl_{(1),1,q} by q: the fictitious 0-cluster, and (1) if it is the one
     pattern (it has no overlaps, so no edge yields it)."""
-    return (1, 1) if collection.patterns == ((1,),) else (1,)
-
-
-Terms = tuple[tuple[int, int], ...]  # the nonzero (q, count) of a t-polynomial
+    return [1, 1] if collection.patterns == ((1,),) else [1]
 
 
 class _Engine:
     """The refined recurrence on one overlap graph, filled forward once
     through n_max and truncated at q_max marks.
 
-    ``memo[v, n, word]`` is the t-polynomial of cl[v, n, q, word], as the
-    tuple of its nonzero (q, count) terms; only nonzero states are stored.
-    The fill starts from the base state ((1), 1, (1)).  Every edge shortens
-    the cluster, so the states at n are complete once every shorter state
-    has been pushed.  Pushing a state along an edge into its vertex adds its
-    terms, shifted up by one mark and weighted, to each source state the
+    ``memo[v, n, word]`` is the t-polynomial of cl[v, n, q, word] as the
+    q-row it accumulated: a list by q that ends in a nonzero entry, the form
+    of ``ClusterTable.rows``.  Only nonzero states are stored.  The fill
+    starts from the base state ((1), 1, (1)).  Every edge shortens the
+    cluster, so the states at n are complete once every shorter state has
+    been pushed, and ``rows[n]``, the sum of the rows of the (1) states at
+    n, is then cl_{n,q}.  Pushing a state along an edge into its vertex adds
+    its row, shifted up by one mark and weighted, to each source state the
     step can come from.  A state whose lowest q is q_max pushes nothing, so
     no state beyond 1 + q_max (l_max - 1) is built.
 
@@ -252,16 +250,18 @@ class _Engine:
         into: dict[Perm, list] = {v: [] for v in graph.vertices}
         for e in graph.edges:
             into[e.target].append(_edge_profile(e))
-        self.memo: dict[tuple[Perm, int, Perm], Terms] = {}
+        self.memo: dict[tuple[Perm, int, Perm], list[int]] = {}
+        self.rows: list[list[int]] = []
         layers = [{v: {} for v in graph.vertices} for _ in range(n_max + 1)]
         layers[1][(1,)][1] = _first_row(graph.collection)[: q_max + 1]
         for n, layer in enumerate(layers):
             for v, states in layer.items():
                 for y, acc in states.items():
+                    while not acc[-1]:  # a state holds some positive count
+                        acc.pop()
                     y = y if len(v) > 1 else (y,)
-                    terms = tuple((q, c) for q, c in enumerate(acc) if c)
-                    self.memo[v, n, y] = terms
-                    pushed = [(q + 1, c) for q, c in terms if q < q_max]
+                    self.memo[v, n, y] = acc
+                    pushed = [(q + 1, c) for q, c in enumerate(acc[:q_max]) if c]
                     for drop, src, fixed, runs, outer, inner, get, b in (
                             into[v] if pushed else ()):
                         m = n + drop
@@ -287,6 +287,8 @@ class _Engine:
                                 w *= ways
                                 for q, c in pushed:
                                     row[q] += w * c
+            ones = layer[(1,)].values()
+            self.rows.append([sum(col) for col in zip_longest(*ones, fillvalue=0)])
             layers[n] = None
 
 
@@ -313,15 +315,10 @@ def _run_options(spacing: tuple[int, ...], low: int, high: int) -> tuple:
 def _refined_cluster_counts(
     collection: PatternCollection, n_max: int, q_max: int
 ) -> ClusterTable:
-    """cl_{n,q} by the refined recurrence: the terms of every (1) state, the
-    base state's (1, 0) among them, summed over first letters."""
+    """cl_{n,q} by the refined recurrence: the engine's rows, each the sum
+    over first letters of the (1) states at n, the base state among them."""
     engine = _Engine(build_graph(collection), n_max, q_max)
-    rows = [[] for _ in range(n_max + 1)]
-    for (v, n, _), terms in engine.memo.items():
-        for q, c in terms if v == (1,) else ():
-            rows[n] += [0] * (q + 1 - len(rows[n]))
-            rows[n][q] += c
-    return ClusterTable(collection, n_max, q_max, rows, engine)
+    return ClusterTable(collection, n_max, q_max, engine.rows, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +468,7 @@ def cluster_counts_single_pattern(
     pattern, n_max: int, q_max: int
 ) -> ClusterTable:
     """cl_{n,q} for the singleton collection of a bare pattern."""
-    return cluster_counts(
-        PatternCollection((check_permutation(pattern),)), n_max, q_max
-    )
+    return cluster_counts(PatternCollection((pattern,)), n_max, q_max)
 
 
 # ---------------------------------------------------------------------------

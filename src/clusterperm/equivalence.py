@@ -65,7 +65,7 @@ class PatternBijection(_Record):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[Perm, Perm], ...]):
-        self._set(pairs)
+        self._set(tuple((check_permutation(a), check_permutation(b)) for a, b in pairs))
         firsts = [a for a, _ in self.pairs]
         seconds = [b for _, b in self.pairs]
         if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):

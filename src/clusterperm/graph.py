@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from itertools import islice
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import (
     DomainError,
@@ -73,13 +73,12 @@ class PatternCollection(_Record):
 
     __slots__ = ("patterns",)
 
-    def __init__(self, patterns: tuple[Perm, ...]):
-        self._set(patterns)
+    def __init__(self, patterns: Iterable[Sequence[int]]):
+        self._set(tuple(check_permutation(p) for p in patterns))
         if not self.patterns:
             raise DomainError("empty pattern collection")
         seen = set()
         for p in self.patterns:
-            check_permutation(p)
             if p in seen:
                 raise DomainError(f"duplicate pattern {p}")
             seen.add(p)
@@ -96,12 +95,10 @@ class PatternCollection(_Record):
         return len(self.patterns)
 
     def reversed(self) -> "PatternCollection":
-        return PatternCollection(tuple(tuple(reversed(p)) for p in self.patterns))
+        return PatternCollection([p[::-1] for p in self.patterns])
 
     def complemented(self) -> "PatternCollection":
-        return PatternCollection(
-            tuple(tuple(len(p) + 1 - x for x in p) for p in self.patterns)
-        )
+        return PatternCollection([tuple(len(p) + 1 - x for x in p) for p in self.patterns])
 
 
 # Patterns whose border tables are kept; a fixed bound, so a long-running
@@ -186,7 +183,7 @@ def build_graph(coll: PatternCollection) -> OverlapGraph:
     verts: set[Perm] = {(1,)}
     for pb in coll:
         for pa in coll:
-            verts.update(borders[pa][0][k - 1] for k in _overlaps(pb, pa))
+            verts.update(h for h, t in zip(borders[pa][0], borders[pb][1]) if h == t)
     vertices = tuple(sorted(verts, key=lambda v: (len(v), v)))
     edges: list[Edge] = []
     for pat in coll:

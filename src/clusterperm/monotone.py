@@ -161,7 +161,7 @@ def emit_single_pattern_ode(pattern) -> OdeSystem:
     Every cluster starts with an occurrence of the pattern, so y_v = y_(1) - x
     for every vertex v != (1), and a term reads y_v only at d^c with
     c = |v| >= 2, where d^c y_v = d^c y_(1)."""
-    collection = PatternCollection((tuple(pattern),))
+    collection = PatternCollection((pattern,))
     system, _ = _ode_system(build_graph(collection))
     eq = system.equations[0]  # the vertices are sorted by length: (1) is first
     if not eq.terms:

@@ -28,7 +28,9 @@ on, ``_avoidance_rows`` evaluates P at s = 2^w - 1 instead (Kronecker
 substitution): P_n(2^w - 1) = Pi_n(2^w), one integer per row whose base-2^w
 digits are the alpha_{n,q} themselves, since each lies in 0..n! and w is
 chosen with n! < 2^(w-1).  The pass needs no bound pass and no shift, and
-checks that each row sums to n!.  BENCH_pr28.json has the crossover.
+checks that each row sums to n!.  It is ahead of the list path at orders
+2-6 and 24-100 and about even at 8-13; ``_PACKED_ORDER_MIN`` gives the
+numbers, and the one reason the bound is still 40.
 """
 
 from __future__ import annotations
@@ -229,12 +231,11 @@ class BiSeries:
 
 # The order from which ``avoidance_gf`` takes the packed pass.  The median
 # time of list reciprocal + shift over the packed pass on the seven inputs of
-# tools/reciprocal_crossover.py (BENCH_pr28.json) reads 0.90-1.14x at order 8,
-# 1.12-1.26x at 12, 1.14-1.64x at 24, 1.41-2.24x at 40, 1.50-2.30x at 60,
-# 1.22-1.62x at 100 and 0.81-1.22x at 140.  The bound stays at 40 although
-# the pass is ahead from order 12: below it the small requests keep the list
-# path that perfbench's series.reciprocal_s span times, and a lower bound is a
-# separate change, to be measured on its own.
+# tools/reciprocal_crossover.py (ROADMAP baseline) shows the pass ahead by
+# 1.08-1.55x at orders 2-6, about even (0.84-1.13x) at 8-13, ahead from 24 to
+# 100, and behind on three of seven inputs at 140 (0.81-0.97x).  The bound is
+# 40 only because perfbench/tests/test_perfbench.py asserts
+# series.reciprocal_s > 0 on ``count 123 --n 6``, which needs the list path.
 _PACKED_ORDER_MIN = 40
 
 

@@ -152,10 +152,10 @@ def test_monotone_table_answers_refined_queries():
     assert refined.totals == table.totals
     tables = _vertex_tables(build_graph(MONO_D), 10, 4)
     by_vertex = {(v, n): [0] * 5 for v in tables.rows for n in range(11)}
-    for (v, n, word), terms in refined._engine.memo.items():
+    for (v, n, word), row in refined._engine.memo.items():
         # a monotone cluster's initial subword is the vertex itself
         assert word == v, (v, n, word)
-        for q, c in terms:
+        for q, c in enumerate(row):
             by_vertex[v, n][q] += c
     for v in tables.rows:
         for n, row in enumerate(tables.lists(v)):
@@ -385,10 +385,10 @@ def test_refined_queries_match_the_top_down_reference():
         memo = _refined_cluster_counts(coll, 10, 10)._engine.memo
         assert all(memo.values())
         in_memo = {}
-        for (v, n, _), terms in memo.items():
-            row = in_memo.setdefault((v, n), [0] * 11)
-            for q, c in terms:
-                row[q] += c
+        for (v, n, _), row in memo.items():
+            total = in_memo.setdefault((v, n), [0] * 11)
+            for q, c in enumerate(row):
+                total[q] += c
         graph = build_graph(coll)
         ref = RefEngine(graph, 10)
         for v in graph.vertices:
@@ -396,11 +396,30 @@ def test_refined_queries_match_the_top_down_reference():
                 by_vertex = [0] * 11
                 for word in _admissible_words(v, n):
                     expected = dict(ref.vec(v, n, word))
-                    got = dict(memo.get((v, n, word), ()))
+                    got = {q: c for q, c in enumerate(memo.get((v, n, word), ())) if c}
                     assert got == expected, (coll, v, n, word)
                     for q, c in got.items():
                         by_vertex[q] += c
                 assert in_memo.get((v, n), [0] * 11) == by_vertex, (coll, v, n)
+
+
+def test_refined_rows_are_the_sums_of_the_memo_rows_of_one():
+    # cl_{n,q} is the sum over first letters of the (1) states at n, the
+    # base state ((1), 1, (1)) among them; each state holds its trimmed q-row
+    colls = [*reference_collections(), PatternCollection(((1, 3, 2, 5, 4), (2, 4, 1, 3))),
+             *MONO_ALL, PatternCollection(((1,),))]
+    for coll in colls:
+        table = _refined_cluster_counts(coll, 10, 10)
+        sums = [[0] * 11 for _ in range(11)]
+        for (v, n, _), row in table._engine.memo.items():
+            assert type(row) is list and row and row[-1], (coll, v, n, row)
+            for q, c in enumerate(row if v == (1,) else ()):
+                sums[n][q] += c
+        for total in sums:
+            while total and not total[-1]:
+                total.pop()
+        assert table.rows == sums, coll
+        assert table.rows is table._engine.rows
 
 
 def ref_vertex_tables(graph, n_max, q_max):

@@ -138,6 +138,24 @@ def test_tables_of_one_request_are_equal_whatever_engine_filled_them(tmp_path):
     assert hit != ClusterTable(coll, 8, 3, rows)
 
 
+def test_list_built_records_store_the_tuples_they_checked():
+    # a list-built collection once kept its list, so (1) was not seen as the
+    # one pattern and no record built from lists hashed or equalled its twin
+    for pats in ([(1,)], [(1, 3, 2, 4)]):
+        tuples, lists = PatternCollection(tuple(pats)), PatternCollection(pats)
+        assert cluster_counts(lists, 6, 6).rows == cluster_counts(tuples, 6, 6).rows
+    assert cluster_counts(PatternCollection([[1]]), 3, 3).rows == [[], [1, 1], [], []]
+    twins = [
+        (PatternCollection([[1, 3, 2]]), PC),
+        (Cluster([1, 3, 2], [[1, 3, 2]], [1]), Cluster((1, 3, 2), ((1, 3, 2),), (1,))),
+        (PatternBijection([([1, 2], [2, 1])]), PatternBijection((((1, 2), (2, 1)),))),
+    ]
+    for built, twin in twins:
+        assert built == twin and hash(built) == hash(twin), twin
+    with pytest.raises(DomainError, match=r"duplicate pattern \(1, 2\)"):
+        PatternCollection([[1, 2], [1, 2]])
+
+
 # the records made on ``graph._Record``; the last table keeps its engine
 REDUCIBLE = [
     PC,
