@@ -17,18 +17,21 @@ import sys
 from pathlib import Path
 
 from . import cache, clusters, equivalence, monotone, series
-from .graph import PatternCollection, build_graph, graph_to_dot, is_monotone
+from .graph import LeafBudgetError, PatternCollection, build_graph, graph_to_dot, is_monotone
 from .perms import DomainError, parse_collection_text
 
 ORACLE_CAP = 10
 
 
 def _load_collection(path) -> PatternCollection:
+    """The collection in the file; every DomainError names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no entry
+        return PatternCollection(parse_collection_text(text))
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return PatternCollection(parse_collection_text(text))
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -72,8 +75,8 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     c2 = _load_collection(args.patterns1)
     try:
         phi = equivalence.any_theorem13_bijection(c1, c2)
-    except equivalence.SearchBudgetError:
-        phi = None  # past the search's node budget the tables below decide
+    except LeafBudgetError:
+        phi = None  # past the canonical form's leaf budget the tables below decide
     if phi is not None:
         pairs = ", ".join(f"{a} -> {b}" for a, b in phi.pairs)
         sys.stdout.write(f"equivalent (sufficient condition holds via {pairs})\n")

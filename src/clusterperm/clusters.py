@@ -61,11 +61,14 @@ class Cluster(_Record):
     __slots__ = ("sigma", "patterns", "offsets")
 
     def __init__(self, sigma: Perm, patterns: tuple[Perm, ...], offsets: tuple[int, ...]):
-        self._set(check_permutation(sigma), tuple(map(tuple, patterns)), tuple(offsets))
+        self._set(check_permutation(sigma), tuple(map(check_permutation, patterns)),
+                  tuple(offsets))
         n = len(self.sigma)
         q = len(self.patterns)
         if q == 0 or len(self.offsets) != q:
             raise DomainError("cluster needs q >= 1 patterns with matching offsets")
+        if not all(type(d) is int for d in self.offsets):
+            raise DomainError(f"offsets are not ints: {self.offsets}")
         if self.offsets[0] != 1:
             raise DomainError("first offset must be 1")
         for j, (pat, d) in enumerate(zip(self.patterns, self.offsets)):

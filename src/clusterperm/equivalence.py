@@ -7,16 +7,19 @@ this in two steps:
 * check_theorem13: a structural sufficient condition on a pattern bijection:
   it preserves the overlap lengths of every ordered pair and each pattern's
   label (its length, and its final and initial entry sets at each overlap
-  length where it overlaps its collection), as in labelled isomorphism.  It
-  returns a ``Theorem13Report`` (ok, failures), with ok exactly when no
-  failure is listed; any_theorem13_bijection searches for a bijection;
+  length where it overlaps its collection).  It returns a
+  ``Theorem13Report`` (ok, failures), with ok exactly when no failure is
+  listed.  A passing bijection is an isomorphism of the pattern digraphs,
+  patterns coloured by label and arcs labelled by ovl, so
+  any_theorem13_bijection decides it with the cache's canonical-form search,
+  ``graph.labelled_digraph_form``, after comparing the sorted labels;
 * verify_strong_equivalence: coefficientwise equality of the avoidance
   generating functions to a finite order (the definition, truncated),
   decided on the cluster tables that determine them.
 
 graphs_isomorphic (label-preserving isomorphism of overlap graphs) is also
-sufficient, but ``equiv`` no longer calls it: on the reduced collections of up
-to two patterns of length <= 6 it never decided a pair the search had not.
+sufficient, but ``equiv`` does not call it: on the reduced collections of up
+to two patterns of length <= 6 it never decided a pair the bijection had not.
 
 The module also classifies the orbits of S_5 under reverse and complement.
 """
@@ -34,6 +37,7 @@ from .graph import (
     _overlaps,
     build_graph,
     canonical_form,
+    labelled_digraph_form,
 )
 from .monotone import _require_monotone
 from .perms import (
@@ -83,9 +87,8 @@ class Theorem13Report(NamedTuple):
         return self.ok
 
 
-# (key of the final k entries, whether initial k-sets count) of each condition
-_THEOREM13 = (frozenset, True)
-_MONOTONE = (max, False)
+# The label kind of each condition: does it read entry sets, or only maxima?
+_THEOREM13, _MONOTONE = True, False
 
 
 def _ovl_matrix(pats) -> dict:
@@ -96,19 +99,21 @@ def _ovl_matrix(pats) -> dict:
 def _labels(ovl, kind) -> dict:
     """{x: label} from one collection's ``_ovl_matrix``.  K_out(x) is the
     union of ovl(x, y) over the collection, y = x included, and K_in(x) that
-    of ovl(y, x).  The label is len(x), (k, final_key(final k entries)) for k
-    in K_out(x), and (k, initial k-set) for k in K_in(x) if ``kind`` counts
-    initial sets.  Every realized k of (x, y) lies in K_out(x) and K_in(y), and
-    preserving ovl preserves K_out and K_in, so a bijection that preserves ovl
-    on every ordered pair passes the condition exactly when it preserves them.
+    of ovl(y, x).  The label is len(x), then (k, final k-set) for k in
+    K_out(x) and (k, initial k-set) for k in K_in(x) if ``kind`` reads sets,
+    each set a sorted tuple so that labels sort, else (k, maximum of the
+    final k entries) for k in K_out(x) alone.  Every realized k of (x, y)
+    lies in K_out(x) and K_in(y), and preserving ovl preserves K_out and
+    K_in, so a bijection that preserves ovl on every ordered pair passes the
+    condition exactly when it preserves them.
     """
-    final_key, initials = kind
     k_out, k_in = {}, {}
     for (x, y), ks in ovl.items():
         k_out.setdefault(x, set()).update(ks)
         k_in.setdefault(y, set()).update(ks)
-    return {x: (len(x), tuple((k, final_key(x[-k:])) for k in sorted(ks)),
-                tuple((k, frozenset(x[:k])) for k in sorted(k_in[x]) if initials))
+    return {x: (len(x), tuple((k, tuple(sorted(x[-k:])) if kind else max(x[-k:]))
+                              for k in sorted(ks)),
+                tuple((k, tuple(sorted(x[:k]))) for k in sorted(k_in[x]) if kind))
             for x, ks in k_out.items()}
 
 
@@ -129,7 +134,7 @@ def _check_bijection(pi1, pi2, phi: PatternBijection, kind):
             if ks1 != ks2:
                 failures.append(f"overlap lengths differ for ({x},{y}): {ks1} vs {ks2}")
         labels1, labels2 = _labels(ovl1, kind), _labels(ovl2, kind)
-        noun = "set" if kind[0] is frozenset else "set maximum"
+        noun = "set" if kind else "set maximum"
         for x in pats1:
             for side, sets, other in zip(("final", "initial"), labels1[x][1:],
                                          labels2[image[x]][1:]):
@@ -138,60 +143,30 @@ def _check_bijection(pi1, pi2, phi: PatternBijection, kind):
     return Theorem13Report(not failures, tuple(failures))
 
 
-# Nodes (calls of ``extend``) a bijection search may visit; past it the search
-# raises rather than run a factorial backtrack.
-_NODE_BUDGET = 1000
-
-
-class SearchBudgetError(DomainError):
-    pass
-
-
-def _first_bijection(pi1, pi2, kind) -> PatternBijection | None:
-    """First bijection passing ``_check_bijection`` with ``kind``, pairing
-    sorted(pats1) with the orderings of sorted(pats2) in lexicographic order.
-
-    Backtracking in that order, offering only candidates of equal label and
-    testing ovl on the pairs each makes with those already assigned, finds
-    the bijection a scan of all k! orderings would.  A search that passes
-    ``_NODE_BUDGET`` nodes raises ``SearchBudgetError``: None would claim
+def _bijection(pi1, pi2, kind) -> PatternBijection | None:
+    """A bijection passing ``_check_bijection`` with ``kind``, or None: an
+    isomorphism of the pattern digraphs, each pattern coloured by its label
+    and each ordered pair (x, y) joined by an arc labelled ovl(x, y) where
+    that is not empty.  Sorted labels that differ rule one out, and no form
+    is built; otherwise the sides are isomorphic exactly when their
+    ``labelled_digraph_form`` forms are equal, and the bijection pairs the
+    orders that attain them, each side's vertices being its sorted patterns.
+    A form past its leaf budget raises ``LeafBudgetError``: None would claim
     that no bijection exists.
     """
-    pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
-    if len(pats1) != len(pats2):
+    sides = []
+    for pats in (sorted(_patterns_of(pi1)), sorted(_patterns_of(pi2))):
+        ovl = _ovl_matrix(pats)
+        sides.append((pats, ovl, _labels(ovl, kind)))
+    (_, _, labels1), (_, _, labels2) = sides
+    if sorted(labels1.values()) != sorted(labels2.values()):
         return None
-    a, b = sorted(pats1), sorted(pats2)
-    ovl_a, ovl_b = _ovl_matrix(a), _ovl_matrix(b)
-    label_a, label_b = _labels(ovl_a, kind), _labels(ovl_b, kind)
-
-    image: list[Perm] = []
-    free = dict.fromkeys(b)  # insertion-ordered set
-    nodes = 0
-
-    def extend(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _NODE_BUDGET:
-            raise SearchBudgetError(
-                f"bijection search: over {_NODE_BUDGET} nodes on {len(a)} patterns a side"
-            )
-        if i == len(a):
-            return True
-        x = a[i]
-        for fx in list(free):
-            if label_b[fx] == label_a[x] and all(
-                ovl_a[x, y] == ovl_b[fx, fy] and ovl_a[y, x] == ovl_b[fy, fx]
-                for y, fy in zip(a[: i + 1], [*image, fx])
-            ):
-                del free[fx]
-                image.append(fx)
-                if extend(i + 1):
-                    return True
-                image.pop()
-                free[fx] = None
-        return False
-
-    return PatternBijection(tuple(zip(a, image))) if extend(0) else None
+    (form1, order1), (form2, order2) = (
+        labelled_digraph_form(pats, [labels[x] for x in pats],
+                              [(x, y, tuple(ks)) for (x, y), ks in ovl.items() if ks])
+        for pats, ovl, labels in sides
+    )
+    return PatternBijection(tuple(sorted(zip(order1, order2)))) if form1 == form2 else None
 
 
 def check_theorem13(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
@@ -206,9 +181,9 @@ def check_theorem13(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
 
 
 def any_theorem13_bijection(pi1, pi2) -> PatternBijection | None:
-    """First bijection passing check_theorem13, in deterministic order;
-    raises ``SearchBudgetError`` past the search's node budget."""
-    return _first_bijection(pi1, pi2, _THEOREM13)
+    """A bijection passing check_theorem13, found by ``_bijection``; raises
+    ``LeafBudgetError`` past the canonical form's leaf budget."""
+    return _bijection(pi1, pi2, _THEOREM13)
 
 
 def check_monotone_corollary(pi1, pi2, phi: PatternBijection) -> Theorem13Report:
@@ -226,12 +201,12 @@ def check_monotone_corollary(pi1, pi2, phi: PatternBijection) -> Theorem13Report
 
 
 def any_monotone_corollary_bijection(pi1, pi2) -> PatternBijection | None:
-    """First bijection passing check_monotone_corollary, deterministic order."""
+    """A bijection passing check_monotone_corollary, found by ``_bijection``."""
     pats1, pats2 = _patterns_of(pi1), _patterns_of(pi2)
     if len(pats1) == len(pats2):
         _require_monotone(pats1)
         _require_monotone(pats2)
-    return _first_bijection(pats1, pats2, _MONOTONE)
+    return _bijection(pats1, pats2, _MONOTONE)
 
 
 def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):
@@ -245,11 +220,8 @@ def graphs_isomorphic(g1: OverlapGraph, g2: OverlapGraph):
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-    form1, order1 = canonical_form(g1)
-    form2, order2 = canonical_form(g2)
-    if form1 != form2:
-        return None
-    return dict(zip(order1, order2))
+    (form1, order1), (form2, order2) = canonical_form(g1), canonical_form(g2)
+    return dict(zip(order1, order2)) if form1 == form2 else None
 
 
 def verify_strong_equivalence(
@@ -306,27 +278,18 @@ def classify_s5(n_max: int = 13) -> dict:
         table = cluster_counts_single_pattern(rep, n_max, _S5_Q_MAX)
         vectors[rep] = [table.total(n, q) for n, q in cells]
 
-    separations = []
-    undecided = []
+    separations, undecided = [], []
     for groups in classes.values():
         for g1, g2 in combinations(groups.values(), 2):
             for r1, r2 in product(g1, g2):
                 sep = next(((n, q, a, b) for (n, q), a, b
                             in zip(cells, vectors[r1], vectors[r2]) if a != b), None)
                 if sep is None:
-                    undecided.append((r1, r2))
+                    undecided.append((_format_perm(r1), _format_perm(r2)))
                 else:
                     n, q, a, b = sep
-                    separations.append(
-                        {
-                            "a": _format_perm(r1),
-                            "b": _format_perm(r2),
-                            "n": n,
-                            "q": q,
-                            "a_count": str(a),
-                            "b_count": str(b),
-                        }
-                    )
+                    separations.append(dict(a=_format_perm(r1), b=_format_perm(r2), n=n, q=q,
+                                            a_count=str(a), b_count=str(b)))
     return {
         "orbit_count": len(reps),
         "orbits": [
@@ -346,7 +309,5 @@ def classify_s5(n_max: int = 13) -> dict:
             for key, groups in sorted(classes.items())
         },
         "separations": separations,
-        "undecided": [
-            (_format_perm(a), _format_perm(b)) for a, b in undecided
-        ],
+        "undecided": undecided,
     }

@@ -234,32 +234,35 @@ def _individualise(colour: list[int], v: int) -> list[int]:
     return [x + (x > c or (x == c and w != v)) for w, x in enumerate(colour)]
 
 
-def canonical_form(graph: OverlapGraph) -> tuple[tuple, tuple[Perm, ...]]:
-    """The graph up to label-preserving isomorphism fixing (1), and the
-    vertex order that attains it.
+def labelled_digraph_form(vertices: Sequence, colours: Sequence, arcs) -> tuple[tuple, tuple]:
+    """A vertex-coloured, arc-labelled digraph up to isomorphism, and the
+    vertex order that attains it: ``order[i]`` is the vertex given index i.
 
-    A vertex order is encoded as (vertex lengths by index, sorted (source,
-    target, mu_i, mu_f, length) edge tuples), vertex permutation labels
-    discarded.  The orders searched are the leaves of individualise-and-
-    refine: colours start from vertex lengths, so (1) sits alone at index 0,
-    and colour refinement splits cells by their labelled edges.  While a
-    cell is still tied, each of its vertices is individualised in turn and
-    refined again; a discrete colouring is a leaf, and the form is the least
-    leaf encoding.  A search that passes ``_LEAF_BUDGET`` leaves raises
-    ``LeafBudgetError``.  ``order[i]`` is the vertex given index i.
+    ``colours[i]`` is the colour of ``vertices[i]``; ``arcs`` holds (source,
+    target, label tuple) triples.  The form is the sorted colours and the
+    least encoding, as sorted (source index, target index, *label) tuples,
+    over the leaves of individualise-and-refine.  Refinement splits cells by
+    their labelled arcs; in a cell still tied, one vertex of each twin class
+    is individualised in turn, in index order.  Twins are vertices whose swap
+    is an automorphism: it fixes the colouring and carries one twin's leaves
+    onto the other's, encodings unchanged.  Past ``_LEAF_BUDGET`` leaves the
+    search raises ``LeafBudgetError``.
     """
-    verts = graph.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    label_id = {lab: i for i, lab in enumerate(sorted({e.label for e in graph.edges}))}
-    out = [[] for _ in verts]
-    inn = [[] for _ in verts]
+    index = {v: i for i, v in enumerate(vertices)}
+    label_id = {lab: i for i, lab in enumerate(sorted({lab for _, _, lab in arcs}))}
+    out = [[] for _ in vertices]
+    inn = [[] for _ in vertices]
     edges = []
-    for e in graph.edges:
-        s, t, lab = index[e.source], index[e.target], e.label
-        out[s].append((label_id[lab], t))
-        inn[t].append((label_id[lab], s))
-        edges.append((s, t, lab.mu_i, lab.mu_f, lab.length))
-    lengths = tuple(sorted(len(v) for v in verts))
+    for s, t, lab in arcs:
+        s, t, i = index[s], index[t], label_id[lab]
+        out[s].append((i, t))
+        inn[t].append((i, s))
+        edges.append((s, t, *lab))
+
+    def twins(u: int, w: int) -> bool:
+        swap = {u: w, w: u}
+        return all(sorted((i, swap.get(x, x)) for i, x in adj[u]) == sorted(adj[w])
+                   for adj in (out, inn))
 
     def leaves(colour: list[int]):
         """The discrete colourings below ``colour``, depth first."""
@@ -270,21 +273,35 @@ def canonical_form(graph: OverlapGraph) -> tuple[tuple, tuple[Perm, ...]]:
         if cell is None:
             yield colour
             return
-        for v in cell:
-            yield from leaves(_refine(_individualise(colour, v), out, inn))
+        # the first vertex of each twin class
+        firsts = [v for i, v in enumerate(cell) if not any(twins(u, v) for u in cell[:i])]
+        if len(firsts) > 1:
+            for v in firsts:
+                yield from leaves(_refine(_individualise(colour, v), out, inn))
+            return
+        # in a cell of twins, individualising one leaves the rest tied and
+        # refines nothing, so the search splits the cell in index order
+        yield from leaves(functools.reduce(_individualise, cell[:-1], colour))
 
     def encode(colour: list[int]) -> tuple:
         return tuple(sorted((colour[s], colour[t], *lab) for s, t, *lab in edges))
 
-    root = _refine([len(v) for v in verts], out, inn)
-    found = list(islice(leaves(root), _LEAF_BUDGET + 1))
+    found = list(islice(leaves(_refine(list(colours), out, inn)), _LEAF_BUDGET + 1))
     if len(found) > _LEAF_BUDGET:
         raise LeafBudgetError(
-            f"canonical form: over {_LEAF_BUDGET} leaves on a {len(verts)}-vertex graph"
+            f"canonical form: over {_LEAF_BUDGET} leaves on a {len(vertices)}-vertex graph"
         )
-    colour = min(found, key=encode)
-    order = tuple(sorted(verts, key=lambda v: colour[index[v]]))
-    return (lengths, encode(colour)), order
+    code, colour = min(((encode(c), c) for c in found), key=lambda leaf: leaf[0])
+    order = tuple(sorted(vertices, key=lambda v: colour[index[v]]))
+    return (tuple(sorted(colours)), code), order
+
+
+def canonical_form(graph: OverlapGraph) -> tuple[tuple, tuple[Perm, ...]]:
+    """``labelled_digraph_form`` of the overlap graph, each vertex coloured
+    by its length, so (1) sits alone at index 0, and each edge labelled
+    (mu_i, mu_f, length): vertex names and edge patterns are discarded."""
+    return labelled_digraph_form(graph.vertices, [len(v) for v in graph.vertices],
+                                 [(e.source, e.target, e.label) for e in graph.edges])
 
 
 def graph_to_dot(g: OverlapGraph) -> str:

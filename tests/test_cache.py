@@ -185,6 +185,26 @@ def circulant_graph(na, nb, aa, bb, ab, ba):
     return synthetic_graph([4] * na + [5] * nb, arcs)
 
 
+# Each vertex but (1) is a twin of every other: swapping any two is an
+# automorphism, so the search individualises one vertex of each tied cell.
+def star(size):
+    return synthetic_graph(
+        [4] * size,
+        [(0, i, IN) for i in range(1, size + 1)] + [(i, 0, OUT) for i in range(1, size + 1)],
+    )
+
+
+def clique(size):
+    return synthetic_graph(
+        [4] * size,
+        [(i, j, IN) for i in range(1, size + 1) for j in range(1, size + 1) if i != j],
+    )
+
+
+def no_edges(size):
+    return synthetic_graph([4] * size, [])
+
+
 # Colour refinement leaves tied cells in each of these graphs.  In most,
 # every vertex but (1) has the same length and the same labelled degrees.
 TIED_GRAPHS = {
@@ -206,20 +226,19 @@ TIED_GRAPHS = {
             for b in range(3)
         ],
     ),
+    "star": star(12),
+    "clique": clique(10),
+    "no-edges": no_edges(12),
 }
 
 
-# Automorphism groups S_12, S_10 and S_12: refinement splits nothing, and the
-# search has more leaves than the canonical form's budget.
+# Disjoint directed cycles of one length: no two vertices are twins, and
+# individualising a vertex splits only its own cycle, so the search has
+# 15·12·9·6·3, 16·12·8·4 and 18·12·6 leaves, past the budget.
 OVER_BUDGET = {
-    "star": synthetic_graph(
-        [4] * 12,
-        [(0, i, IN) for i in range(1, 13)] + [(i, 0, OUT) for i in range(1, 13)],
-    ),
-    "clique": synthetic_graph(
-        [4] * 10, [(i, j, IN) for i in range(1, 11) for j in range(1, 11) if i != j]
-    ),
-    "no-edges": synthetic_graph([4] * 12, []),
+    "five-triangles": synthetic_graph([4] * 15, cycles([3] * 5)),
+    "four-squares": synthetic_graph([4] * 16, cycles([4] * 4)),
+    "three-hexagons": synthetic_graph([4] * 18, cycles([6] * 3)),
 }
 
 
@@ -257,9 +276,15 @@ def test_form_is_the_least_leaf():
     assert order[1] == g.vertices[1]
 
 
+def test_twins_key_in_one_leaf(monkeypatch):
+    monkeypatch.setattr(graph_module, "_LEAF_BUDGET", 1)
+    for name in ("star", "clique", "no-edges"):
+        canonical_form(TIED_GRAPHS[name])  # raises LeafBudgetError past one leaf
+
+
 def test_every_overlap_graph_tried_keys_within_one_leaf(monkeypatch):
-    # the canonical form searches without automorphism pruning because
-    # colour refinement alone makes these graphs discrete
+    # colour refinement alone makes these graphs discrete, so the search
+    # individualises nothing and the twin rule is never consulted
     monkeypatch.setattr(graph_module, "_LEAF_BUDGET", 1)
     colls = [
         *small_reduced_collections(),
@@ -341,7 +366,7 @@ def test_form_agrees_with_the_relabelling_search():
         make(rng)
         for make in (copies_of_a_motif, cycle_union, circulants)
         for _ in range(60)
-    ]
+    ] + [make(size) for make in (star, clique, no_edges) for size in (1, 2, 4, 5)]
     forms = [canonical_form(g)[0] for g in graphs]
     for g, form in zip(graphs, forms):
         assert canonical_form(renamed(g, rng))[0] == form

@@ -107,8 +107,8 @@ def test_equiv_negative(tmp_path, capsys):
 
 
 def test_equiv_answers_past_the_search_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(equivalence, "_NODE_BUDGET", 1)
-    with pytest.raises(equivalence.SearchBudgetError, match="over 1 nodes on 1 patterns"):
+    monkeypatch.setattr(graph_module, "_LEAF_BUDGET", 0)
+    with pytest.raises(graph_module.LeafBudgetError, match="over 0 leaves on a 1-vertex graph"):
         equivalence.any_theorem13_bijection([(1, 3, 4, 2)], [(1, 4, 3, 2)])
     a = write(tmp_path, "a.txt", "1342\n")
     b = write(tmp_path, "b.txt", "1432\n")
@@ -284,6 +284,20 @@ def test_non_reduced_collection_is_domain_error(tmp_path, capsys):
     assert main(["count", f, "--n", "5"]) == 1
     err = capsys.readouterr().err
     assert "divides" in err
+
+
+def test_collection_errors_name_their_file(tmp_path, capsys):
+    good = write(tmp_path, "a.txt", "12\n")
+    bad = write(tmp_path, "b.txt", "12\n123\n")
+    assert main(["equiv", good, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {bad}: collection not reduced: (1, 2) divides (1, 2, 3)\n"
+    )
+    malformed = write(tmp_path, "c.txt", "1 2 2\n")
+    assert main(["count", malformed]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {malformed}: ")
 
 
 def test_malformed_pattern(tmp_path, capsys):

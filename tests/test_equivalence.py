@@ -306,8 +306,8 @@ def test_family_search_answers_exactly(monkeypatch):
         assert min(times) < 0.1, m
         phi = any_theorem13_bijection(c, d)
         assert phi is not None and ref_check_theorem13(c, d, phi), m
-    # the root offers a's first pattern no candidate, so one node decides
-    monkeypatch.setattr(equivalence, "_NODE_BUDGET", 1)
+    # the sides' labels differ, so no canonical form is built
+    monkeypatch.setattr(graph, "_LEAF_BUDGET", 0)
     for m in range(7, 41):
         (a, b), _ = family_pairs(m)
         assert any_theorem13_bijection(a, b) is None, m
@@ -325,7 +325,7 @@ def test_bijection_search_checks_ovl_in_both_directions(monkeypatch):
     def search(ovl_a, ovl_b):
         by_side = {(x1, x2): ovl_a, (y1, y2): ovl_b}
         monkeypatch.setattr(equivalence, "_ovl_matrix", lambda pats: by_side[tuple(pats)])
-        return equivalence._first_bijection([x1, x2], [y1, y2], equivalence._THEOREM13)
+        return equivalence._bijection([x1, x2], [y1, y2], equivalence._THEOREM13)
 
     monkeypatch.setattr(equivalence, "_labels", lambda ovl, kind: {x: 0 for x, _ in ovl})
     both = matrix(y1, y2, one, one)
@@ -576,13 +576,13 @@ def test_classify_s5_matches_search_at_defaults(s5_report):
 
 def test_classify_s5_runs_no_bijection_search(monkeypatch):
     calls = []
-    real = equivalence._first_bijection
+    real = equivalence._bijection
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(equivalence, "_first_bijection", counting)
+    monkeypatch.setattr(equivalence, "_bijection", counting)
     assert classify_s5(n_max=9)["orbit_count"] == 32
     assert calls == []
     # the wrapper is live: a direct search goes through it

@@ -224,6 +224,8 @@ def test_collection_errors(patterns, error, text):
     (((1, 2, 3), ((1, 2), (1, 2)), (1, 3)), "adjacent occurrences must overlap"),
     (((1, 3, 2), ((1, 2),), (1,)), "cluster must be completely covered"),
     (((1, 1), ((1,),), (1,)), "not a permutation of 1..2: (1, 1)"),
+    (((1, 2), ((1.0, 2.0),), (1,)), "not a permutation of 1..2: (1.0, 2.0)"),
+    (((1, 2), ((1, 2),), (True,)), "offsets are not ints: (True,)"),
 ])
 def test_cluster_errors(args, text):
     with pytest.raises(DomainError) as info:
