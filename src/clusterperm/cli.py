@@ -3,9 +3,10 @@
 Subcommands: count, clusters, graph, gf, equiv, monotone, verify-ode,
 classify-s5, oracle.  ``build_parser`` registers each in one ``add`` call
 that names it, declares only the flags its handler reads and binds the
-handler; ``main`` parses and calls that handler with the namespace.  Exit
-status 0 on success, 1 on a domain error (malformed pattern, non-reduced
-collection, cap exceeded) or an unreadable file, 2 on usage errors.
+handler; ``main`` parses, rejects a size flag below 1 by name, and calls
+that handler with the namespace.  Exit status 0 on success, 1 on a domain
+error (malformed pattern, non-reduced collection, size flag below 1, cap
+exceeded) or an unreadable file, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -138,16 +139,14 @@ def cmd_classify_s5(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     coll = _load_collection(args.patterns)
     if args.n > ORACLE_CAP and not args.force:
-        raise DomainError(
-            f"oracle capped at n={ORACLE_CAP}; pass --force to override"
-        )
+        raise DomainError(f"oracle capped at n={ORACLE_CAP}; pass --force to override")
     ok = True
     # one table serves the cluster check (q <= --q) and the GF (q <= --n)
     table = clusters.cluster_counts(coll, args.n, max(args.n, args.q))
+    slow = clusters.count_clusters_oracle(coll, args.n, args.q)
     for q in range(1, args.q + 1):
         for n in range(1, args.n + 1):
-            oracle = clusters.count_clusters_oracle(coll, n, q)
-            fast = table.total(n, q)
+            oracle, fast = slow.get((n, q), 0), table.total(n, q)
             if oracle != fast:
                 ok = False
                 sys.stdout.write(f"cluster mismatch at n={n} q={q}: {oracle} != {fast}\n")
@@ -173,10 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, handler, help_, paths=1, n=None, formats=(), q=False,
-            force=False, cache=False):
-        """Subcommand ``name`` bound to ``handler``, with only the flags it reads."""
+            force=False, cache=False, sizes=()):
+        """Subcommand ``name`` bound to ``handler``, with only the flags it
+        reads; ``main`` rejects a flag of ``sizes`` below 1."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, sizes=sizes)
         for i in range(paths):
             p.add_argument("patterns" + (str(i) if i else ""))
         if n is not None:
@@ -191,10 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cache", action="store_true")
 
     add("count", cmd_count, "occurrence-count tables alpha_{n,q}", n=10,
-        formats=("tsv", "avoiders"))
-    add("clusters", cmd_clusters, "cluster-count table cl_{n,q}", n=10, q=True, cache=True)
+        formats=("tsv", "avoiders"), sizes=("n",))
+    add("clusters", cmd_clusters, "cluster-count table cl_{n,q}", n=10, q=True, cache=True,
+        sizes=("n", "q"))
     add("graph", cmd_graph, "overlap graph as DOT")
-    add("gf", cmd_gf, "generating function coefficients", n=10, formats=("tsv", "cluster"))
+    add("gf", cmd_gf, "generating function coefficients", n=10, formats=("tsv", "cluster"),
+        sizes=("n",))
     add("equiv", cmd_equiv, "strong c-Wilf equivalence of two collections", paths=2, n=12)
     add("monotone", cmd_monotone, "monotonicity check and ODE emission",
         formats=("tsv", "json"))
@@ -202,13 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
         n=20)
     add("classify-s5", cmd_classify_s5, "orbit classification of S_5", paths=0,
         formats=("text", "json"))
-    add("oracle", cmd_oracle, "brute-force cross-checks", n=10, q=True, force=True)
+    add("oracle", cmd_oracle, "brute-force cross-checks", n=10, q=True, force=True,
+        sizes=("n", "q"))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in args.sizes:  # named here, before the library sees it
+            if getattr(args, flag) < 1:
+                raise DomainError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         return args.handler(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

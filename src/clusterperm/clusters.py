@@ -7,9 +7,9 @@ len(sigma) = d_q + l_q - 1.
 
 Counts are produced two independent ways:
 
-* an exhaustive oracle that enumerates (pattern sequence, offsets) shapes and
-  counts the permutations realizing each shape (linear extensions of the
-  induced value order);
+* an exhaustive oracle that counts the permutations realizing each
+  (pattern sequence, offsets) shape (linear extensions of the induced value
+  order), every cell of the table from one walk of the shapes;
 * a recurrence over the edges of the overlap graph, refined by the actual
   initial subword of the cluster.
 
@@ -34,6 +34,8 @@ whenever ``is_monotone`` holds and the refined one otherwise.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate, combinations, product, zip_longest
 from math import comb
 from operator import itemgetter
@@ -83,23 +85,21 @@ class Cluster(_Record):
             raise DomainError("cluster must be completely covered")
 
 
-def _consistent_shapes(collection: PatternCollection, n: int, q: int):
+def _consistent_shapes(collection: PatternCollection, n_max: int, q_max: int):
     """(patterns, offsets, predecessor masks) of each consistent cluster
-    shape: q windows ending at n, each overlapping the one before, whose
-    value orders do not contradict.
+    shape of length n <= n_max and q <= q_max windows: windows ending at n,
+    each overlapping the one before, whose value orders do not contradict.
+    The first j windows of a shape are a shape, so one walk meets them all.
 
     The windows are placed left to right.  ``less[i]``, the bitmask of the
     positions forced below position i, stays transitively closed: a window
     adds its order as a chain of edges a < b, and each edge puts a and all
     below it under b and all above b.  An edge with b already below a
     closes a cycle, and the prefix is dropped with every shape extending it.
-    As the collection is reduced, each window of a consistent shape adds 1
-    to l_max - 1 positions, so a prefix that cannot end at n is dropped too.
     """
-    if n < 1 or q < 1:
+    if n_max < 1 or q_max < 1:
         raise DomainError("need n >= 1 and q >= 1")
     pats = [(p, sorted(range(len(p)), key=p.__getitem__)) for p in collection]
-    step = max(map(len, collection)) - 1
     out = []
 
     def place(less, off, order):
@@ -110,26 +110,26 @@ def _consistent_shapes(collection: PatternCollection, n: int, q: int):
                 return None
             below = less[a] | 1 << a
             if below & ~less[b]:
-                for y in range(n):
+                for y in range(off + len(order)):  # no position past it is ordered
                     if y == b or less[y] >> b & 1:
                         less[y] |= below
         return less
 
     def extend(seq, offs, less):
-        if len(seq) == q:
-            out.append((tuple(seq), tuple(offs), less))
-            return
-        left = q - len(seq) - 1  # windows after the next one
+        if seq:
+            out.append((tuple(seq), tuple(offs), less[: offs[-1] + len(seq[-1]) - 1]))
+            if len(seq) == q_max:
+                return
         starts = range(offs[-1] + 1, offs[-1] + len(seq[-1])) if seq else (1,)
         for p, order in pats:
             for d in starts:
-                if left <= n - (d + len(p) - 1) <= left * step:
+                if d + len(p) - 1 <= n_max:
                     closed = place(less, d - 1, order)
                     if closed is not None:
                         extend(seq + [p], offs + [d], closed)
 
-    extend([], [], [0] * n)
-    yield from out
+    extend([], [], [0] * n_max)
+    return out
 
 
 def _extensions_to_perms(n: int, less: list[int]) -> list[Perm]:
@@ -159,18 +159,21 @@ def enumerate_clusters_oracle(
     found = [
         Cluster(sigma, seq, offs)
         for seq, offs, preds in _consistent_shapes(collection, n, q)
+        if len(seq) == q and len(preds) == n
         for sigma in _extensions_to_perms(n, preds)
     ]
     found.sort(key=lambda c: (c.sigma, c.patterns, c.offsets))
     return found
 
 
-def count_clusters_oracle(collection: PatternCollection, n: int, q: int) -> int:
-    """|enumerate_clusters_oracle| computed by linear-extension counting."""
-    total = 0
-    for _, _, preds in _consistent_shapes(collection, n, q):
-        total += kernels.count_linear_extensions(n, preds)
-    return total
+def count_clusters_oracle(collection: PatternCollection, n_max: int, q_max: int) -> dict:
+    """{(n, q): |enumerate_clusters_oracle(collection, n, q)|} for every
+    nonzero cell with n <= n_max and 1 <= q <= q_max, in (n, q) order, by
+    linear-extension counting over one walk of the shapes."""
+    table = Counter()
+    for seq, _, preds in _consistent_shapes(collection, n_max, q_max):
+        table[len(preds), len(seq)] += kernels.count_linear_extensions(len(preds), preds)
+    return dict(sorted(table.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +247,18 @@ class _Engine:
     step can come from.  A state whose lowest q is q_max pushes nothing, so
     no state beyond 1 + q_max (l_max - 1) is built.
 
-    An edge into v is the tuple of ``_edge_profile``.  A layer keys its
-    states by vertex, then by what the edge's getter reads off b: the word,
-    or its one entry for the source (1).
+    A state takes the edges into its vertex by drop l - k', up to the first
+    that would pass n_max, and an edge's ``_edge_profile`` tuple is built at
+    its first push.  A layer keys its states by vertex, then by what the
+    edge's getter reads off b: the word, or its one entry for the source (1).
     """
 
     def __init__(self, graph: OverlapGraph, n_max: int, q_max: int):
         into: dict[Perm, list] = {v: [] for v in graph.vertices}
-        for e in graph.edges:
-            into[e.target].append(_edge_profile(e))
+        for e in sorted(graph.edges, key=lambda e: len(e.pattern) - len(e.target)):
+            into[e.target].append(e)
+        # by vertex: its edges' drops, the edges, the profiles of the first few
+        into = {v: ([len(e.pattern) - len(v) for e in es], es, []) for v, es in into.items()}
         self.memo: dict[tuple[Perm, int, Perm], list[int]] = {}
         self.rows: list[list[int]] = []
         layers = [{v: {} for v in graph.vertices} for _ in range(n_max + 1)]
@@ -265,11 +271,12 @@ class _Engine:
                     y = y if len(v) > 1 else (y,)
                     self.memo[v, n, y] = acc
                     pushed = [(q + 1, c) for q, c in enumerate(acc[:q_max]) if c]
-                    for drop, src, fixed, runs, outer, inner, get, b in (
-                            into[v] if pushed else ()):
+                    drops, es, steps = into[v]
+                    taken = bisect_right(drops, n_max - n) if pushed else 0
+                    while len(steps) < taken:
+                        steps.append(_edge_profile(es[len(steps)]))
+                    for drop, src, fixed, runs, outer, inner, get, b in steps[:taken]:
                         m = n + drop
-                        if m > n_max:
-                            continue
                         out = layers[m][src]
                         b[-1] = m + 1
                         for (r, shift), x in zip(fixed, y):

@@ -257,10 +257,18 @@ def classify_s5(n_max: int = 13) -> dict:
     appearance.  Reverse and complement carry equal labels to equal labels,
     so two orbits' label sets are equal or disjoint, and an orbit shares a
     class exactly when one of its members passes check_theorem13 against the
-    representative of another.  No bijection search runs.
+    representative of another.  No bijection search runs.  Such a member has
+    that representative's cluster table (Theorem 1.3), and reverse and
+    complement keep cluster tables, so a class's first representative fills
+    the one table of its class, and a one-class bucket fills none.
     """
-    orbits = {min(orb): sorted(orb) for orb in map(symmetry_orbit, all_permutations(5))}
-    reps = sorted(orbits)
+    orbits, seen = {}, set()
+    for p in all_permutations(5):  # in order: p is the least of each new orbit
+        if p not in seen:
+            orbits[p] = sorted(symmetry_orbit(p))
+            seen.update(orbits[p])
+    reps = list(orbits)
+    name = {rep: _format_perm(rep) for rep in reps}
 
     label = {m: _labels(_ovl_matrix((m,)), _THEOREM13)[m] for m in all_permutations(5)}
     buckets: dict[str, list[Perm]] = {}
@@ -273,39 +281,38 @@ def classify_s5(n_max: int = 13) -> dict:
         classes.setdefault(key, {}).setdefault(orbit_labels, []).append(rep)
 
     cells = [(n, q) for q in range(1, _S5_Q_MAX + 1) for n in range(1, n_max + 1)]
-    vectors = {}
-    for rep in reps:
-        table = cluster_counts_single_pattern(rep, n_max, _S5_Q_MAX)
-        vectors[rep] = [table.total(n, q) for n, q in cells]
-
     separations, undecided = [], []
     for groups in classes.values():
+        vectors = {}  # by class with a rival: its first representative's cells
+        for first, *_ in groups.values() if len(groups) > 1 else ():
+            rows = cluster_counts_single_pattern(first, n_max, _S5_Q_MAX).rows
+            vectors[first] = [rows[n][q] if q < len(rows[n]) else 0 for n, q in cells]
         for g1, g2 in combinations(groups.values(), 2):
+            sep = next(((n, q, a, b) for (n, q), a, b
+                        in zip(cells, vectors[g1[0]], vectors[g2[0]]) if a != b), None)
             for r1, r2 in product(g1, g2):
-                sep = next(((n, q, a, b) for (n, q), a, b
-                            in zip(cells, vectors[r1], vectors[r2]) if a != b), None)
                 if sep is None:
-                    undecided.append((_format_perm(r1), _format_perm(r2)))
+                    undecided.append((name[r1], name[r2]))
                 else:
                     n, q, a, b = sep
-                    separations.append(dict(a=_format_perm(r1), b=_format_perm(r2), n=n, q=q,
+                    separations.append(dict(a=name[r1], b=name[r2], n=n, q=q,
                                             a_count=str(a), b_count=str(b)))
     return {
         "orbit_count": len(reps),
         "orbits": [
             {
-                "representative": _format_perm(rep),
+                "representative": name[rep],
                 "size": len(orbits[rep]),
                 "members": [_format_perm(m) for m in orbits[rep]],
             }
             for rep in reps
         ],
         "buckets": {
-            key: [_format_perm(r) for r in members]
+            key: [name[r] for r in members]
             for key, members in sorted(buckets.items())
         },
         "classes": {
-            key: [[_format_perm(r) for r in grp] for grp in groups.values()]
+            key: [[name[r] for r in grp] for grp in groups.values()]
             for key, groups in sorted(classes.items())
         },
         "separations": separations,

@@ -406,11 +406,8 @@ def test_equal_keys_give_equal_oracle_cluster_counts(pair):
     except DomainError:
         assume(False)
     assume(set(coll) != set(twin) and cache_key(coll) == cache_key(twin))
-    for n in range(1, 9):
-        for q in range(1, 4):
-            assert count_clusters_oracle(coll, n, q) == count_clusters_oracle(
-                twin, n, q
-            ), (n, q)
+    # every cell with n <= 8 and q <= 3, each table from one walk
+    assert count_clusters_oracle(coll, 8, 3) == count_clusters_oracle(twin, 8, 3)
 
 
 def test_isomorphic_graphs_share_key():

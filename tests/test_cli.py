@@ -185,8 +185,10 @@ def test_oracle_reports_each_mismatch(tmp_path, capsys, monkeypatch):
     real_clusters = clusters.count_clusters_oracle
     real_dist = series.count_distribution_oracle
 
-    def cluster_oracle(coll, n, q):
-        return real_clusters(coll, n, q) + ((n, q) == (5, 2))
+    def cluster_oracle(coll, n_max, q_max):
+        table = real_clusters(coll, n_max, q_max)
+        table[5, 2] += 1
+        return table
 
     def distribution_oracle(coll, n):
         dist = real_dist(coll, n)
@@ -201,6 +203,27 @@ def test_oracle_reports_each_mismatch(tmp_path, capsys, monkeypatch):
         "distribution mismatch at n=6 q=1: 369 != 368\n"
         "oracle agreement: fail\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--n", "0"], "--n must be at least 1, got 0"),
+    (["count", "--n", "0", "--format", "avoiders"], "--n must be at least 1, got 0"),
+    (["gf", "--n", "-2"], "--n must be at least 1, got -2"),
+    (["gf", "--n", "0", "--format", "cluster"], "--n must be at least 1, got 0"),
+    (["oracle", "--n", "0"], "--n must be at least 1, got 0"),
+    (["oracle", "--q", "0"], "--q must be at least 1, got 0"),
+    (["clusters", "--q", "0"], "--q must be at least 1, got 0"),
+    (["clusters", "--n", "0"], "--n must be at least 1, got 0"),
+    (["clusters", "--n", "-1", "--q", "0"], "--n must be at least 1, got -1"),
+])
+def test_size_flags_are_checked_by_name(p123, capsys, argv, message):
+    # the flag is named before the library is called; the library keeps
+    # its own message, and the exit status is a domain error's
+    command, *flags = argv
+    assert main([command, p123, *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(clusterperm.DomainError, match="need n_max >= 1 and q_max >= 1"):
+        clusters.cluster_counts(clusterperm.PatternCollection(((1, 2, 3),)), 0, 1)
 
 
 def test_oracle_compares_the_table_q_keys_too(tmp_path, capsys, monkeypatch):

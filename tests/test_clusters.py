@@ -13,6 +13,7 @@ from conftest import (
     random_two_pattern_collections,
     reference_collections,
 )
+import clusterperm.clusters as clusters_module
 from clusterperm.clusters import (
     Cluster,
     _edge_profile,
@@ -62,20 +63,20 @@ def test_enumerate_clusters_identity_pattern():
     (c,) = twos
     assert c.sigma == (1, 2, 3, 4, 5)
     assert c.offsets == (1, 3)
-    assert count_clusters_oracle(coll, 4, 2) == 1
-    assert count_clusters_oracle(coll, 6, 2) == 0
+    table = count_clusters_oracle(coll, 6, 2)
+    assert table[4, 2] == 1
+    assert (6, 2) not in table
     # 123 then 321 two entries apart, and 321 then 123, order the two shared
     # entries both ways: both oracles skip those shapes
     up_down = PatternCollection(((1, 2, 3), (3, 2, 1)))
     clusters = enumerate_clusters_oracle(up_down, 4, 2)
     assert [c.sigma for c in clusters] == [(1, 2, 3, 4), (4, 3, 2, 1)]
-    assert count_clusters_oracle(up_down, 4, 2) == 2
+    assert count_clusters_oracle(up_down, 4, 2)[4, 2] == 2
 
 
 def test_one_cluster_counts_are_trivial():
     coll = PatternCollection(((1, 3, 2, 5, 4),))
-    assert count_clusters_oracle(coll, 5, 1) == 1
-    assert count_clusters_oracle(coll, 6, 1) == 0
+    assert count_clusters_oracle(coll, 6, 1) == {(5, 1): 1}
 
 
 def test_clusters_cover_and_occur():
@@ -95,9 +96,10 @@ def test_length_one_pattern_table():
 def test_recurrence_matches_oracle_mixed_collection():
     coll = PatternCollection(((1, 2, 3), (1, 3, 2)))
     table = cluster_counts(coll, 8, 4)
+    oracle = count_clusters_oracle(coll, 8, 4)
     for n in range(1, 9):
         for q in range(1, 5):
-            assert table.total(n, q) == count_clusters_oracle(coll, n, q), (n, q)
+            assert table.total(n, q) == oracle.get((n, q), 0), (n, q)
 
 
 def test_input_checks():
@@ -124,9 +126,10 @@ def test_single_pattern_engine_matches_general():
 def test_recurrence_matches_oracle_random_singleton(pat):
     coll = PatternCollection((pat,))
     table = cluster_counts(coll, 7, 3)
+    oracle = count_clusters_oracle(coll, 7, 3)
     for n in range(1, 8):
         for q in range(1, 4):
-            assert table.total(n, q) == count_clusters_oracle(coll, n, q)
+            assert table.total(n, q) == oracle.get((n, q), 0)
 
 
 def test_pair_pool_mixes_both_classes():
@@ -138,9 +141,10 @@ def test_pair_pool_mixes_both_classes():
 @given(st.sampled_from(MONOTONE_PAIRS) | st.sampled_from(GENERAL_PAIRS))
 def test_recurrence_matches_oracle_random_pair(coll):
     table = cluster_counts(coll, 8, 3)
+    oracle = count_clusters_oracle(coll, 8, 3)
     for n in range(1, 9):
         for q in range(1, 4):
-            assert table.total(n, q) == count_clusters_oracle(coll, n, q), (n, q)
+            assert table.total(n, q) == oracle.get((n, q), 0), (n, q)
 
 
 def test_monotone_table_answers_refined_queries():
@@ -185,7 +189,8 @@ def test_engine_memo_holds_one_vector_per_word():
     # has length 2q + 2 to 3q + 1; a top-down memo keyed on (v, n, q, word)
     # held 22,591 states here, and one keyed on (v, n, word) 1,178
     coll = PatternCollection(((1, 3, 2, 4),))
-    assert [count_clusters_oracle(coll, n, 2) for n in (5, 6, 7, 8)] == [0, 2, 1, 0]
+    oracle = count_clusters_oracle(coll, 8, 2)
+    assert [oracle.get((n, 2), 0) for n in (5, 6, 7, 8)] == [0, 2, 1, 0]
     table = cluster_counts(coll, 20, 20)
     assert len(table._engine.memo) == 90
     assert all(table._engine.memo.values())
@@ -206,6 +211,24 @@ def test_forward_fill_builds_only_nonzero_states(coll, n, q, bound):
     table = cluster_counts(coll, n, q)
     assert len(table._engine.memo) <= bound
     assert all(table._engine.memo.values())
+
+
+def test_engine_builds_each_step_at_its_first_push(monkeypatch):
+    # a state takes the edges into its vertex by drop l - k' and stops at
+    # the first that would pass n_max: at n = 8 and q = 3 the states of
+    # SIXTEEN take 69 of its 130 edges, and only those get a profile, once
+    built = []
+
+    def profile(e):
+        built.append(e)
+        return _edge_profile(e)
+
+    monkeypatch.setattr(clusters_module, "_edge_profile", profile)
+    assert len(build_graph(SIXTEEN).edges) == 130
+    table = cluster_counts(SIXTEEN, 8, 3)
+    assert len(built) == len(set(built)) == 69
+    cells = {cell: c for cell, c in table.totals.items() if cell[1]}
+    assert cells == count_clusters_oracle(SIXTEEN, 8, 3)
 
 
 def _below(totals, q_cap):

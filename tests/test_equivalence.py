@@ -590,6 +590,26 @@ def test_classify_s5_runs_no_bijection_search(monkeypatch):
     assert len(calls) == 1
 
 
+def test_classify_s5_fills_one_table_per_class_with_a_rival(monkeypatch):
+    # Theorem 1.3 makes the tables of a class equal, so its first
+    # representative's stands for it, and a bucket of one class, 2,3,4 at
+    # S_5, needs none: 24 fills, not one per orbit
+    calls = []
+    real = equivalence.cluster_counts_single_pattern
+
+    def counting(pattern, *args):
+        calls.append(perms._format_perm(pattern))
+        return real(pattern, *args)
+
+    monkeypatch.setattr(equivalence, "cluster_counts_single_pattern", counting)
+    report = classify_s5(n_max=9)
+    firsts = [grp[0] for groups in report["classes"].values() if len(groups) > 1
+              for grp in groups]
+    assert len(calls) == 24 and sorted(calls) == sorted(firsts)
+    assert len(report["classes"]["2,3,4"]) == 1
+    assert not set(calls) & set(report["buckets"]["2,3,4"])
+
+
 def test_classify_s5_validates_each_permutation_a_few_times(monkeypatch):
     calls = []
     real = perms.check_permutation

@@ -264,7 +264,7 @@ def test_oracles_do_not_read_the_border_table(monkeypatch):
         raise AssertionError("an oracle read the border table")
 
     monkeypatch.setattr(graph_module, "_borders", forbidden)
-    assert count_clusters_oracle(coll, 6, 2) == len(enumerate_clusters_oracle(coll, 6, 2))
+    assert count_clusters_oracle(coll, 6, 2)[6, 2] == len(enumerate_clusters_oracle(coll, 6, 2))
     assert sum(kernels.count_distribution(6, list(coll)).values()) == 720
 
 
@@ -336,19 +336,23 @@ def _set_closure_preds(n, windows):
 
 
 def _reference_shapes():
-    """(collection, n, q, every shape) on the reference corpus, n <= 8 and
-    q <= 4."""
+    """(collection, n, q, every shape, the walk's shapes of (n, q)) on the
+    reference corpus, n <= 8 and q <= 4, from one walk per collection."""
     for coll in reference_collections():
+        walked = {}
+        for seq, offs, preds in _consistent_shapes(coll, 8, 4):
+            walked.setdefault((len(preds), len(seq)), []).append((seq, offs, preds))
+        assert all(1 <= n <= 8 and 1 <= q <= 4 for n, q in walked), coll
         for n in range(1, 9):
             for q in range(1, 5):
-                yield coll, n, q, _cluster_shapes(coll, n, q)
+                yield coll, n, q, _cluster_shapes(coll, n, q), walked.get((n, q), [])
 
 
 def test_shape_walk_yields_the_consistent_shapes_of_the_reference_walk():
     # the walk prunes a prefix once its closure is contradictory; the
     # reference enumerates every shape and closes each one by Warshall
     shapes = contradictions = 0
-    for coll, n, q, every in _reference_shapes():
+    for coll, n, q, every, walked in _reference_shapes():
         expected = []
         for seq, offs in every:
             preds = _window_order_preds(n, [(d - 1, p) for p, d in zip(seq, offs)])
@@ -356,7 +360,7 @@ def test_shape_walk_yields_the_consistent_shapes_of_the_reference_walk():
                 expected.append((seq, offs, preds))
             contradictions += preds is None
         shapes += len(every)
-        assert list(_consistent_shapes(coll, n, q)) == expected, (coll, n, q)
+        assert walked == expected, (coll, n, q)
     assert (shapes, contradictions) == (3821, 2742)
 
 
@@ -365,8 +369,8 @@ def test_mask_closure_matches_set_closure():
     # consistent shape with its masks, and no shape the sets find consistent
     # is missing
     consistent = 0
-    for coll, n, q, every in _reference_shapes():
-        got = {(seq, offs): preds for seq, offs, preds in _consistent_shapes(coll, n, q)}
+    for coll, n, q, every, walked in _reference_shapes():
+        got = {(seq, offs): preds for seq, offs, preds in walked}
         for seq, offs in every:
             windows = [(d - 1, p) for p, d in zip(seq, offs)]
             assert got.get((seq, offs)) == _set_closure_preds(n, windows), (seq, offs)
